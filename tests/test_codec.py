@@ -1,5 +1,11 @@
+import hashlib
+import struct
+import zlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flnp.params import ParameterSet
 from flnp.protocol.messages import (
@@ -21,6 +27,7 @@ from flnp.transport import (
     verify_auth,
 )
 from flnp.transport.codec import parameter_set_from_bytes, parameter_set_to_bytes
+from flnp.transport.frame import build_frame
 
 # every byte hand-verified: magic "FLNP", version 1 (LE u16), type 6,
 # payload length 6 (LE u32), payload = empty reason string (u16 0) plus
@@ -184,3 +191,125 @@ class TestAuth:
         signed = sign(ErrorMsg(code="x", detail="y"), key)
         decoded = decode_message(encode_message(signed))
         assert verify_auth(decoded, key)
+
+
+WIRE_KEY = b"\x11\x22\x33\x44\x55\x66\x77\x88"
+
+# SHA-256 of encode_message(sign(m, WIRE_KEY)) for each of _wire_messages(),
+# recorded from an earlier version of the codec: the bytes on the wire are
+# part of the contract and must not drift.
+WIRE_SHA256 = [
+    "3c06b8bacec678c84daf213fb71b3e3ed45ba783ca0340a605782488a6988c9f",
+    "68320937bcdc5e8eab9ea8382bcd2ea6ed81af63d032ec9e6cd07213357bc64b",
+    "c0fbea0fabb3b0900d64288b4fb0ba06583e6ba9a24d066613663ef8a2c962a4",
+    "2f7f20da20d9471cdb3b428dfc27d7014463350729ed12471879ba79e0454223",
+    "e5558fccd50facea10eb116738588592bc4c7b9f5bb98409cd5d88c86db93cfe",
+    "08aa5a133dcac2bce16d5cf392f92fd606596d10d426f223115f9079e805b164",
+    "7408840825955bbc688264077fb2461ad6ebeacf532af29c3b1046a40d83edea",
+    "d003dfbad3adee3b3e41f1f0037dcecef6361767fc8a86ffb502f1c3a5e1982d",
+    "37a87a94c357539645d8364f75aacbeab7227239549067cde28c32dfe950389f",
+]
+
+
+def _wire_messages():
+    rng = Rng(2024)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-40, 3.4e38, 1.0 / 3.0])
+    raw = ParameterSet([
+        ("embed.w", rng.normal(0, 1, (5, 3))),
+        ("layer.0.b", rng.normal(0, 1, (3,))),
+        ("layer.0.g", specials),
+        ("head.w", rng.normal(0, 1, (3, 2, 2))),
+        ("scalar", np.array(2.5)),
+    ])
+    metrics = {"val_loss": 0.25, "train_loss": float(rng.normal()), "a": -0.0}
+    return [
+        Hello(client_name="site-\u00fc", auth_token="tok"),
+        Provisioned(client_id=3, session_key=WIRE_KEY, round_plan=RoundPlan(4, 2, 0.01)),
+        GlobalModel(round=1, params=raw, local_epochs=1, lr=0.01),
+        GlobalModel(round=2, params=raw.quantize32(), local_epochs=2, lr=1e-3),
+        LocalUpdate(client_id=1, round=1, params=raw, n_samples=17, local_metrics=metrics),
+        LocalUpdate(client_id=2, round=2, params=raw.quantize32(), n_samples=0),
+        RoundComplete(round=2, global_metrics=metrics),
+        Shutdown(reason="complete"),
+        ErrorMsg(code="auth_failed", detail="bad tag"),
+    ]
+
+
+def _fresh_bytes(ps: ParameterSet) -> bytes:
+    """Encoding of a new set holding the same arrays, with nothing cached."""
+    return parameter_set_to_bytes(ParameterSet(ps.items()))
+
+
+class TestWireIdentity:
+    def test_signed_frames_match_recorded_hashes(self):
+        frames = [encode_message(sign(m, WIRE_KEY)) for m in _wire_messages()]
+        assert [hashlib.sha256(f).hexdigest() for f in frames] == WIRE_SHA256
+
+    def test_decoded_messages_reencode_and_verify(self):
+        for msg in _wire_messages():
+            frame = encode_message(sign(msg, WIRE_KEY))
+            decoded = decode_message(frame)
+            assert verify_auth(decoded, WIRE_KEY)
+            assert encode_message(decoded) == frame
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])),
+                    max_size=12))
+    def test_cached_wire_bytes_equal_a_fresh_encoding(self, values):
+        ps = ParameterSet([("a", np.array(values, dtype=np.float64)),
+                           ("b", np.array(values[::-1], dtype=np.float64).reshape(-1, 1))])
+        blob = parameter_set_to_bytes(ps)
+        assert parameter_set_to_bytes(ps) == blob
+        quantized = ps.quantize32()
+        assert parameter_set_to_bytes(quantized) == _fresh_bytes(quantized) == blob
+        decoded = parameter_set_from_bytes(blob)
+        assert parameter_set_to_bytes(decoded) == _fresh_bytes(decoded) == blob
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**32 - 1), max_size=12))
+    def test_any_float32_payload_reencodes_like_a_fresh_set(self, bits):
+        n = len(bits)
+        head = parameter_set_to_bytes(ParameterSet([("w", np.zeros(n))]))[: -4 * n or None]
+        decoded = parameter_set_from_bytes(head + np.array(bits, dtype="<u4").tobytes())
+        assert parameter_set_to_bytes(decoded) == _fresh_bytes(decoded)
+
+    def test_quantize32_of_an_unquantized_set_never_reuses_a_stale_view(self):
+        a = ParameterSet([("w", np.array([0.1, 0.2]))])
+        parameter_set_to_bytes(a)
+        qa = a.quantize32()
+        b = ParameterSet((name, arr + 1.0) for name, arr in qa.items())
+        qb = b.quantize32()
+        assert qb == ParameterSet([("w", np.float32([1.1, 1.2]).astype(np.float64))])
+        assert parameter_set_to_bytes(qb) == _fresh_bytes(qb) == parameter_set_to_bytes(b)
+        assert parameter_set_to_bytes(qb) != parameter_set_to_bytes(qa)
+
+
+class TestAuthOverParams:
+    def _signed_frame_with_values(self, bits: list[int]) -> bytes:
+        """GlobalModel frame whose float32 values are `bits`, tagged over those bytes."""
+        msg = GlobalModel(round=1, params=ParameterSet([("w", np.zeros(len(bits)))]),
+                          local_epochs=1, lr=0.1)
+        body = bytearray(encode_message(msg)[11:-8])
+        body[-4 * len(bits):] = np.array(bits, dtype="<u4").tobytes()
+        tag = zlib.crc32(WIRE_KEY + bytes(body)) or 1
+        return build_frame(3, bytes(body) + struct.pack("<I", tag))
+
+    def test_quiet_nan_payload_verifies(self):
+        decoded = decode_message(self._signed_frame_with_values([0x3F800000, 0x7FC00001]))
+        assert verify_auth(decoded, WIRE_KEY)
+
+    def test_signalling_nan_payload_fails_verification(self):
+        # widening quiets the NaN, so the set no longer encodes to the signed bytes
+        decoded = decode_message(self._signed_frame_with_values([0x3F800000, 0x7F800001]))
+        assert not verify_auth(decoded, WIRE_KEY)
+
+    def test_swapped_params_fail_verification(self):
+        rng = Rng(31)
+        params = ParameterSet([("w", rng.normal(0, 1, (3, 2)))]).quantize32()
+        other = ParameterSet([("w", rng.normal(0, 1, (3, 2)))])
+        signed = sign(GlobalModel(round=1, params=params, local_epochs=1, lr=0.1), WIRE_KEY)
+        decoded = decode_message(encode_message(signed))
+        for msg in (signed, decoded):
+            assert verify_auth(msg, WIRE_KEY)
+            assert not verify_auth(replace(msg, params=other), WIRE_KEY)
+            assert not verify_auth(replace(msg, params=other.quantize32()), WIRE_KEY)
