@@ -53,29 +53,24 @@ class ModelBase:
 
     def load_params(self, ps: ParameterSet) -> None:
         """Replace all weights; names and shapes must match the manifest."""
-        expected = self.manifest()
-        if ps.manifest() != expected:
-            raise UsageError(
-                f"parameter set manifest does not match model "
-                f"({len(ps.manifest())} vs {len(expected)} entries)"
-            )
-        for name, _ in expected:
+        _check_manifest(ps, self.manifest())
+        for name in ps.names:
             self.params[name].data = np.array(ps[name], dtype=np.float64, copy=True)
 
     def named_parameters(self) -> dict[str, Tensor]:
         return self.params
 
 
-def _materialize(specs: list[ParamSpec], seed: int) -> dict[str, Tensor]:
-    rng = Rng(seed)
-    return {
-        name: Tensor(init_array((name, shape, kind), rng), requires_grad=True)
-        for name, shape, kind in specs
-    }
+def _check_manifest(ps: ParameterSet, expected) -> None:
+    if ps.manifest() != tuple(expected):
+        raise UsageError(
+            f"parameter set manifest does not match model "
+            f"({len(ps.manifest())} vs {len(expected)} entries)"
+        )
 
 
-def init_model(config: ModelConfig, seed: int, mode: str = "classify"):
-    """Fresh model with seed-deterministic weights drawn in manifest order."""
+def _model_class(config: ModelConfig, mode: str):
+    """The model class for (config, mode) and its parameter specs."""
     from .lstm import LstmClassifier
     from .transformer import TransformerModel
 
@@ -84,14 +79,27 @@ def init_model(config: ModelConfig, seed: int, mode: str = "classify"):
     if config.kind == "lstm":
         if mode == "mlm":
             raise ConfigError("the LSTM model has no MLM head; it only classifies")
-        specs = LstmClassifier.specs_for(config)
-        return LstmClassifier(config, mode, _materialize(specs, seed))
-    specs = TransformerModel.specs_for(config, mode)
-    return TransformerModel(config, mode, _materialize(specs, seed))
+        return LstmClassifier, LstmClassifier.specs_for(config)
+    return TransformerModel, TransformerModel.specs_for(config, mode)
+
+
+def init_model(config: ModelConfig, seed: int, mode: str = "classify"):
+    """Fresh model with seed-deterministic weights drawn in manifest order."""
+    cls, specs = _model_class(config, mode)
+    rng = Rng(seed)
+    params = {
+        name: Tensor(init_array((name, shape, kind), rng), requires_grad=True)
+        for name, shape, kind in specs
+    }
+    return cls(config, mode, params)
 
 
 def build_model(config: ModelConfig, mode: str, ps: ParameterSet):
-    """Model wrapping an existing ParameterSet (no random init)."""
-    model = init_model(config, seed=0, mode=mode)
-    model.load_params(ps)
-    return model
+    """Model holding a copy of an existing ParameterSet (no random init)."""
+    cls, specs = _model_class(config, mode)
+    _check_manifest(ps, [(name, shape) for name, shape, _ in specs])
+    params = {
+        name: Tensor(np.array(arr, dtype=np.float64, copy=True), requires_grad=True)
+        for name, arr in ps.items()
+    }
+    return cls(config, mode, params)

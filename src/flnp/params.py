@@ -3,6 +3,11 @@
 A ParameterSet is the unit exchanged between server and clients and the
 input to aggregation. Name order is the model's canonical manifest order
 and defines the serialized layout.
+
+Each set converts its values to wire precision (little-endian float32) at
+most once: the float32 arrays are kept as the set's wire view, filled by
+`quantize32`, by the decoder, or on first encoding. The set is immutable,
+so the view never goes stale.
 """
 
 from __future__ import annotations
@@ -11,11 +16,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+_F32_QUIET_BIT = 0x00400000  # set in every quiet float32 NaN
+
 
 class ParameterSet:
     """Ordered name -> float64 array snapshot. Arrays are read-only copies."""
 
-    __slots__ = ("_arrays",)
+    __slots__ = ("_arrays", "_wire")
 
     def __init__(self, items: Iterable[tuple[str, np.ndarray]]) -> None:
         arrays: dict[str, np.ndarray] = {}
@@ -26,6 +33,35 @@ class ParameterSet:
             a.setflags(write=False)
             arrays[name] = a
         self._arrays = arrays
+        self._wire: tuple[np.ndarray, ...] | None = None
+
+    @classmethod
+    def from_float32(cls, items: Iterable[tuple[str, np.ndarray]]) -> "ParameterSet":
+        """Set of C-order little-endian float32 arrays, widened to float64.
+
+        The float32 arrays become the set's wire view, unless one holds a
+        signalling NaN: widening quiets it, so the set would no longer
+        encode to those bytes.
+        """
+        wire: dict[str, np.ndarray] = {}
+        for name, w in items:
+            if name in wire:
+                raise ValueError(f"duplicate parameter name '{name}'")
+            wire[name] = w
+        return cls._adopt(wire, keep_wire=not any(map(_has_signalling_nan, wire.values())))
+
+    @classmethod
+    def _adopt(cls, wire: dict[str, np.ndarray], keep_wire: bool) -> "ParameterSet":
+        """Set holding `wire` widened to float64, with no defensive copy."""
+        arrays = {}
+        for name, w in wire.items():
+            w.setflags(write=False)
+            arrays[name] = w.astype(np.float64)
+            arrays[name].setflags(write=False)
+        ps = cls.__new__(cls)
+        ps._arrays = arrays
+        ps._wire = tuple(wire.values()) if keep_wire else None
+        return ps
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -63,9 +99,28 @@ class ParameterSet:
         Idempotent; applied by the protocol before any parameter transfer
         and by centralized baselines used in equivalence tests.
         """
-        return ParameterSet(
-            (name, arr.astype(np.float32).astype(np.float64)) for name, arr in self.items()
-        )
+        # A float64 -> float32 conversion never yields a signalling NaN,
+        # so these arrays are always the new set's exact wire view.
+        wire = {name: arr.astype("<f4", order="C") for name, arr in self.items()}
+        return ParameterSet._adopt(wire, keep_wire=True)
+
+    def wire_view(self) -> tuple[np.ndarray, ...]:
+        """Each tensor's C-order little-endian float32 values, in name order.
+
+        Threads that fill the view at once compute equal tuples, so it does
+        not matter which one is kept.
+        """
+        if self._wire is None:
+            wire = tuple(arr.astype("<f4", order="C") for arr in self._arrays.values())
+            for w in wire:
+                w.setflags(write=False)
+            self._wire = wire
+        return self._wire
 
     def n_values(self) -> int:
         return sum(arr.size for arr in self._arrays.values())
+
+
+def _has_signalling_nan(w: np.ndarray) -> bool:
+    nan = np.isnan(w)
+    return bool(nan.any()) and not (w.view("<u4")[nan] & _F32_QUIET_BIT).all()

@@ -9,7 +9,7 @@ from .messages import (
     RoundPlan,
     Shutdown,
 )
-from .fedavg import ClientUpdate, ProtocolError, aggregate, global_validate, top1_accuracy
+from .fedavg import ClientUpdate, ProtocolError, aggregate, top1_accuracy
 from .server import FlServer, ServerConfig
 from .client import ClientTrainConfig, FlClient
 
@@ -26,7 +26,6 @@ __all__ = [
     "ClientUpdate",
     "ProtocolError",
     "aggregate",
-    "global_validate",
     "top1_accuracy",
     "FlServer",
     "ServerConfig",

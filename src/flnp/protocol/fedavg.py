@@ -1,4 +1,4 @@
-"""Sample-count-weighted parameter averaging and forward-only validation."""
+"""Sample-count-weighted parameter averaging."""
 
 from __future__ import annotations
 
@@ -78,12 +78,3 @@ def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     pred = np.argmax(logits, axis=1)
     return float((pred == labels).mean())
 
-
-def global_validate(params: ParameterSet, model_config, mode: str, eval_batches) -> dict[str, float]:
-    """Forward-only metrics of a parameter set on a fixed validation set."""
-    from ..training import evaluate
-    from ..models import build_model
-
-    model = build_model(model_config, mode, params)
-    loss, top1 = evaluate(model, eval_batches)
-    return {"val_loss": loss, "val_top1_accuracy": top1}

@@ -5,7 +5,12 @@ maps are serialized in sorted key order). Parameter tensors travel as
 32-bit IEEE-754 values; compute stays 64-bit, so a decoded set equals
 the sender's values rounded to float32. Every message body ends with a
 u32 auth tag; 0 means unsigned, otherwise it is CRC-32 over the session
-key concatenated with the body bytes.
+key followed by the body bytes.
+
+A body is encoded as a list of chunks: small fields are packed, and each
+tensor's values are its set's float32 wire view, referenced rather than
+copied. Signing, verifying and framing all stream over those chunks, so
+no body is joined except once into the outgoing frame.
 """
 
 from __future__ import annotations
@@ -61,7 +66,8 @@ class _Writer:
     def f64(self, v: float) -> None:
         self._chunks.append(struct.pack("<d", v))
 
-    def raw(self, b: bytes) -> None:
+    def raw(self, b) -> None:
+        """Append any contiguous buffer (bytes, memoryview, numpy array)."""
         self._chunks.append(b)
 
     def string(self, s: str) -> None:
@@ -83,16 +89,21 @@ class _Writer:
             self.string(name)
             self.f64(float(values[name]))
 
+    def chunks(self) -> list:
+        return self._chunks
+
     def getvalue(self) -> bytes:
         return b"".join(self._chunks)
 
 
 class _Reader:
-    def __init__(self, data: bytes) -> None:
-        self._data = data
+    """Reads fields from a buffer; bulk fields are zero-copy memoryviews."""
+
+    def __init__(self, data) -> None:
+        self._data = memoryview(data)
         self._pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if n < 0 or self._pos + n > len(self._data):
             raise DecodeError("bad_payload", "field runs past the end of the body")
         out = self._data[self._pos : self._pos + n]
@@ -117,12 +128,12 @@ class _Reader:
     def string(self) -> str:
         n = self.u16()
         try:
-            return self.take(n).decode("utf-8")
+            return str(self.take(n), "utf-8")
         except UnicodeDecodeError:
             raise DecodeError("bad_payload", "invalid UTF-8 in string field") from None
 
     def blob(self) -> bytes:
-        return self.take(self.u16())
+        return bytes(self.take(self.u16()))
 
     def metrics(self) -> dict[str, float]:
         return {self.string(): self.f64() for _ in range(self.u16())}
@@ -133,17 +144,18 @@ class _Reader:
 
 def encode_parameter_set(w: _Writer, ps: ParameterSet) -> None:
     w.u32(len(ps))
-    for name, arr in ps.items():
+    for name, values in zip(ps.names, ps.wire_view()):
         w.string(name)
-        if arr.ndim > 0xFF:
+        if values.ndim > 0xFF:
             raise ValueError("tensor rank exceeds the u8 field")
-        w.u8(arr.ndim)
-        for dim in arr.shape:
+        w.u8(values.ndim)
+        for dim in values.shape:
             w.u32(dim)
-        w.raw(arr.astype("<f4").tobytes())
+        w.raw(values)
 
 
 def decode_parameter_set(r: _Reader) -> ParameterSet:
+    """Set whose wire view is the received bytes themselves (see from_float32)."""
     count = r.u32()
     items: list[tuple[str, np.ndarray]] = []
     for _ in range(count):
@@ -153,15 +165,15 @@ def decode_parameter_set(r: _Reader) -> ParameterSet:
         n = 1
         for dim in shape:
             n *= dim
-        values = np.frombuffer(r.take(4 * n), dtype="<f4").astype(np.float64).reshape(shape)
-        items.append((name, values))
+        items.append((name, np.frombuffer(r.take(4 * n), dtype="<f4").reshape(shape)))
     try:
-        return ParameterSet(items)
+        return ParameterSet.from_float32(items)
     except ValueError as exc:
         raise DecodeError("bad_payload", str(exc)) from None
 
 
-def _encode_body(msg: FlMessage) -> bytes:
+def _encode_body(msg: FlMessage) -> list:
+    """The body as a list of buffers, in wire order."""
     w = _Writer()
     if isinstance(msg, Hello):
         w.string(msg.client_name)
@@ -193,10 +205,10 @@ def _encode_body(msg: FlMessage) -> bytes:
         w.string(msg.detail)
     else:
         raise TypeError(f"not a protocol message: {type(msg).__name__}")
-    return w.getvalue()
+    return w.chunks()
 
 
-def _decode_body(code: int, body: bytes) -> FlMessage:
+def _decode_body(code: int, body) -> FlMessage:
     r = _Reader(body)
     cls = _CODE_TO_TYPE.get(code)
     if cls is None:
@@ -232,19 +244,21 @@ def _decode_body(code: int, body: bytes) -> FlMessage:
 
 def encode_message(msg: FlMessage) -> bytes:
     """Full frame bytes; deterministic per message value."""
-    body = _encode_body(msg)
-    payload = body + struct.pack("<I", msg.auth_tag & 0xFFFFFFFF)
-    return build_frame(MSG_CODES[type(msg)], payload)
+    tag = struct.pack("<I", msg.auth_tag & 0xFFFFFFFF)
+    return build_frame(MSG_CODES[type(msg)], *_encode_body(msg), tag)
 
 
-def decode_message(data: bytes, max_payload: int = DEFAULT_MAX_PAYLOAD) -> FlMessage:
-    """Exact inverse of encode_message; raises DecodeError on any defect."""
+def decode_message(data, max_payload: int = DEFAULT_MAX_PAYLOAD) -> FlMessage:
+    """Exact inverse of encode_message; raises DecodeError on any defect.
+
+    Decoded parameter sets view `data` rather than copy it, so `data`
+    must not be modified afterwards.
+    """
     code, payload = parse_frame(data, max_payload=max_payload)
     if len(payload) < 4:
         raise DecodeError("bad_payload", "payload too short for the auth tag")
-    body, tag_bytes = payload[:-4], payload[-4:]
-    msg = _decode_body(code, body)
-    (tag,) = struct.unpack("<I", tag_bytes)
+    msg = _decode_body(code, payload[:-4])
+    (tag,) = struct.unpack_from("<I", payload, len(payload) - 4)
     return with_tag(msg, tag) if tag else msg
 
 
@@ -255,7 +269,7 @@ def parameter_set_to_bytes(ps: ParameterSet) -> bytes:
     return w.getvalue()
 
 
-def parameter_set_from_bytes(data: bytes) -> ParameterSet:
+def parameter_set_from_bytes(data) -> ParameterSet:
     r = _Reader(data)
     ps = decode_parameter_set(r)
     if not r.done():
@@ -264,9 +278,15 @@ def parameter_set_from_bytes(data: bytes) -> ParameterSet:
 
 
 def compute_auth_tag(session_key: bytes, msg: FlMessage) -> int:
-    """Keyed CRC-32 over the canonical body; simulated authentication."""
-    tag = zlib.crc32(session_key + _encode_body(msg)) & 0xFFFFFFFF
-    return tag or 1  # 0 is reserved for "unsigned"
+    """Keyed CRC-32 over the canonical body; simulated authentication.
+
+    The CRC runs over the key and then over each body chunk, carrying its
+    running value, which equals the CRC of key and body concatenated.
+    """
+    crc = zlib.crc32(session_key)
+    for chunk in _encode_body(msg):
+        crc = zlib.crc32(chunk, crc)
+    return (crc & 0xFFFFFFFF) or 1  # 0 is reserved for "unsigned"
 
 
 def sign(msg: FlMessage, session_key: bytes) -> FlMessage:

@@ -36,16 +36,22 @@ class DecodeError(Exception):
         self.detail = detail
 
 
-def build_frame(msg_type: int, payload: bytes) -> bytes:
-    header = _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, msg_type, len(payload))
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    return header + payload + struct.pack("<I", crc)
+def build_frame(msg_type: int, *chunks) -> bytes:
+    """Frame whose payload is `chunks` (contiguous buffers) in order.
+
+    The CRC streams over the chunks, and the frame is joined once.
+    """
+    length = 0
+    crc = 0
+    for chunk in chunks:
+        length += memoryview(chunk).nbytes
+        crc = zlib.crc32(chunk, crc)
+    header = _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, msg_type, length)
+    return b"".join((header, *chunks, struct.pack("<I", crc & 0xFFFFFFFF)))
 
 
-def parse_frame(data: bytes, max_payload: int = DEFAULT_MAX_PAYLOAD) -> tuple[int, bytes]:
-    """Parse one complete frame; returns (msg_type, payload)."""
-    if len(data) < HEADER_SIZE:
-        raise DecodeError("truncated", f"{len(data)} bytes is below the {HEADER_SIZE}-byte header")
+def parse_header(data, max_payload: int = DEFAULT_MAX_PAYLOAD) -> tuple[int, int]:
+    """Check the first HEADER_SIZE bytes of a frame; returns (msg_type, length)."""
     magic, version, msg_type, length = _HEADER.unpack_from(data)
     if magic != FRAME_MAGIC:
         raise DecodeError("bad_magic", repr(magic))
@@ -53,12 +59,20 @@ def parse_frame(data: bytes, max_payload: int = DEFAULT_MAX_PAYLOAD) -> tuple[in
         raise DecodeError("unsupported_version", str(version))
     if length > max_payload:
         raise DecodeError("frame_too_large", f"payload of {length} bytes exceeds cap {max_payload}")
+    return msg_type, length
+
+
+def parse_frame(data, max_payload: int = DEFAULT_MAX_PAYLOAD) -> tuple[int, memoryview]:
+    """Parse one complete frame; returns (msg_type, payload view into `data`)."""
+    if len(data) < HEADER_SIZE:
+        raise DecodeError("truncated", f"{len(data)} bytes is below the {HEADER_SIZE}-byte header")
+    msg_type, length = parse_header(data, max_payload)
     total = HEADER_SIZE + length + TRAILER_SIZE
     if len(data) < total:
         raise DecodeError("truncated", f"need {total} bytes, have {len(data)}")
     if len(data) > total:
         raise DecodeError("trailing_data", f"{len(data) - total} bytes past the frame end")
-    payload = data[HEADER_SIZE : HEADER_SIZE + length]
+    payload = memoryview(data)[HEADER_SIZE : HEADER_SIZE + length]
     (crc,) = struct.unpack_from("<I", data, HEADER_SIZE + length)
     if crc != (zlib.crc32(payload) & 0xFFFFFFFF):
         raise DecodeError("checksum_mismatch")

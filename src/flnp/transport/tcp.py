@@ -1,39 +1,37 @@
 """Framed message transport over TCP sockets.
 
 Frames are read by fixed-size header first, then exactly the advertised
-payload plus the CRC trailer, so arbitrary write fragmentation on the
-stream is invisible to the decoder. The server side runs one reader
-thread per accepted connection, all feeding a single inbox queue; the
-protocol state machine stays single-threaded.
+payload plus the CRC trailer into one buffer sized from the header, so
+arbitrary write fragmentation on the stream is invisible to the decoder.
+The server side runs one reader thread per accepted connection, all
+feeding a single inbox queue; the protocol state machine stays
+single-threaded.
 """
 
 from __future__ import annotations
 
 import queue
 import socket
-import struct
 import threading
 
 from .codec import decode_message, encode_message
-from .frame import DEFAULT_MAX_PAYLOAD, DecodeError, FRAME_MAGIC, FRAME_VERSION, HEADER_SIZE
+from .frame import DEFAULT_MAX_PAYLOAD, HEADER_SIZE, TRAILER_SIZE, DecodeError, parse_header
 
 DEFAULT_PORT = 7878
-
-_HEADER = struct.Struct("<4sHBI")
 
 
 class ConnectionClosed(RuntimeError):
     pass
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise ConnectionClosed("peer closed mid-frame" if buf else "peer closed")
-        buf.extend(chunk)
-    return bytes(buf)
+def _recv_into(sock: socket.socket, view: memoryview, mid_frame: bool) -> None:
+    """Fill `view` from the socket."""
+    got = 0
+    while got < len(view):
+        n = sock.recv_into(view[got:])
+        if not n:
+            raise ConnectionClosed("peer closed mid-frame" if got or mid_frame else "peer closed")
+        got += n
 
 
 def send_message(sock: socket.socket, msg) -> None:
@@ -41,16 +39,13 @@ def send_message(sock: socket.socket, msg) -> None:
 
 
 def recv_message(sock: socket.socket, max_payload: int = DEFAULT_MAX_PAYLOAD):
-    header = _recv_exact(sock, HEADER_SIZE)
-    magic, version, _msg_type, length = _HEADER.unpack(header)
-    if magic != FRAME_MAGIC:
-        raise DecodeError("bad_magic", repr(magic))
-    if version != FRAME_VERSION:
-        raise DecodeError("unsupported_version", str(version))
-    if length > max_payload:
-        raise DecodeError("frame_too_large", f"{length} bytes exceeds cap {max_payload}")
-    rest = _recv_exact(sock, length + 4)
-    return decode_message(header + rest, max_payload=max_payload)
+    header = bytearray(HEADER_SIZE)
+    _recv_into(sock, memoryview(header), mid_frame=False)
+    _msg_type, length = parse_header(header, max_payload)
+    frame = bytearray(HEADER_SIZE + length + TRAILER_SIZE)
+    frame[:HEADER_SIZE] = header
+    _recv_into(sock, memoryview(frame)[HEADER_SIZE:], mid_frame=True)
+    return decode_message(frame, max_payload=max_payload)
 
 
 class TcpConnection:

@@ -1,7 +1,6 @@
 """Finite-difference checks through entire models.
 
-The acceptance suite re-runs these at the preset sizes; here smaller
-configs keep the unit loop fast while covering every parameter role.
+Small configs keep the loop fast while covering every parameter role.
 """
 
 import numpy as np

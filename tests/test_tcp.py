@@ -2,10 +2,12 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from flnp.protocol.messages import Hello, Shutdown
-from flnp.transport import DecodeError, TcpServer, connect, encode_message
+from flnp.params import ParameterSet
+from flnp.protocol.messages import GlobalModel, Hello, Shutdown
+from flnp.transport import DecodeError, TcpServer, connect, encode_message, sign, verify_auth
 from flnp.transport.tcp import recv_message, send_message
 
 
@@ -62,11 +64,39 @@ def test_oversized_frame_rejected_by_reader():
     b.close()
 
 
+@pytest.mark.parametrize("offset, value, code", [(0, 0x58, "bad_magic"),
+                                                  (4, 2, "unsupported_version")])
+def test_bad_header_rejected_by_reader(offset, value, code):
+    a, b = socket.socketpair()
+    frame = bytearray(encode_message(Hello(client_name="x", auth_token="t")))
+    frame[offset] = value
+    a.sendall(frame)
+    with pytest.raises(DecodeError) as err:
+        recv_message(b)
+    assert err.value.code == code
+    a.close()
+    b.close()
+
+
 def test_send_recv_round_trip_over_socketpair():
     a, b = socket.socketpair()
     msg = Hello(client_name="pair", auth_token="tok")
     send_message(a, msg)
     assert recv_message(b) == msg
+    a.close()
+    b.close()
+
+
+def test_signed_model_round_trip_over_socketpair():
+    key = b"pairpair"
+    params = ParameterSet([("w", np.linspace(-1.0, 1.0, 60).reshape(6, 10)), ("b", np.ones(10))])
+    msg = sign(GlobalModel(round=3, params=params.quantize32(), local_epochs=1, lr=0.1), key)
+    a, b = socket.socketpair()
+    send_message(a, msg)
+    got = recv_message(b)
+    assert got == msg
+    assert verify_auth(got, key)
+    assert encode_message(got) == encode_message(msg)
     a.close()
     b.close()
 
