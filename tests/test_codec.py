@@ -266,7 +266,10 @@ class TestWireIdentity:
         assert parameter_set_to_bytes(decoded) == _fresh_bytes(decoded) == blob
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(0, 2**32 - 1), max_size=12))
+    @given(st.lists(st.one_of(st.integers(0, 2**32 - 1),
+                              st.integers(0x7F800000, 0x7FFFFFFF),  # +inf and NaNs
+                              st.integers(0xFF800000, 0xFFFFFFFF)),  # -inf and NaNs
+                    max_size=12))
     def test_any_float32_payload_reencodes_like_a_fresh_set(self, bits):
         n = len(bits)
         head = parameter_set_to_bytes(ParameterSet([("w", np.zeros(n))]))[: -4 * n or None]
@@ -282,6 +285,13 @@ class TestWireIdentity:
         assert qb == ParameterSet([("w", np.float32([1.1, 1.2]).astype(np.float64))])
         assert parameter_set_to_bytes(qb) == _fresh_bytes(qb) == parameter_set_to_bytes(b)
         assert parameter_set_to_bytes(qb) != parameter_set_to_bytes(qa)
+
+    def test_transposed_arrays_encode_in_row_major_order(self):
+        values = np.arange(6.0).reshape(2, 3).T
+        ps = ParameterSet([("t", values)])
+        expected = values.astype("<f4").tobytes()
+        assert parameter_set_to_bytes(ps).endswith(expected)
+        assert parameter_set_to_bytes(ps.quantize32()).endswith(expected)
 
 
 class TestAuthOverParams:
