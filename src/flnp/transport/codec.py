@@ -49,26 +49,26 @@ _CODE_TO_TYPE = {v: k for k, v in MSG_CODES.items()}
 
 class _Writer:
     def __init__(self) -> None:
-        self._chunks: list[bytes] = []
+        self.chunks: list = []  # bytes and other contiguous buffers, in order
 
     def u8(self, v: int) -> None:
-        self._chunks.append(struct.pack("<B", v))
+        self.chunks.append(struct.pack("<B", v))
 
     def u16(self, v: int) -> None:
-        self._chunks.append(struct.pack("<H", v))
+        self.chunks.append(struct.pack("<H", v))
 
     def u32(self, v: int) -> None:
-        self._chunks.append(struct.pack("<I", v))
+        self.chunks.append(struct.pack("<I", v))
 
     def u64(self, v: int) -> None:
-        self._chunks.append(struct.pack("<Q", v))
+        self.chunks.append(struct.pack("<Q", v))
 
     def f64(self, v: float) -> None:
-        self._chunks.append(struct.pack("<d", v))
+        self.chunks.append(struct.pack("<d", v))
 
     def raw(self, b) -> None:
         """Append any contiguous buffer (bytes, memoryview, numpy array)."""
-        self._chunks.append(b)
+        self.chunks.append(b)
 
     def string(self, s: str) -> None:
         b = s.encode("utf-8")
@@ -89,11 +89,8 @@ class _Writer:
             self.string(name)
             self.f64(float(values[name]))
 
-    def chunks(self) -> list:
-        return self._chunks
-
     def getvalue(self) -> bytes:
-        return b"".join(self._chunks)
+        return b"".join(self.chunks)
 
 
 class _Reader:
@@ -205,7 +202,7 @@ def _encode_body(msg: FlMessage) -> list:
         w.string(msg.detail)
     else:
         raise TypeError(f"not a protocol message: {type(msg).__name__}")
-    return w.chunks()
+    return w.chunks
 
 
 def _decode_body(code: int, body) -> FlMessage:
