@@ -11,7 +11,7 @@ import pytest
 
 from flnp.experiment.config import config_from_dict
 from flnp.experiment.metrics import emit_metrics, strip_wall_time
-from flnp.experiment.runner import params_checksum, run_experiment
+from flnp.experiment.runner import params_checksum, run_experiment, save_params
 
 TINY_DATA = {"n_records": 60, "min_len": 6, "max_len": 12}
 
@@ -94,8 +94,8 @@ GOLDEN = {
 }
 
 
-def run_case(case: str, tmp_path, **overrides):
-    cfg = config_from_dict({
+def tiny_config(fields: dict, **overrides):
+    return config_from_dict({
         "rounds": 2,
         "local_epochs": 1,
         "batch_size": 8,
@@ -103,14 +103,29 @@ def run_case(case: str, tmp_path, **overrides):
         "partition": {"n_clients": 2, "mode": "balanced"},
         "data": TINY_DATA,
         "seeds": {"corpus": 3, "partition": 5, "init": 7, "batch": 11},
-        **CASES[case],
+        **fields,
         **overrides,
     })
-    result = run_experiment(cfg)[0]
-    csv_path = tmp_path / f"{case}.csv"
+
+
+def csv_rows(result, tmp_path) -> list[str]:
+    csv_path = tmp_path / f"{result.run_id}.csv"
     emit_metrics(result.records, str(csv_path))
-    rows = [",".join(row) for row in strip_wall_time(str(csv_path))[1:]]
-    return params_checksum(result.final_params), rows
+    return [",".join(row) for row in strip_wall_time(str(csv_path))[1:]]
+
+
+def run_case(case: str, tmp_path, **overrides):
+    result = run_experiment(tiny_config(CASES[case], **overrides))[0]
+    return params_checksum(result.final_params), csv_rows(result, tmp_path)
+
+
+def phase_goldens(results, tmp_path):
+    """Per phase: ({scope: final-params SHA-256}, CSV rows)."""
+    return [
+        ({scope: params_checksum(ps) for scope, ps in sorted(r.finals.items())},
+         csv_rows(r, tmp_path))
+        for r in results
+    ]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -126,3 +141,173 @@ def test_tcp_run_equals_channel_run(tmp_path):
     expected_checksum, expected_rows = GOLDEN["lstm_classify_federated_tcp"]
     assert checksum == expected_checksum
     assert rows == expected_rows
+
+
+# Chained pretrain -> fine-tune runs, with every phase pinned: the fine-tune
+# phase starts from the pretrained encoder (one set per standalone client).
+PHASE_CASES = {
+    "bert_mini_two_phase_standalone": {
+        "mode": "standalone", "phase": "pretrain_then_finetune", "model": "bert_mini",
+    },
+    "bert_mini_two_phase_federated_channel": {
+        "mode": "federated", "phase": "pretrain_then_finetune", "model": "bert_mini",
+        "transport": "channel",
+    },
+}
+
+# Fine-tuning from a pretraining artifact on disk, once per mode.
+ARTIFACT_CASE = {"phase": "finetune_classify", "model": "bert_mini"}
+ARTIFACT_MODES = ("centralized", "standalone", "federated")
+
+# case -> per phase: ({scope: final-params SHA-256}, CSV rows without wall_time_ms)
+PHASE_GOLDEN = {
+    "bert_mini_two_phase_federated_channel": [
+        (
+            {
+                "global": "a6808b884d22fa81ca4218ed700c6b232435007f9bca2ab5e8d5cff3e7d759bd",
+            },
+            [
+                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,0,global,validation,4.73272,0",
+                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,client_0,train,4.88781,0",
+                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,client_0,validation,4.44083,0",
+                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,client_1,train,4.51117,0.0555556",
+                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,client_1,validation,4.0979,0",
+                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,global,validation,4.82714,0.166667",
+                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,client_0,train,4.5635,0.0967742",
+                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,client_0,validation,4.2873,0",
+                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,client_1,train,4.08078,0.111111",
+                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,client_1,validation,4.20096,0.333333",
+                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,global,validation,4.81032,0.166667",
+            ],
+        ),
+        (
+            {
+                "global": "d39506e6b1701dd42a1a917ad1680eb8663c27c62b56dc77fa65046356cbb368",
+            },
+            [
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,0,global,validation,1.63455,0",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,train,0.384271,0.772727",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,validation,0.00274687,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,train,0.779912,0.590909",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,validation,0.664596,0.8",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,global,validation,0.00974132,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,train,0.582573,0.863636",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,validation,0.0720327,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,train,0.492759,0.863636",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,validation,1.70746,0.2",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,global,validation,0.0990227,1",
+            ],
+        ),
+    ],
+    "bert_mini_two_phase_standalone": [
+        (
+            {
+                "client_0": "cc9a9c9830fac2ff0123f3d0f6bd7e5932f8cc7a7ed9f1a2ea5638ad59805c05",
+                "client_1": "61c0479558e3d843326b4cfabf0db212aef779b35091e381871c16c00b6498f3",
+            },
+            [
+                "pretrain_mlm-standalone-bert_mini-i7,standalone,bert_mini,0,client_0,validation,4.73272,0",
+                "pretrain_mlm-standalone-bert_mini-i7,standalone,bert_mini,0,client_1,validation,4.73272,0",
+                "pretrain_mlm-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,train,4.88781,0",
+                "pretrain_mlm-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,validation,4.82364,0.166667",
+                "pretrain_mlm-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,train,4.51117,0.0555556",
+                "pretrain_mlm-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,validation,4.88543,0",
+                "pretrain_mlm-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,train,4.40623,0.0967742",
+                "pretrain_mlm-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,validation,5.0329,0",
+                "pretrain_mlm-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,train,4.37858,0.037037",
+                "pretrain_mlm-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,validation,4.79302,0.166667",
+            ],
+        ),
+        (
+            {
+                "client_0": "8e6f27ec42a412ffc8232bc01fd9340b9159061a4de1399f1f384d5d64b3dd44",
+                "client_1": "4a16867161ad1a79601ef1bfbf6c98a5464c44160f3fc8a9c601d451c52f6104",
+            },
+            [
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_0,validation,1.62203,0",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_1,validation,1.62722,0",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,train,1.41843,0.5",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,validation,0.00958173,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,train,0.816808,0.590909",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,validation,0.0390591,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,train,0.592893,0.863636",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,validation,0.103104,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,train,0.997107,0.409091",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,validation,0.972946,0",
+            ],
+        ),
+    ],
+}
+
+ARTIFACT_GOLDEN = {
+    "centralized": [
+        (
+            {
+                "global": "1229d5fc2cdc6529ab3c26acb643ae327e1c6d157eaacecaba9443a2a1696122",
+            },
+            [
+                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,0,global,validation,1.63455,0",
+                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,1,global,train,0.528844,0.767442",
+                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,1,global,validation,0.026764,1",
+                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,train,0.485453,0.860465",
+                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,validation,0.13088,1",
+            ],
+        ),
+    ],
+    "standalone": [
+        (
+            {
+                "client_0": "4a494c1913339508011297a631dc04573d962577d56f985f17086686d404725e",
+                "client_1": "0279dc3228e7e1239bacc4ade62dfd677db29b9d421ab63e91ce7c5ad426afde",
+            },
+            [
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_0,validation,1.63455,0",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_1,validation,1.63455,0",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,train,0.384271,0.772727",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,validation,0.00274677,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,train,0.779912,0.590909",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,validation,0.0439152,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,train,0.659563,0.863636",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,validation,0.0611093,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,train,0.606127,0.590909",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,validation,0.082733,1",
+            ],
+        ),
+    ],
+    "federated": [
+        (
+            {
+                "global": "d39506e6b1701dd42a1a917ad1680eb8663c27c62b56dc77fa65046356cbb368",
+            },
+            [
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,0,global,validation,1.63455,0",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,train,0.384271,0.772727",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,validation,0.00274687,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,train,0.779912,0.590909",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,validation,0.664596,0.8",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,global,validation,0.00974132,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,train,0.582573,0.863636",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,validation,0.0720327,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,train,0.492759,0.863636",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,validation,1.70746,0.2",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,global,validation,0.0990227,1",
+            ],
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHASE_CASES))
+def test_golden_two_phase_run(case, tmp_path):
+    results = run_experiment(tiny_config(PHASE_CASES[case]))
+    assert phase_goldens(results, tmp_path) == PHASE_GOLDEN[case]
+
+
+@pytest.mark.parametrize("mode", ARTIFACT_MODES)
+def test_golden_finetune_from_artifact(mode, tmp_path):
+    pretrained = run_experiment(tiny_config(CASES["bert_mini_mlm_federated_channel"]))[0]
+    artifact = tmp_path / "pretrained.flnp"
+    save_params(pretrained.final_params, str(artifact))
+    results = run_experiment(tiny_config(ARTIFACT_CASE, mode=mode, pretrained_params_path=str(artifact)))
+    assert phase_goldens(results, tmp_path) == ARTIFACT_GOLDEN[mode]
+
