@@ -20,21 +20,19 @@ import sys
 
 from .data import CorpusParams, gen_synthetic_corpus, save_corpus
 from .models.config import ConfigError
+from .protocol.client import FlClient
 from .protocol.fedavg import ProtocolError
 from .tensor import UsageError
-from .experiment.config import (
-    ExperimentConfig,
-    apply_overrides,
-    config_from_dict,
-    config_to_dict,
-    load_config,
-)
+from .transport.tcp import connect
+from .experiment.config import ExperimentConfig, config_from_dict, config_to_dict, load_config
+from .experiment.federated import tcp_client_loop
 from .experiment.metrics import MetricsRecord, emit_metrics
 from .experiment.runner import (
     build_dataset,
     params_checksum,
     run_experiment,
     save_params,
+    train_config,
 )
 
 EXIT_OK = 0
@@ -84,15 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_cfg(args) -> ExperimentConfig:
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{args.config}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
     overrides = list(args.set)
     if getattr(args, "transport", None):
         overrides.append(f"transport={args.transport}")
@@ -100,8 +89,7 @@ def _load_cfg(args) -> ExperimentConfig:
         overrides.append(f"addr={args.addr}")
     if args.out:
         overrides.append(f"out_dir={args.out}")
-    apply_overrides(data, overrides)
-    return config_from_dict(data)
+    return load_config(args.config, overrides)
 
 
 def cmd_gen_data(args) -> int:
@@ -172,30 +160,9 @@ def cmd_serve(args) -> int:
 
 
 def cmd_client(args) -> int:
-    from .protocol.client import ClientTrainConfig, FlClient
-    from .experiment.runner import _phase_label, _settings  # shared derivations
-    from .experiment.federated import tcp_client_loop
-    from .transport.tcp import connect
-
     cfg = _load_cfg(args)
-    bundle = build_dataset(cfg)
-    phase_label = _phase_label(cfg.phase if cfg.phase != "pretrain_then_finetune" else "pretrain_mlm")
-    model_cfg = cfg.model_config(bundle.vocab.size)
-    client = FlClient(
-        name=args.name,
-        auth_token=cfg.auth_token,
-        config=ClientTrainConfig(
-            model_config=model_cfg,
-            mode="mlm" if phase_label == "mlm" else "classify",
-            vocab=bundle.vocab,
-            settings=_settings(cfg, phase_label),
-            batch_seed=cfg.seeds.batch,
-            shard_provider=lambda cid: bundle.shards[cid],
-        ),
-    )
-    host, _, port = args.addr.rpartition(":") if args.addr else cfg.addr.rpartition(":")
-    conn = connect(host, int(port))
-    tcp_client_loop(client, conn)
+    client = FlClient(args.name, cfg.auth_token, train_config(cfg, build_dataset(cfg)))
+    tcp_client_loop(client, connect(*cfg.host_port()))  # --addr is already in cfg.addr
     print(f"{args.name}: completed {len(client.round_history)} rounds")
     return EXIT_OK
 

@@ -195,8 +195,14 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if overrides:
-        apply_overrides(data, overrides)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    apply_overrides(data, overrides or [])
     return config_from_dict(data)

@@ -24,14 +24,13 @@ from ..transport.tcp import ConnectionClosed, TcpConnection, TcpServer
 def drive_channel(
     server: FlServer,
     clients: list[FlClient],
-    encoded: bool = False,
     drop_rng=None,
     drop_prob: float = 0.0,
 ) -> None:
     """Run a whole session over in-process channels, single-threaded."""
     links = []
     for _ in clients:
-        pair = channel_pair(encoded=encoded)
+        pair = channel_pair()
         if drop_rng is not None:
             pair[0].set_drop_policy(drop_rng, drop_prob)
             pair[1].set_drop_policy(drop_rng, drop_prob)

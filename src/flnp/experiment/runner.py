@@ -1,10 +1,14 @@
 """Experiment execution for the three training modes and both phases.
 
-Compute parity: every mode runs `rounds` blocks of `local_epochs` epochs
-per trainer, and every parameter set crossing a block boundary passes
-through the 32-bit wire quantization, exactly as federated parameters
-cross the wire. A one-client federated run therefore reproduces the
-centralized run bit for bit under equal seeds.
+Compute parity: every mode trains through `LocalTrainer`, the one
+local-training path. Federated clients drive it from the round protocol;
+`run_local` drives it directly, as trainer 0 on the pooled shards
+(centralized) or trainer k on shard k (standalone). Every mode runs
+`rounds` blocks of `local_epochs` epochs per trainer, and every parameter
+set crossing a block boundary passes through the 32-bit wire
+quantization, exactly as federated parameters cross the wire. A
+one-client federated run therefore reproduces the centralized run bit for
+bit under equal seeds.
 
 Stream derivations (trainer_id is the client id; 0 for the centralized
 trainer): see `flnp.training`. The global validation set is carved off
@@ -20,25 +24,18 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 from ..data import Vocabulary, build_vocab, gen_synthetic_corpus, load_corpus, partition
 from ..data.corpus import CorpusParams, Record
 from ..models import build_model, init_model
-from ..models.config import ModelConfig
-from ..optim import Adam
 from ..params import ParameterSet
-from ..protocol.client import ClientTrainConfig, FlClient
+from ..protocol.client import ClientTrainConfig, FlClient, LocalTrainer
 from ..protocol.server import FlServer, ServerConfig
 from ..rng import Rng
 from ..tensor import UsageError
-from ..training import (
-    TrainSettings,
-    VALIDATION_MASK_KEY,
-    evaluate,
-    prepare_eval_batches,
-    split_holdout,
-    train_epochs,
-)
+from ..training import TrainSettings, VALIDATION_MASK_KEY, evaluate, prepare_eval_batches
 from ..transport.codec import parameter_set_from_bytes, parameter_set_to_bytes
 from ..transport.tcp import TcpServer, connect
 from .config import ExperimentConfig
@@ -64,7 +61,6 @@ class RunResult:
     run_id: str
     records: list[MetricsRecord]
     finals: dict[str, ParameterSet]  # scope -> final parameters
-    round_params: list[ParameterSet] = None  # set by run_federated on request
 
     @property
     def final_params(self) -> ParameterSet:
@@ -110,13 +106,10 @@ def build_dataset(cfg: ExperimentConfig) -> DatasetBundle:
     return DatasetBundle(vocab=vocab, shards=shards, global_val=global_val)
 
 
-def _phase_label(phase: str) -> str:
-    return "mlm" if phase == "pretrain_mlm" else "classify"
-
-
-def _settings(cfg: ExperimentConfig, phase_label: str) -> TrainSettings:
+def _settings(cfg: ExperimentConfig) -> TrainSettings:
+    """Settings of `cfg`'s phase; a chained run starts with MLM pretraining."""
     return TrainSettings(
-        phase=phase_label,
+        phase="classify" if cfg.phase == "finetune_classify" else "mlm",
         batch_size=cfg.batch_size,
         max_seq_len=cfg.max_seq_len,
         local_epochs=cfg.local_epochs,
@@ -127,141 +120,102 @@ def _settings(cfg: ExperimentConfig, phase_label: str) -> TrainSettings:
     )
 
 
+def train_config(
+    cfg: ExperimentConfig,
+    bundle: DatasetBundle,
+    shard_provider: Callable[[int], list[Record]] | None = None,
+) -> ClientTrainConfig:
+    """`LocalTrainer` inputs for `cfg`'s phase; trainer k trains on shard k by default."""
+    return ClientTrainConfig(
+        model_config=cfg.model_config(bundle.vocab.size),
+        vocab=bundle.vocab,
+        settings=_settings(cfg),
+        batch_seed=cfg.seeds.batch,
+        shard_provider=shard_provider or (lambda k: bundle.shards[k]),
+    )
+
+
 def _val_batches(cfg: ExperimentConfig, bundle: DatasetBundle, settings: TrainSettings):
     mask_rng = Rng(cfg.seeds.batch).split(VALIDATION_MASK_KEY)
     return prepare_eval_batches(bundle.global_val, bundle.vocab, settings, mask_rng)
 
 
-def _initial_params(cfg: ExperimentConfig, model_cfg: ModelConfig, model_mode: str) -> ParameterSet:
-    return init_model(model_cfg, cfg.seeds.init, mode=model_mode).export_params()
-
-
-def _train_blocks(
-    cfg: ExperimentConfig,
-    bundle: DatasetBundle,
-    settings: TrainSettings,
-    model_cfg: ModelConfig,
-    model_mode: str,
-    trainer_id: int,
-    scope: str,
-    shard: list[Record],
-    val_batches,
-    init_params: ParameterSet,
-    run_id: str,
-) -> tuple[list[MetricsRecord], ParameterSet]:
-    """The block loop shared by the centralized and standalone modes."""
-    train_records, _holdout = split_holdout(shard, settings.holdout_frac)
-    params = init_params.quantize32()
-    model = build_model(model_cfg, model_mode, params)
-    optimizer: Adam | None = None
-    records: list[MetricsRecord] = []
-
-    t0 = time.perf_counter()
-    loss, top1 = evaluate(model, val_batches)
-    records.append(
-        MetricsRecord(run_id, cfg.mode, cfg.model, 0, scope, "validation",
-                      loss, top1, (time.perf_counter() - t0) * 1000.0)
-    )
-    for rnd in range(1, cfg.rounds + 1):
-        t0 = time.perf_counter()
-        model.load_params(params)
-        if optimizer is None or settings.reset_optimizer:
-            optimizer = Adam(model.params, lr=settings.lr)
-        round_rng = Rng(cfg.seeds.batch).split(trainer_id).split(rnd)
-        train_loss, train_top1 = train_epochs(
-            model, optimizer, train_records, bundle.vocab, settings, round_rng
-        )
-        params = model.export_params().quantize32()
-        model.load_params(params)  # score the wire-precision view, as the server does
-        val_loss, val_top1 = evaluate(model, val_batches)
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        records.append(
-            MetricsRecord(run_id, cfg.mode, cfg.model, rnd, scope, "train",
-                          train_loss, train_top1, elapsed)
-        )
-        records.append(
-            MetricsRecord(run_id, cfg.mode, cfg.model, rnd, scope, "validation",
-                          val_loss, val_top1, elapsed)
-        )
-    return records, params
-
-
-def run_centralized(
-    cfg: ExperimentConfig,
-    bundle: DatasetBundle,
-    phase_label: str,
-    init_params: ParameterSet | None = None,
-    run_id: str | None = None,
-) -> RunResult:
-    settings = _settings(cfg, phase_label)
+def _initial_params(cfg: ExperimentConfig, bundle: DatasetBundle) -> ParameterSet:
     model_cfg = cfg.model_config(bundle.vocab.size)
-    run_id = run_id or cfg.derived_run_id()
-    val_batches = _val_batches(cfg, bundle, settings)
-    init = init_params or _initial_params(cfg, model_cfg, _model_mode(phase_label))
-    records, final = _train_blocks(
-        cfg, bundle, settings, model_cfg, _model_mode(phase_label),
-        trainer_id=0, scope="global", shard=bundle.pooled,
-        val_batches=val_batches, init_params=init, run_id=run_id,
-    )
-    return RunResult(run_id=run_id, records=records, finals={"global": final})
+    return init_model(model_cfg, cfg.seeds.init, mode=_settings(cfg).phase).export_params()
 
 
-def run_standalone(
-    cfg: ExperimentConfig,
-    bundle: DatasetBundle,
-    phase_label: str,
-    init_params_per_client: list[ParameterSet] | None = None,
-    run_id: str | None = None,
-) -> RunResult:
-    settings = _settings(cfg, phase_label)
-    model_cfg = cfg.model_config(bundle.vocab.size)
-    run_id = run_id or cfg.derived_run_id()
-    val_batches = _val_batches(cfg, bundle, settings)
-    shared_init = _initial_params(cfg, model_cfg, _model_mode(phase_label))
+def _ms_since(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1000.0
+
+
+def run_local(cfg: ExperimentConfig, bundle: DatasetBundle, inits: list[ParameterSet]) -> RunResult:
+    """Centralized or standalone training: local rounds with no server.
+
+    Centralized runs trainer 0 on the pooled shards under scope `global`;
+    standalone runs trainer k on shard k under scope `client_k`. `inits`
+    holds one initial parameter set per trainer, or one that all start from.
+    """
+    if cfg.mode == "centralized":
+        config = train_config(cfg, bundle, lambda _: bundle.pooled)
+        scopes = ["global"]
+    else:
+        config = train_config(cfg, bundle)
+        scopes = [f"client_{k}" for k in range(len(bundle.shards))]
+    if len(inits) == 1:
+        inits = inits * len(scopes)
+    val_batches = _val_batches(cfg, bundle, config.settings)
+    row = partial(MetricsRecord, cfg.derived_run_id(), cfg.mode, cfg.model)
     records: list[MetricsRecord] = []
     finals: dict[str, ParameterSet] = {}
-    for k, shard in enumerate(bundle.shards):
-        init = init_params_per_client[k] if init_params_per_client else shared_init
-        client_records, final = _train_blocks(
-            cfg, bundle, settings, model_cfg, _model_mode(phase_label),
-            trainer_id=k, scope=f"client_{k}", shard=shard,
-            val_batches=val_batches, init_params=init, run_id=run_id,
-        )
-        records.extend(client_records)
-        finals[f"client_{k}"] = final
-    return RunResult(run_id=run_id, records=records, finals=finals)
-
-
-def _model_mode(phase_label: str) -> str:
-    return "mlm" if phase_label == "mlm" else "classify"
+    for k, (scope, init) in enumerate(zip(scopes, inits)):
+        trainer = LocalTrainer(config, k)
+        params = init.quantize32()
+        trainer.load(params)
+        t0 = time.perf_counter()
+        loss, top1 = evaluate(trainer.model, val_batches)
+        records.append(row(0, scope, "validation", loss, top1, _ms_since(t0)))
+        for rnd in range(1, cfg.rounds + 1):
+            t0 = time.perf_counter()
+            train_loss, train_top1 = trainer.train_round(rnd, cfg.local_epochs, cfg.lr)
+            params = trainer.export()
+            trainer.load(params)  # score the wire-precision view, as the server does
+            val_loss, val_top1 = evaluate(trainer.model, val_batches)
+            elapsed = _ms_since(t0)
+            records.append(row(rnd, scope, "train", train_loss, train_top1, elapsed))
+            records.append(row(rnd, scope, "validation", val_loss, val_top1, elapsed))
+        finals[scope] = params
+    return RunResult(run_id=cfg.derived_run_id(), records=records, finals=finals)
 
 
 def run_federated(
     cfg: ExperimentConfig,
     bundle: DatasetBundle,
-    phase_label: str,
     init_params: ParameterSet | None = None,
-    run_id: str | None = None,
-    tcp_clients: str = "thread",  # thread | subprocess
+    tcp_clients: str = "thread",  # thread | subprocess | external
     client_config_path: str | None = None,
     drop_rng: Rng | None = None,
     drop_prob: float = 0.0,
-    keep_round_params: bool = False,
 ) -> RunResult:
-    settings = _settings(cfg, phase_label)
-    model_cfg = cfg.model_config(bundle.vocab.size)
-    model_mode = _model_mode(phase_label)
-    run_id = run_id or cfg.derived_run_id()
-    val_batches = _val_batches(cfg, bundle, settings)
-    init = init_params or _initial_params(cfg, model_cfg, model_mode)
+    """FedAvg rounds over the channel or TCP.
+
+    Over TCP the clients run as threads, as `flnp client` subprocesses
+    reading `client_config_path`, or (external) as remote processes the
+    server waits for.
+    """
+    if cfg.transport == "tcp" and tcp_clients == "subprocess" and client_config_path is None:
+        raise UsageError("subprocess clients need the effective config path")
+    config = train_config(cfg, bundle)
+    model_cfg, model_mode = config.model_config, config.settings.phase
+    val_batches = _val_batches(cfg, bundle, config.settings)
+    init = init_params or _initial_params(cfg, bundle)
     n_clients = len(bundle.shards)
 
     round_times: list[float] = []
     last_mark = [time.perf_counter()]
 
     def validate_fn(ps: ParameterSet) -> dict[str, float]:
-        now = time.perf_counter()
-        round_times.append((now - last_mark[0]) * 1000.0)
+        round_times.append(_ms_since(last_mark[0]))
         model = build_model(model_cfg, model_mode, ps)
         loss, top1 = evaluate(model, val_batches)
         last_mark[0] = time.perf_counter()
@@ -280,32 +234,17 @@ def run_federated(
         config=server_cfg,
         session_rng=Rng(cfg.seeds.init).split(SESSION_KEY_STREAM),
         validate_fn=validate_fn,
-        keep_round_params=keep_round_params,
     )
 
-    records: list[MetricsRecord] = []
+    row = partial(MetricsRecord, cfg.derived_run_id(), cfg.mode, cfg.model)
     t0 = time.perf_counter()
     init_model_view = build_model(model_cfg, model_mode, init.quantize32())
     loss0, top10 = evaluate(init_model_view, val_batches)
-    records.append(
-        MetricsRecord(run_id, cfg.mode, cfg.model, 0, "global", "validation",
-                      loss0, top10, (time.perf_counter() - t0) * 1000.0)
-    )
+    records = [row(0, "global", "validation", loss0, top10, _ms_since(t0))]
     last_mark[0] = time.perf_counter()
 
     def make_client(i: int) -> FlClient:
-        return FlClient(
-            name=f"client-{i}",
-            auth_token=cfg.auth_token,
-            config=ClientTrainConfig(
-                model_config=model_cfg,
-                mode=model_mode,
-                vocab=bundle.vocab,
-                settings=settings,
-                batch_seed=cfg.seeds.batch,
-                shard_provider=lambda cid: bundle.shards[cid],
-            ),
-        )
+        return FlClient(name=f"client-{i}", auth_token=cfg.auth_token, config=config)
 
     if cfg.transport == "channel":
         clients = [make_client(i) for i in range(n_clients)]
@@ -314,56 +253,47 @@ def run_federated(
         host, port = cfg.host_port()
         tcp = TcpServer(host, port, expected=n_clients)
         tcp.start()
-        actual_port = tcp.port
+        threads: list[threading.Thread] = []
+        procs: list[subprocess.Popen] = []
         if tcp_clients == "thread":
-            threads = []
             for i in range(n_clients):
                 client = make_client(i)
-                conn = connect(host, actual_port)
+                conn = connect(host, tcp.port)
                 t = threading.Thread(target=tcp_client_loop, args=(client, conn), daemon=True)
                 t.start()
                 threads.append(t)
-            drive_tcp(server, tcp, threads)
-        else:
-            if client_config_path is None:
-                raise UsageError("subprocess clients need the effective config path")
+        elif tcp_clients == "subprocess":
             procs = [
                 subprocess.Popen(
                     [sys.executable, "-m", "flnp", "client",
                      "--config", client_config_path,
-                     "--addr", f"{host}:{actual_port}",
+                     "--addr", f"{host}:{tcp.port}",
                      "--name", f"client-{i}"],
                 )
                 for i in range(n_clients)
             ]
-            drive_tcp(server, tcp)
-            for p in procs:
-                if p.wait(timeout=120) != 0:
-                    raise RuntimeError(f"client process exited with {p.returncode}")
+        else:
+            print(f"waiting for {n_clients} clients on {host}:{tcp.port}", flush=True)
+        drive_tcp(server, tcp, threads)
+        for p in procs:
+            if p.wait(timeout=120) != 0:
+                raise RuntimeError(f"client process exited with {p.returncode}")
 
-    result_round_params = list(server.round_params)
     for idx, done in enumerate(server.history):
         rnd = done.round
         wall = round_times[idx] if idx < len(round_times) else 0.0
         m = done.global_metrics
-        records.append(
-            MetricsRecord(run_id, cfg.mode, cfg.model, rnd, "global", "validation",
-                          m.get("val_loss", 0.0), m.get("val_top1_accuracy", 0.0), wall)
-        )
+        records.append(row(rnd, "global", "validation",
+                           m.get("val_loss", 0.0), m.get("val_top1_accuracy", 0.0), wall))
         per_client = server.client_metrics[idx] if idx < len(server.client_metrics) else {}
         for cid in sorted(per_client):
             cm = per_client[cid]
-            records.append(
-                MetricsRecord(run_id, cfg.mode, cfg.model, rnd, f"client_{cid}", "train",
-                              cm.get("train_loss", 0.0), cm.get("train_top1_accuracy", 0.0), wall)
-            )
-            records.append(
-                MetricsRecord(run_id, cfg.mode, cfg.model, rnd, f"client_{cid}", "validation",
-                              cm.get("val_loss", 0.0), cm.get("val_top1_accuracy", 0.0), wall)
-            )
-    result = RunResult(run_id=run_id, records=records, finals={"global": server.global_params})
-    result.round_params = result_round_params
-    return result
+            records.append(row(rnd, f"client_{cid}", "train",
+                               cm.get("train_loss", 0.0), cm.get("train_top1_accuracy", 0.0), wall))
+            records.append(row(rnd, f"client_{cid}", "validation",
+                               cm.get("val_loss", 0.0), cm.get("val_top1_accuracy", 0.0), wall))
+    return RunResult(run_id=cfg.derived_run_id(), records=records,
+                     finals={"global": server.global_params})
 
 
 ENCODER_HEAD_PREFIXES = ("mlm.", "cls.")
@@ -383,24 +313,31 @@ def merge_encoder(pretrained: ParameterSet, fresh: ParameterSet) -> ParameterSet
 def _run_phase(
     cfg: ExperimentConfig,
     bundle: DatasetBundle,
-    phase_label: str,
-    run_id: str,
-    init_single: ParameterSet | None = None,
-    init_per_client: list[ParameterSet] | None = None,
-    tcp_clients: str = "thread",
-    client_config_path: str | None = None,
+    inits: list[ParameterSet] | None,
+    tcp_clients: str,
+    client_config_path: str | None,
 ) -> RunResult:
-    if cfg.mode == "centralized":
-        return run_centralized(cfg, bundle, phase_label, init_params=init_single, run_id=run_id)
-    if cfg.mode == "standalone":
-        return run_standalone(
-            cfg, bundle, phase_label,
-            init_params_per_client=init_per_client, run_id=run_id,
-        )
-    return run_federated(
-        cfg, bundle, phase_label, init_params=init_single, run_id=run_id,
-        tcp_clients=tcp_clients, client_config_path=client_config_path,
-    )
+    """One phase of `cfg`, started from `inits` or from a fresh init."""
+    inits = inits or [_initial_params(cfg, bundle)]
+    if cfg.mode != "federated":
+        return run_local(cfg, bundle, inits)
+    return run_federated(cfg, bundle, inits[0], tcp_clients=tcp_clients,
+                         client_config_path=client_config_path)
+
+
+def _run_finetune(
+    cfg: ExperimentConfig,
+    bundle: DatasetBundle,
+    pretrained: list[ParameterSet],
+    tcp_clients: str,
+    client_config_path: str | None,
+) -> RunResult:
+    """Fine-tune fresh heads over each pretrained encoder, or from scratch."""
+    inits = None
+    if cfg.finetune_from_pretrained:
+        fresh = _initial_params(cfg, bundle)
+        inits = [merge_encoder(p, fresh) for p in pretrained]
+    return _run_phase(cfg, bundle, inits, tcp_clients, client_config_path)
 
 
 def run_experiment(
@@ -411,63 +348,22 @@ def run_experiment(
 ) -> list[RunResult]:
     """Execute the configured run; chained phases yield two results."""
     bundle = bundle or build_dataset(cfg)
+    tcp = (tcp_clients, client_config_path)
 
-    if cfg.phase != "pretrain_then_finetune":
-        if cfg.phase == "finetune_classify" and cfg.pretrained_params_path:
-            return [_run_finetune_from_artifact(cfg, bundle, tcp_clients, client_config_path)]
-        result = _run_phase(
-            cfg, bundle, _phase_label(cfg.phase), cfg.derived_run_id(),
-            tcp_clients=tcp_clients, client_config_path=client_config_path,
+    if cfg.phase == "pretrain_then_finetune":
+        pre_cfg = replace(
+            cfg, phase="pretrain_mlm",
+            rounds=cfg.pretrain_rounds if cfg.pretrain_rounds is not None else cfg.rounds,
         )
-        return [result]
-
-    pre_cfg = replace(
-        cfg, phase="pretrain_mlm",
-        rounds=cfg.pretrain_rounds if cfg.pretrain_rounds is not None else cfg.rounds,
-    )
-    pre_run_id = f"{pre_cfg.derived_run_id()}"
-    pre = _run_phase(pre_cfg, bundle, "mlm", pre_run_id,
-                     tcp_clients=tcp_clients, client_config_path=client_config_path)
-
-    fine_cfg = replace(cfg, phase="finetune_classify")
-    model_cfg = cfg.model_config(bundle.vocab.size)
-    fresh = _initial_params(cfg, model_cfg, "classify")
-    fine_run_id = f"{fine_cfg.derived_run_id()}"
-    if cfg.finetune_from_pretrained:
-        if cfg.mode == "standalone":
-            per_client = [
-                merge_encoder(pre.finals[f"client_{k}"], fresh)
-                for k in range(len(bundle.shards))
-            ]
-            fine = _run_phase(fine_cfg, bundle, "classify", fine_run_id, init_per_client=per_client)
-        else:
-            merged = merge_encoder(pre.final_params, fresh)
-            fine = _run_phase(fine_cfg, bundle, "classify", fine_run_id, init_single=merged,
-                              tcp_clients=tcp_clients, client_config_path=client_config_path)
-    else:
-        fine = _run_phase(fine_cfg, bundle, "classify", fine_run_id,
-                          tcp_clients=tcp_clients, client_config_path=client_config_path)
-    return [pre, fine]
-
-
-def _run_finetune_from_artifact(
-    cfg: ExperimentConfig,
-    bundle: DatasetBundle,
-    tcp_clients: str,
-    client_config_path: str | None,
-) -> RunResult:
-    try:
-        pretrained = load_params(cfg.pretrained_params_path)
-    except FileNotFoundError:
-        raise UsageError(
-            f"pretraining snapshot '{cfg.pretrained_params_path}' not found"
-        ) from None
-    model_cfg = cfg.model_config(bundle.vocab.size)
-    fresh = _initial_params(cfg, model_cfg, "classify")
-    merged = merge_encoder(pretrained, fresh) if cfg.finetune_from_pretrained else fresh
-    return _run_phase(
-        cfg, bundle, "classify", cfg.derived_run_id(),
-        init_single=merged,
-        init_per_client=[merged] * len(bundle.shards) if cfg.mode == "standalone" else None,
-        tcp_clients=tcp_clients, client_config_path=client_config_path,
-    )
+        pre = _run_phase(pre_cfg, bundle, None, *tcp)
+        fine_cfg = replace(cfg, phase="finetune_classify")
+        return [pre, _run_finetune(fine_cfg, bundle, list(pre.finals.values()), *tcp)]
+    if cfg.phase == "finetune_classify" and cfg.pretrained_params_path:
+        try:
+            pretrained = load_params(cfg.pretrained_params_path)
+        except FileNotFoundError:
+            raise UsageError(
+                f"pretraining snapshot '{cfg.pretrained_params_path}' not found"
+            ) from None
+        return [_run_finetune(cfg, bundle, [pretrained], *tcp)]
+    return [_run_phase(cfg, bundle, None, *tcp)]

@@ -1,3 +1,8 @@
+"""Round protocol. The server and client state machines live in
+`flnp.protocol.server` and `flnp.protocol.client`; they sign through the
+transport codec, which imports `messages` from here, so this package
+re-exports only the transport-free modules."""
+
 from .messages import (
     ErrorMsg,
     FlMessage,
@@ -10,8 +15,6 @@ from .messages import (
     Shutdown,
 )
 from .fedavg import ClientUpdate, ProtocolError, aggregate, top1_accuracy
-from .server import FlServer, ServerConfig
-from .client import ClientTrainConfig, FlClient
 
 __all__ = [
     "ErrorMsg",
@@ -27,8 +30,4 @@ __all__ = [
     "ProtocolError",
     "aggregate",
     "top1_accuracy",
-    "FlServer",
-    "ServerConfig",
-    "ClientTrainConfig",
-    "FlClient",
 ]

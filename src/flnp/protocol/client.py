@@ -1,10 +1,15 @@
-"""Client side of the round protocol.
+"""Client side of the round protocol, and the one local-training path.
 
-A client owns its data shard (resolved by the provisioned client id, so
-identity does not depend on connection order), holds out the trailing
-20% of the shard for local validation, and trains only on the rest.
-Every received global model is verified against the session key and the
-local manifest before any weights load.
+`LocalTrainer` is FedAvg's ClientUpdate on one shard: it holds out the
+trailing `holdout_frac` of the shard, owns the model and the optimizer
+reset policy, and trains each round from the
+`Rng(batch_seed).split(trainer_id).split(round)` stream. Federated
+clients, the centralized baseline (trainer 0 on the pooled shards) and the
+standalone baseline (trainer k on shard k) all train through it.
+
+A client resolves its shard by the provisioned client id, so identity does
+not depend on connection order. Every received global model is verified
+against the session key and the local manifest before any weights load.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from ..data import Record, Vocabulary
 from ..models import build_model
 from ..models.config import ModelConfig
 from ..optim import Adam
+from ..params import ParameterSet
 from ..rng import Rng
 from ..tensor import UsageError
 from ..training import (
@@ -44,11 +50,44 @@ LOCAL_VAL_MASK_KEY = 0x4C56414C  # "LVAL"
 @dataclass(frozen=True)
 class ClientTrainConfig:
     model_config: ModelConfig
-    mode: str  # "mlm" | "classify"
     vocab: Vocabulary
-    settings: TrainSettings
+    settings: TrainSettings  # settings.phase is also the model mode
     batch_seed: int
     shard_provider: Callable[[int], list[Record]]
+
+
+class LocalTrainer:
+    """Local rounds of one trainer on the shard its id resolves to."""
+
+    def __init__(self, config: ClientTrainConfig, trainer_id: int) -> None:
+        self.config = config
+        self.trainer_id = trainer_id
+        shard = config.shard_provider(trainer_id)
+        self.train_records, self.holdout = split_holdout(shard, config.settings.holdout_frac)
+        self.model = None
+        self._optimizer: Optional[Adam] = None
+
+    def load(self, params: ParameterSet) -> None:
+        """Build the model on first use, then load into it; UsageError on a manifest mismatch."""
+        if self.model is None:
+            self.model = build_model(self.config.model_config, self.config.settings.phase, params)
+        else:
+            self.model.load_params(params)
+
+    def train_round(self, round_no: int, epochs: int, lr: float) -> tuple[float, float]:
+        """Train the loaded model; returns mean train loss and top-1 accuracy."""
+        settings = self.config.settings
+        if self._optimizer is None or settings.reset_optimizer:
+            self._optimizer = Adam(self.model.params, lr=lr)
+        round_rng = Rng(self.config.batch_seed).split(self.trainer_id).split(round_no)
+        return train_epochs(
+            self.model, self._optimizer, self.train_records, self.config.vocab,
+            settings, round_rng, epochs=epochs,
+        )
+
+    def export(self) -> ParameterSet:
+        """The model's parameters at wire precision."""
+        return self.model.export_params().quantize32()
 
 
 class FlClient:
@@ -61,9 +100,7 @@ class FlClient:
         self.phase = "unprovisioned"
         self.done = False
         self.round_history: list[RoundComplete] = []
-        self._model = None
-        self._optimizer: Optional[Adam] = None
-        self._train_records: list[Record] = []
+        self._trainer: Optional[LocalTrainer] = None
         self._val_batches: list = []
 
     def hello(self) -> Hello:
@@ -88,11 +125,10 @@ class FlClient:
     def _on_provisioned(self, msg: Provisioned) -> list[FlMessage]:
         self.client_id = msg.client_id
         self.session_key = msg.session_key
-        shard = self.config.shard_provider(msg.client_id)
-        self._train_records, holdout = split_holdout(shard, self.config.settings.holdout_frac)
+        self._trainer = LocalTrainer(self.config, msg.client_id)
         mask_rng = Rng(self.config.batch_seed).split(msg.client_id).split(LOCAL_VAL_MASK_KEY)
         self._val_batches = prepare_eval_batches(
-            holdout, self.config.vocab, self.config.settings, mask_rng
+            self._trainer.holdout, self.config.vocab, self.config.settings, mask_rng
         )
         self.phase = "idle"
         return []
@@ -103,29 +139,15 @@ class FlClient:
         if not verify_auth(msg, self.session_key):
             raise ProtocolError("auth_failed", "global model failed tag verification")
         self.phase = "training"
+        trainer = self._trainer
         try:
-            if self._model is None:
-                self._model = build_model(self.config.model_config, self.config.mode, msg.params)
-            else:
-                self._model.load_params(msg.params)
+            trainer.load(msg.params)
         except UsageError as exc:
             self.phase = "idle"
             return [sign(ErrorMsg("manifest_mismatch", str(exc)), self.session_key)]
 
-        settings = self.config.settings
-        if self._optimizer is None or settings.reset_optimizer:
-            self._optimizer = Adam(self._model.params, lr=msg.lr)
-        round_rng = Rng(self.config.batch_seed).split(self.client_id).split(msg.round)
-        train_loss, train_top1 = train_epochs(
-            self._model,
-            self._optimizer,
-            self._train_records,
-            self.config.vocab,
-            settings,
-            round_rng,
-            epochs=msg.local_epochs,
-        )
-        val_loss, val_top1 = evaluate(self._model, self._val_batches)
+        train_loss, train_top1 = trainer.train_round(msg.round, msg.local_epochs, msg.lr)
+        val_loss, val_top1 = evaluate(trainer.model, self._val_batches)
         metrics = {
             "train_loss": train_loss,
             "train_top1_accuracy": train_top1,
@@ -135,8 +157,8 @@ class FlClient:
         update = LocalUpdate(
             client_id=self.client_id,
             round=msg.round,
-            params=self._model.export_params().quantize32(),
-            n_samples=len(self._train_records),
+            params=trainer.export(),
+            n_samples=len(trainer.train_records),
             local_metrics=metrics,
         )
         self.phase = "uploading"

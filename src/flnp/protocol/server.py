@@ -60,7 +60,6 @@ class FlServer:
         config: ServerConfig,
         session_rng: Rng,
         validate_fn: Optional[Callable[[ParameterSet], dict[str, float]]] = None,
-        keep_round_params: bool = False,
     ) -> None:
         self.config = config
         self.global_params = init_params
@@ -68,8 +67,6 @@ class FlServer:
         self.round = 0
         self.history: list[RoundComplete] = []
         self.client_metrics: list[dict[int, dict[str, float]]] = []  # per round
-        self.round_params: list[ParameterSet] = []  # only when keep_round_params
-        self._keep_round_params = keep_round_params
         self.rounds_distributed = 0
         self.updates_received = 0
         self._session_rng = session_rng
@@ -175,8 +172,6 @@ class FlServer:
         updates = list(self._pending.values())
         self.global_params = aggregate(updates, weighted=self.config.weighted)
         self.client_metrics.append({u.client_id: dict(u.local_metrics) for u in updates})
-        if self._keep_round_params:
-            self.round_params.append(self.global_params)
 
         metrics: dict[str, float] = {}
         if self._validate_fn is not None:

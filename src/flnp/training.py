@@ -1,9 +1,10 @@
-"""Shared local-training and evaluation engine.
+"""Local-training and evaluation primitives.
 
-The federated client, the centralized baseline and the standalone
-baseline all train through these functions with the same stream
-derivations, so a one-client federated run and a centralized run with
-equal seeds produce bit-identical parameters.
+`flnp.protocol.client.LocalTrainer` is the one caller of `train_epochs`:
+the federated client, the centralized baseline and the standalone
+baseline all train through it with the same stream derivations, so a
+one-client federated run and a centralized run with equal seeds produce
+bit-identical parameters.
 
 Randomness conventions (keys into the batch-seed stream):
     Rng(batch_seed).split(trainer_id).split(round_index).split(epoch)

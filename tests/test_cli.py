@@ -119,3 +119,36 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_serve_with_two_client_processes_matches_channel_run(tmp_path, capsys):
+    # single-phase LSTM over loopback TCP; a two-phase run over TCP is not
+    # supported by the remote client yet
+    fields = dict(
+        mode="federated", phase="finetune_classify", model="lstm", rounds=2,
+        max_seq_len=12, batch_size=8, addr="127.0.0.1:0",
+        data={"n_records": 40, "min_len": 6, "max_len": 10},
+    )
+    cfg = base_config(tmp_path, **fields)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+
+    def flnp(*args):
+        return subprocess.Popen([sys.executable, "-m", "flnp", *args, "--config", cfg],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+
+    procs = [flnp("serve")]
+    try:
+        # the server prints its address once it accepts connections
+        line = procs[0].stdout.readline()
+        addr = re.search(r"on (127\.0\.0\.1:\d+)$", line.strip())
+        assert addr, line + procs[0].stderr.read()
+        procs += [flnp("client", "--addr", addr.group(1), "--name", f"site-{i}") for i in range(2)]
+        outs = [p.communicate(timeout=300) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+    assert [p.returncode for p in procs] == [0, 0, 0], [err for _, err in outs]
+    served = re.findall(r"sha256 (\w+)", outs[0][0])
+
+    assert cli_main(["run", "--config", cfg, "--transport", "channel", "--out", str(tmp_path / "ch")]) == 0
+    assert served and served == re.findall(r"sha256 (\w+)", capsys.readouterr().out)

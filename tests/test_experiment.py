@@ -155,7 +155,7 @@ class TestRuns:
         bundle = build_dataset(cfg)
         from flnp.experiment.runner import run_federated
 
-        result = run_federated(cfg, bundle, "mlm")
+        result = run_federated(cfg, bundle)
         # exactly E aggregated rounds; every client contributed each round
         global_val = [r for r in result.records if r.scope == "global" and r.round > 0]
         assert len(global_val) == 3
@@ -195,7 +195,7 @@ class TestRuns:
 
         def failing_round(seed):
             try:
-                run_federated(cfg, bundle, "mlm", drop_rng=Rng(seed), drop_prob=0.15)
+                run_federated(cfg, bundle, drop_rng=Rng(seed), drop_prob=0.15)
                 return None
             except ProtocolError as err:
                 return str(err)

@@ -1,0 +1,45 @@
+"""Every flnp module imports cleanly as the first flnp import.
+
+An import cycle hides when a test imports modules in a lucky order, so each
+module is imported into an interpreter with no flnp module loaded.
+`flnp.__main__` runs the CLI on import; the CLI tests cover it.
+"""
+
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+FIRST_IMPORT_EACH = r"""
+import importlib
+import pkgutil
+import sys
+
+import flnp
+
+names = [m.name for m in pkgutil.walk_packages(flnp.__path__, "flnp.")]
+failed = []
+for name in ["flnp", *sorted(names)]:
+    if name.endswith(".__main__"):
+        continue
+    for loaded in [m for m in sys.modules if m == "flnp" or m.startswith("flnp.")]:
+        del sys.modules[loaded]
+    try:
+        importlib.import_module(name)
+    except Exception as exc:
+        failed.append(f"{name}: {type(exc).__name__}: {exc}")
+    else:
+        print("imported", name)
+print("\n".join(failed), file=sys.stderr)
+sys.exit(1 if failed else 0)
+"""
+
+
+def test_every_module_imports_first_in_a_fresh_interpreter():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", FIRST_IMPORT_EACH],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = proc.stdout.split()
+    assert "flnp.transport.codec" in imported and "flnp.experiment.runner" in imported

@@ -5,20 +5,18 @@ from flnp.data import MaskingConfig, build_vocab
 from flnp.models import ModelConfig, init_model
 from flnp.params import ParameterSet
 from flnp.protocol import (
-    ClientTrainConfig,
     ClientUpdate,
     ErrorMsg,
-    FlClient,
-    FlServer,
     GlobalModel,
     Hello,
     LocalUpdate,
     ProtocolError,
     Provisioned,
-    ServerConfig,
     Shutdown,
     aggregate,
 )
+from flnp.protocol.client import ClientTrainConfig, FlClient
+from flnp.protocol.server import FlServer, ServerConfig
 from flnp.protocol.fedavg import top1_accuracy
 from flnp.rng import Rng
 from flnp.tensor import UsageError
@@ -221,7 +219,7 @@ def _client_fixture(n_records=30, local_epochs=1):
     settings = TrainSettings(phase="classify", batch_size=8, max_seq_len=8,
                              local_epochs=local_epochs, lr=0.01, masking=MaskingConfig())
     cfg = ClientTrainConfig(
-        model_config=model_cfg, mode="classify", vocab=vocab, settings=settings,
+        model_config=model_cfg, vocab=vocab, settings=settings,
         batch_seed=11, shard_provider=lambda cid: corpus,
     )
     client = FlClient("c0", "secret", cfg)
