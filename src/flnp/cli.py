@@ -14,8 +14,8 @@ Exit codes: 0 ok, 1 runtime failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
+import subprocess
 import sys
 
 from .data import CorpusParams, gen_synthetic_corpus, save_corpus
@@ -116,17 +116,7 @@ def cmd_run(args) -> int:
         print(f"outputs already present ({existing[0]}); use --force to rerun")
         return EXIT_OK
 
-    client_config_path = None
-    if cfg.transport == "tcp" and cfg.mode == "federated":
-        client_config_path = os.path.join(cfg.out_dir, f"{cfg.derived_run_id()}-config.json")
-        with open(client_config_path, "w", encoding="utf-8") as fh:
-            json.dump(config_to_dict(cfg), fh, indent=2)
-
-    results = run_experiment(
-        cfg,
-        tcp_clients="subprocess" if cfg.transport == "tcp" else "thread",
-        client_config_path=client_config_path,
-    )
+    results = run_experiment(cfg, tcp_clients="subprocess")
     for result in results:
         csv_path = os.path.join(cfg.out_dir, f"{result.run_id}.csv")
         emit_metrics(result.records, csv_path)
@@ -248,7 +238,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ProtocolError, OSError, RuntimeError) as exc:
+    except (ProtocolError, OSError, RuntimeError, subprocess.TimeoutExpired) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

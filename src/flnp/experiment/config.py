@@ -141,12 +141,11 @@ def _build(cls, value: Any):
         return value
     if not isinstance(value, dict):
         raise ConfigError(f"expected an object for {cls.__name__}, got {type(value).__name__}")
-    known = {f.name: f for f in dataclasses.fields(cls)}
+    known = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, raw in value.items():
         if key not in known:
             raise ConfigError(f"unknown config key '{key}' for {cls.__name__}")
-        ftype = known[key].type
         target = _DATACLASS_FIELDS.get((cls, key))
         if target is not None:
             kwargs[key] = _build(target, raw)
@@ -154,7 +153,6 @@ def _build(cls, value: Any):
             kwargs[key] = tuple(raw)
         else:
             kwargs[key] = raw
-        del ftype
     return cls(**kwargs)
 
 

@@ -1,70 +1,79 @@
-"""Drivers that move protocol messages over a concrete transport.
+"""The session loop, the in-process channel, and the TCP client loop.
 
-The channel driver runs everything in one thread: it pumps the server's
-outgoing messages through per-client links, runs client `handle` calls,
-and feeds replies back through the link into the server inbox. That is a
-deterministic schedule of the actor contract. The TCP driver runs the
-server loop in the calling thread off the connection inbox, with clients
-either as in-process threads or separate OS processes running the same
-client loop.
+`drive(server, transport)` is the one loop that feeds the server state
+machine: it takes the next inbound (conn, message) from the transport,
+hands it to `server.handle` and sends what comes back. `TcpServer` feeds
+it from socket reader threads, with clients as in-process threads or
+separate OS processes running `tcp_client_loop`. `ChannelServer` offers
+the same surface in process: it runs each client's `handle` inline as a
+message is sent, so a whole session is one deterministic single-threaded
+schedule, and a channel run equals a TCP run bit for bit.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 
 from ..protocol.client import FlClient
 from ..protocol.fedavg import ProtocolError
 from ..protocol.server import FlServer
-from ..transport.channel import LinkClosedError, channel_pair
-from ..transport.tcp import ConnectionClosed, TcpConnection, TcpServer
+from ..rng import Rng
+from ..transport.tcp import ConnectionClosed, TcpConnection
 
 
-def drive_channel(
-    server: FlServer,
-    clients: list[FlClient],
-    drop_rng=None,
-    drop_prob: float = 0.0,
-) -> None:
-    """Run a whole session over in-process channels, single-threaded."""
-    links = []
-    for _ in clients:
-        pair = channel_pair()
-        if drop_rng is not None:
-            pair[0].set_drop_policy(drop_rng, drop_prob)
-            pair[1].set_drop_policy(drop_rng, drop_prob)
-        links.append(pair)
+class ChannelServer:
+    """In-process delivery with the server-side surface of `TcpServer`, `recv` and `send`.
 
-    inbound: deque[tuple[int, object]] = deque()
+    Each client's hello is queued on construction. With a drop policy every
+    message, either way, consults `drop_rng`; a dropped message closes its
+    link, so the server sees a disconnect and aborts deterministically.
+    """
 
-    def deliver(conn: int, msg) -> None:
-        server_end, client_end = links[conn]
-        try:
-            server_end.send(msg)
-            while True:
-                got = client_end.poll()
-                if got is None:
-                    break
-                for reply in clients[conn].handle(got):
-                    client_end.send(reply)
-            while True:
-                got = server_end.poll()
-                if got is None:
-                    break
-                inbound.append((conn, got))
-        except LinkClosedError:
-            server.on_disconnect(conn)  # raises ProtocolError with the round
+    def __init__(self, clients: list[FlClient], drop_rng: Rng | None = None,
+                 drop_prob: float = 0.0) -> None:
+        self._clients = clients
+        self._drop_rng = drop_rng
+        self._drop_prob = drop_prob
+        self._closed: set[int] = set()
+        self._inbox = deque((conn, client.hello()) for conn, client in enumerate(clients))
 
-    for conn, client in enumerate(clients):
-        inbound.append((conn, client.hello()))
-    while inbound:
-        conn, msg = inbound.popleft()
-        for dest, out in server.handle(conn, msg):
-            deliver(dest, out)
+    def _dropped(self) -> bool:
+        return self._drop_rng is not None and self._drop_rng.random() < self._drop_prob
 
-    if server.phase != "done":
-        raise ProtocolError("incomplete", f"run stalled in round {server.round}")
+    def recv(self) -> tuple[int, object]:
+        """Next (conn, message), or (conn, None) for a link that closed."""
+        if not self._inbox:
+            raise ProtocolError("incomplete", "run stalled: no client has a message pending")
+        return self._inbox.popleft()
+
+    def send(self, conn: int, msg) -> None:
+        """Deliver `msg` to client `conn` and queue its replies."""
+        if conn in self._closed or self._dropped():
+            self._closed.add(conn)
+            raise ConnectionClosed(f"link {conn} is closed")
+        for reply in self._clients[conn].handle(msg):
+            if self._dropped():
+                self._closed.add(conn)
+                self._inbox.append((conn, None))
+                return
+            self._inbox.append((conn, reply))
+
+
+def drive(server: FlServer, transport) -> None:
+    """Feed `transport`'s inbound messages to `server` until the run completes.
+
+    The caller opened `transport` and closes it.
+    """
+    while server.phase != "done":
+        conn_id, msg = transport.recv()
+        if msg is None:
+            server.on_disconnect(conn_id)
+            continue
+        for dest, out in server.handle(conn_id, msg):
+            try:
+                transport.send(dest, out)
+            except (ConnectionClosed, OSError):
+                server.on_disconnect(dest)
 
 
 def tcp_client_loop(client: FlClient, conn: TcpConnection) -> None:
@@ -77,27 +86,3 @@ def tcp_client_loop(client: FlClient, conn: TcpConnection) -> None:
                 conn.send(reply)
     finally:
         conn.close()
-
-
-def drive_tcp(
-    server: FlServer,
-    tcp: TcpServer,
-    client_threads: list[threading.Thread] | None = None,
-) -> None:
-    """Consume the TCP inbox until the protocol run completes."""
-    try:
-        while server.phase != "done":
-            conn_id, msg = tcp.inbox.get()
-            if msg is None:
-                server.on_disconnect(conn_id)
-                continue
-            for dest, out in server.handle(conn_id, msg):
-                try:
-                    tcp.send(dest, out)
-                except (ConnectionClosed, OSError):
-                    server.on_disconnect(dest)
-    finally:
-        tcp.close()
-    if client_threads:
-        for t in client_threads:
-            t.join(timeout=30)

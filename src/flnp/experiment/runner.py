@@ -19,6 +19,8 @@ run so every round scores the same corrupted batches.
 from __future__ import annotations
 
 import hashlib
+import json
+import os
 import subprocess
 import sys
 import threading
@@ -38,8 +40,8 @@ from ..tensor import UsageError
 from ..training import TrainSettings, VALIDATION_MASK_KEY, evaluate, prepare_eval_batches
 from ..transport.codec import parameter_set_from_bytes, parameter_set_to_bytes
 from ..transport.tcp import TcpServer, connect
-from .config import ExperimentConfig
-from .federated import drive_channel, drive_tcp, tcp_client_loop
+from .config import ExperimentConfig, config_to_dict
+from .federated import ChannelServer, drive, tcp_client_loop
 from .metrics import MetricsRecord
 
 SESSION_KEY_STREAM = 0x5345535  # session-key derivation from the init seed
@@ -193,18 +195,15 @@ def run_federated(
     bundle: DatasetBundle,
     init_params: ParameterSet | None = None,
     tcp_clients: str = "thread",  # thread | subprocess | external
-    client_config_path: str | None = None,
-    drop_rng: Rng | None = None,
-    drop_prob: float = 0.0,
 ) -> RunResult:
-    """FedAvg rounds over the channel or TCP.
+    """FedAvg rounds of `cfg`'s phase over the channel or TCP.
 
-    Over TCP the clients run as threads, as `flnp client` subprocesses
-    reading `client_config_path`, or (external) as remote processes the
-    server waits for.
+    Both deliveries run the same `drive` loop. Over TCP the clients run as
+    threads, as `flnp client` subprocesses reading this phase's config from
+    `out_dir/<run_id>-config.json`, or (external) as remote processes the
+    server waits for. Spawned client processes are killed and reaped if the
+    run fails.
     """
-    if cfg.transport == "tcp" and tcp_clients == "subprocess" and client_config_path is None:
-        raise UsageError("subprocess clients need the effective config path")
     config = train_config(cfg, bundle)
     model_cfg, model_mode = config.model_config, config.settings.phase
     val_batches = _val_batches(cfg, bundle, config.settings)
@@ -247,37 +246,45 @@ def run_federated(
         return FlClient(name=f"client-{i}", auth_token=cfg.auth_token, config=config)
 
     if cfg.transport == "channel":
-        clients = [make_client(i) for i in range(n_clients)]
-        drive_channel(server, clients, drop_rng=drop_rng, drop_prob=drop_prob)
+        drive(server, ChannelServer([make_client(i) for i in range(n_clients)]))
     else:
         host, port = cfg.host_port()
         tcp = TcpServer(host, port, expected=n_clients)
         tcp.start()
         threads: list[threading.Thread] = []
         procs: list[subprocess.Popen] = []
-        if tcp_clients == "thread":
-            for i in range(n_clients):
-                client = make_client(i)
-                conn = connect(host, tcp.port)
-                t = threading.Thread(target=tcp_client_loop, args=(client, conn), daemon=True)
-                t.start()
-                threads.append(t)
-        elif tcp_clients == "subprocess":
-            procs = [
-                subprocess.Popen(
-                    [sys.executable, "-m", "flnp", "client",
-                     "--config", client_config_path,
-                     "--addr", f"{host}:{tcp.port}",
-                     "--name", f"client-{i}"],
-                )
-                for i in range(n_clients)
-            ]
-        else:
-            print(f"waiting for {n_clients} clients on {host}:{tcp.port}", flush=True)
-        drive_tcp(server, tcp, threads)
-        for p in procs:
-            if p.wait(timeout=120) != 0:
-                raise RuntimeError(f"client process exited with {p.returncode}")
+        try:
+            if tcp_clients == "thread":
+                for i in range(n_clients):
+                    conn = connect(host, tcp.port)
+                    t = threading.Thread(target=tcp_client_loop, args=(make_client(i), conn),
+                                         daemon=True)
+                    t.start()
+                    threads.append(t)
+            elif tcp_clients == "subprocess":
+                client_config = _write_config(cfg)
+                procs = [
+                    subprocess.Popen(
+                        [sys.executable, "-m", "flnp", "client",
+                         "--config", client_config,
+                         "--addr", f"{host}:{tcp.port}",
+                         "--name", f"client-{i}"],
+                    )
+                    for i in range(n_clients)
+                ]
+            else:
+                print(f"waiting for {n_clients} clients on {host}:{tcp.port}", flush=True)
+            drive(server, tcp)
+            for t in threads:
+                t.join(timeout=30)
+            for p in procs:
+                if p.wait(timeout=120) != 0:
+                    raise RuntimeError(f"client process exited with {p.returncode}")
+        finally:
+            tcp.close()
+            for p in procs:
+                p.kill()  # no-op for a process already reaped
+                p.wait()
 
     for idx, done in enumerate(server.history):
         rnd = done.round
@@ -294,6 +301,15 @@ def run_federated(
                                cm.get("val_loss", 0.0), cm.get("val_top1_accuracy", 0.0), wall))
     return RunResult(run_id=cfg.derived_run_id(), records=records,
                      finals={"global": server.global_params})
+
+
+def _write_config(cfg: ExperimentConfig) -> str:
+    """Write `cfg` for client processes to read; returns the path."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    path = os.path.join(cfg.out_dir, f"{cfg.derived_run_id()}-config.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(config_to_dict(cfg), fh, indent=2)
+    return path
 
 
 ENCODER_HEAD_PREFIXES = ("mlm.", "cls.")
@@ -315,14 +331,12 @@ def _run_phase(
     bundle: DatasetBundle,
     inits: list[ParameterSet] | None,
     tcp_clients: str,
-    client_config_path: str | None,
 ) -> RunResult:
     """One phase of `cfg`, started from `inits` or from a fresh init."""
     inits = inits or [_initial_params(cfg, bundle)]
     if cfg.mode != "federated":
         return run_local(cfg, bundle, inits)
-    return run_federated(cfg, bundle, inits[0], tcp_clients=tcp_clients,
-                         client_config_path=client_config_path)
+    return run_federated(cfg, bundle, inits[0], tcp_clients=tcp_clients)
 
 
 def _run_finetune(
@@ -330,34 +344,31 @@ def _run_finetune(
     bundle: DatasetBundle,
     pretrained: list[ParameterSet],
     tcp_clients: str,
-    client_config_path: str | None,
 ) -> RunResult:
     """Fine-tune fresh heads over each pretrained encoder, or from scratch."""
     inits = None
     if cfg.finetune_from_pretrained:
         fresh = _initial_params(cfg, bundle)
         inits = [merge_encoder(p, fresh) for p in pretrained]
-    return _run_phase(cfg, bundle, inits, tcp_clients, client_config_path)
+    return _run_phase(cfg, bundle, inits, tcp_clients)
 
 
 def run_experiment(
     cfg: ExperimentConfig,
     bundle: DatasetBundle | None = None,
     tcp_clients: str = "thread",
-    client_config_path: str | None = None,
 ) -> list[RunResult]:
     """Execute the configured run; chained phases yield two results."""
     bundle = bundle or build_dataset(cfg)
-    tcp = (tcp_clients, client_config_path)
 
     if cfg.phase == "pretrain_then_finetune":
         pre_cfg = replace(
             cfg, phase="pretrain_mlm",
             rounds=cfg.pretrain_rounds if cfg.pretrain_rounds is not None else cfg.rounds,
         )
-        pre = _run_phase(pre_cfg, bundle, None, *tcp)
+        pre = _run_phase(pre_cfg, bundle, None, tcp_clients)
         fine_cfg = replace(cfg, phase="finetune_classify")
-        return [pre, _run_finetune(fine_cfg, bundle, list(pre.finals.values()), *tcp)]
+        return [pre, _run_finetune(fine_cfg, bundle, list(pre.finals.values()), tcp_clients)]
     if cfg.phase == "finetune_classify" and cfg.pretrained_params_path:
         try:
             pretrained = load_params(cfg.pretrained_params_path)
@@ -365,5 +376,5 @@ def run_experiment(
             raise UsageError(
                 f"pretraining snapshot '{cfg.pretrained_params_path}' not found"
             ) from None
-        return [_run_finetune(cfg, bundle, [pretrained], *tcp)]
-    return [_run_phase(cfg, bundle, None, *tcp)]
+        return [_run_finetune(cfg, bundle, [pretrained], tcp_clients)]
+    return [_run_phase(cfg, bundle, None, tcp_clients)]

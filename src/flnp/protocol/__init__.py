@@ -14,7 +14,7 @@ from .messages import (
     RoundPlan,
     Shutdown,
 )
-from .fedavg import ClientUpdate, ProtocolError, aggregate, top1_accuracy
+from .fedavg import ClientUpdate, ProtocolError, aggregate
 
 __all__ = [
     "ErrorMsg",
@@ -29,5 +29,4 @@ __all__ = [
     "ClientUpdate",
     "ProtocolError",
     "aggregate",
-    "top1_accuracy",
 ]

@@ -67,14 +67,3 @@ def aggregate(updates: list[ClientUpdate], weighted: bool = True) -> ParameterSe
         merged.append((name, acc))
     return ParameterSet(merged)
 
-
-def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of rows whose argmax equals the label.
-
-    Ties break toward the lower class index (numpy argmax convention).
-    """
-    if len(labels) == 0:
-        return 0.0
-    pred = np.argmax(logits, axis=1)
-    return float((pred == labels).mean())
-

@@ -2,9 +2,9 @@
 
 `handle(conn, msg)` consumes one inbound message and returns the list of
 (conn, message) pairs to transmit; the caller owns delivery. All state
-mutation happens inside handle, so any driver that serializes inbound
-messages (the in-process channel loop, or TCP reader threads feeding one
-queue) gets identical behavior.
+mutation happens inside handle, so the one session loop,
+`flnp.experiment.federated.drive`, behaves identically whether the
+in-process channel or TCP reader threads feed it.
 
 Phases cycle awaiting_provision -> distributing -> collecting ->
 aggregating -> distributing, ending in done. Parameters are quantized to

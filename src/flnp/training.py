@@ -84,6 +84,11 @@ def prepare_eval_batches(
     return [mask_batch(b, vocab, settings.masking, mask_rng.split(i)) for i, b in enumerate(batches)]
 
 
+def count_correct(logits: np.ndarray, labels: np.ndarray) -> int:
+    """Rows whose argmax equals the label; ties break toward the lower class."""
+    return int((np.argmax(logits, axis=1) == labels).sum())
+
+
 def evaluate(model: ModelBase, eval_batches: list) -> tuple[float, float]:
     """Forward-only mean loss and top-1 accuracy over prepared batches."""
     total_loss = 0.0
@@ -96,7 +101,7 @@ def evaluate(model: ModelBase, eval_batches: list) -> tuple[float, float]:
             continue
         total_loss += loss.item() * n
         total_scored += n
-        total_correct += int((np.argmax(logits, axis=1) == labels).sum())
+        total_correct += count_correct(logits, labels)
     if total_scored == 0:
         return 0.0, 0.0
     return total_loss / total_scored, total_correct / total_scored
@@ -135,7 +140,7 @@ def train_epochs(
             optimizer.zero_grad()
             losses.append(loss.item())
             if len(labels):
-                correct += int((np.argmax(logits, axis=1) == labels).sum())
+                correct += count_correct(logits, labels)
                 scored += len(labels)
     mean_loss = float(np.mean(losses)) if losses else 0.0
     top1 = correct / scored if scored else 0.0

@@ -15,7 +15,6 @@ from .codec import (
     sign,
     verify_auth,
 )
-from .channel import ChannelEndpoint, LinkClosedError, channel_pair
 from .tcp import TcpConnection, TcpServer, connect
 
 __all__ = [
@@ -32,9 +31,6 @@ __all__ = [
     "decode_parameter_set",
     "sign",
     "verify_auth",
-    "ChannelEndpoint",
-    "LinkClosedError",
-    "channel_pair",
     "TcpConnection",
     "TcpServer",
     "connect",

@@ -120,6 +120,10 @@ class TcpServer:
                 return
             self.inbox.put((conn_id, msg))
 
+    def recv(self) -> tuple[int, object]:
+        """Next (conn_id, message), or (conn_id, None) for a lost connection."""
+        return self.inbox.get()
+
     def send(self, conn_id: int, msg) -> None:
         with self._lock:
             sock = self._conns.get(conn_id)

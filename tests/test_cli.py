@@ -152,3 +152,30 @@ def test_serve_with_two_client_processes_matches_channel_run(tmp_path, capsys):
 
     assert cli_main(["run", "--config", cfg, "--transport", "channel", "--out", str(tmp_path / "ch")]) == 0
     assert served and served == re.findall(r"sha256 (\w+)", capsys.readouterr().out)
+
+
+def test_two_phase_tcp_run_matches_channel_run(tmp_path, capsys, monkeypatch):
+    # `run --transport tcp` spawns `flnp client` processes, one phase at a time
+    cfg = base_config(
+        tmp_path, mode="federated", phase="pretrain_then_finetune", rounds=1,
+        pretrain_rounds=1, max_seq_len=12, addr="127.0.0.1:0",
+        data={"n_records": 40, "min_len": 6, "max_len": 10},
+    )
+    monkeypatch.setenv("PYTHONPATH", os.path.join(os.path.dirname(__file__), "..", "src"))
+    assert cli_main(["run", "--config", cfg, "--transport", "tcp"]) == 0
+    over_tcp = re.findall(r"sha256 (\w+)", capsys.readouterr().out)
+
+    assert cli_main(["run", "--config", cfg, "--transport", "channel", "--out", str(tmp_path / "ch")]) == 0
+    over_channel = re.findall(r"sha256 (\w+)", capsys.readouterr().out)
+    assert len(over_tcp) == 2 and over_tcp == over_channel
+
+
+def test_client_wait_timeout_exits_1(tmp_path, capsys, monkeypatch):
+    import flnp.cli
+
+    def timed_out(*args, **kwargs):
+        raise subprocess.TimeoutExpired(["flnp", "client"], 120)
+
+    monkeypatch.setattr(flnp.cli, "run_experiment", timed_out)
+    assert cli_main(["run", "--config", base_config(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("runtime error:")

@@ -1,11 +1,14 @@
 import json
 import math
+import os
+import subprocess
+from functools import partial
 
 import numpy as np
 import pytest
 
 from flnp.experiment.config import apply_overrides, config_from_dict, config_to_dict
-from flnp.experiment.federated import drive_channel
+from flnp.experiment.federated import ChannelServer
 from flnp.experiment.metrics import MetricsRecord, emit_metrics, parse_metrics, strip_wall_time
 from flnp.experiment.runner import build_dataset, merge_encoder, params_checksum, run_experiment
 from flnp.models.config import ConfigError
@@ -188,14 +191,16 @@ class TestRuns:
 
         assert [len(s) for s in bundle.shards] == largest_remainder_sizes(1008, IMBALANCED_RATIOS)
 
-    def test_drop_injection_aborts_deterministically(self):
+    def test_drop_injection_aborts_deterministically(self, monkeypatch):
         cfg = small_cfg(rounds=3)
         bundle = build_dataset(cfg)
-        from flnp.experiment.runner import run_federated
+        from flnp.experiment import runner
 
         def failing_round(seed):
+            lossy = partial(ChannelServer, drop_rng=Rng(seed), drop_prob=0.15)
+            monkeypatch.setattr(runner, "ChannelServer", lossy)
             try:
-                run_federated(cfg, bundle, drop_rng=Rng(seed), drop_prob=0.15)
+                runner.run_federated(cfg, bundle)
                 return None
             except ProtocolError as err:
                 return str(err)
@@ -203,6 +208,34 @@ class TestRuns:
         first = failing_round(3)
         assert first is not None and "round" in first
         assert failing_round(3) == first
+
+    def test_failed_run_reaps_client_processes(self, tmp_path, monkeypatch):
+        from flnp.experiment import runner
+
+        cfg = small_cfg(rounds=2, transport="tcp", addr="127.0.0.1:0", out_dir=str(tmp_path))
+        monkeypatch.setenv("PYTHONPATH", os.path.join(os.path.dirname(__file__), "..", "src"))
+        started = []
+        popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            started.append(popen(*args, **kwargs))
+            return started[-1]
+
+        evaluate = runner.evaluate
+        calls = []
+
+        def evaluate_failing_round_1(model, batches):
+            calls.append(None)
+            if len(calls) == 2:  # the first call scores round 0, before any client starts
+                raise RuntimeError("validation failed")
+            return evaluate(model, batches)
+
+        monkeypatch.setattr(runner.subprocess, "Popen", recording_popen)
+        monkeypatch.setattr(runner, "evaluate", evaluate_failing_round_1)
+        with pytest.raises(RuntimeError, match="validation failed"):
+            runner.run_federated(cfg, build_dataset(cfg), tcp_clients="subprocess")
+        assert len(started) == 2
+        assert all(p.returncode is not None for p in started)
 
 
 class TestPretrainFinetune:

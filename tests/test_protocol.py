@@ -17,10 +17,9 @@ from flnp.protocol import (
 )
 from flnp.protocol.client import ClientTrainConfig, FlClient
 from flnp.protocol.server import FlServer, ServerConfig
-from flnp.protocol.fedavg import top1_accuracy
 from flnp.rng import Rng
 from flnp.tensor import UsageError
-from flnp.training import TrainSettings
+from flnp.training import TrainSettings, count_correct
 from flnp.transport.codec import sign
 
 
@@ -105,12 +104,12 @@ class TestAggregate:
 class TestTop1:
     def test_perfectly_separable(self):
         logits = np.array([[5.0, 0.0], [0.0, 5.0]])
-        assert top1_accuracy(logits, np.array([0, 1])) == 1.0
+        assert count_correct(logits, np.array([0, 1])) == 2
 
     def test_ties_break_toward_lower_class(self):
         logits = np.zeros((4, 2))
         labels = np.array([0, 0, 0, 1])  # class-0 prevalence 0.75
-        assert top1_accuracy(logits, labels) == 0.75
+        assert count_correct(logits, labels) == 3
 
 
 def _server(n_clients=2, rounds=1, token="secret", validate=None):
