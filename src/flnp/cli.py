@@ -128,11 +128,8 @@ def cmd_run(args) -> int:
 
 
 def _expected_outputs(cfg: ExperimentConfig) -> list[str]:
-    if cfg.phase == "pretrain_then_finetune":
-        pre = cfg.derived_run_id().replace("pretrain_then_finetune", "pretrain_mlm")
-        fine = cfg.derived_run_id().replace("pretrain_then_finetune", "finetune_classify")
-        return [os.path.join(cfg.out_dir, f"{pre}.csv"), os.path.join(cfg.out_dir, f"{fine}.csv")]
-    return [os.path.join(cfg.out_dir, f"{cfg.derived_run_id()}.csv")]
+    phases = cfg.chained_phases() if cfg.phase == "pretrain_then_finetune" else (cfg,)
+    return [os.path.join(cfg.out_dir, f"{phase.derived_run_id()}.csv") for phase in phases]
 
 
 def cmd_serve(args) -> int:

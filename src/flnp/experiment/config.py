@@ -128,6 +128,19 @@ class ExperimentConfig:
             return self.run_id
         return f"{self.phase}-{self.mode}-{self.model}-i{self.seeds.init}"
 
+    def chained_phases(self) -> tuple["ExperimentConfig", "ExperimentConfig"]:
+        """The pretraining and fine-tuning phases of a pretrain_then_finetune run.
+
+        An explicit run_id gets the phase name appended, so the two phases
+        write separate outputs.
+        """
+        def phase(name: str, **changes) -> "ExperimentConfig":
+            run_id = f"{self.run_id}-{name}" if self.run_id else None
+            return dataclasses.replace(self, phase=name, run_id=run_id, **changes)
+
+        rounds = self.pretrain_rounds if self.pretrain_rounds is not None else self.rounds
+        return phase("pretrain_mlm", rounds=rounds), phase("finetune_classify")
+
     def host_port(self) -> tuple[str, int]:
         host, _, port = self.addr.rpartition(":")
         if not host:

@@ -25,7 +25,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -362,12 +362,8 @@ def run_experiment(
     bundle = bundle or build_dataset(cfg)
 
     if cfg.phase == "pretrain_then_finetune":
-        pre_cfg = replace(
-            cfg, phase="pretrain_mlm",
-            rounds=cfg.pretrain_rounds if cfg.pretrain_rounds is not None else cfg.rounds,
-        )
+        pre_cfg, fine_cfg = cfg.chained_phases()
         pre = _run_phase(pre_cfg, bundle, None, tcp_clients)
-        fine_cfg = replace(cfg, phase="finetune_classify")
         return [pre, _run_finetune(fine_cfg, bundle, list(pre.finals.values()), tcp_clients)]
     if cfg.phase == "finetune_classify" and cfg.pretrained_params_path:
         try:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 import numpy as np
 
 from ..params import ParameterSet
@@ -62,11 +64,19 @@ class ModelBase:
 
 
 def _check_manifest(ps: ParameterSet, expected) -> None:
-    if ps.manifest() != tuple(expected):
-        raise UsageError(
-            f"parameter set manifest does not match model "
-            f"({len(ps.manifest())} vs {len(expected)} entries)"
-        )
+    """UsageError naming the first (name, shape) entry that differs."""
+    got, want = ps.manifest(), tuple(expected)
+    if got == want:
+        return
+    i = next(i for i, (g, w) in enumerate(zip_longest(got, want)) if g != w)
+
+    def entry(manifest) -> str:
+        return f"'{manifest[i][0]}' {manifest[i][1]}" if i < len(manifest) else "no entry"
+
+    raise UsageError(
+        f"parameter set manifest does not match model at entry {i}: "
+        f"expected {entry(want)}, got {entry(got)} ({len(got)} vs {len(want)} entries)"
+    )
 
 
 def _model_class(config: ModelConfig, mode: str):

@@ -3,26 +3,20 @@
 Standard gate equations per timestep, with the fused projection
 gates = x @ wx + h @ wh + b split into (input, forget, cell, output)
 chunks: i,f,o are sigmoid gates, the cell candidate is tanh, then
-c = f*c + i*g and h = o*tanh(c). Classification reads the top layer's
-hidden state at each sequence's last valid timestep through one affine
-layer (no pooling).
+c = f*c + i*g and h = o*tanh(c), from a zero initial state.
+
+Each layer is one `lstm_layer` tape node over the whole batch: the input
+projection x @ wx of every timestep is hoisted out of the recurrence as
+a single GEMM, and only h @ wh runs per step. Classification reads the
+top layer's hidden state at each sequence's last valid timestep
+(`last_step`) through one affine layer (no pooling).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import (
-    Tensor,
-    UsageError,
-    add,
-    embedding_lookup,
-    matmul,
-    mul,
-    narrow,
-    sigmoid,
-    tanh,
-)
+from ..tensor import Tensor, UsageError, add, embedding_lookup, last_step, lstm_layer, matmul
 from .base import ModelBase, ParamSpec
 from .config import ModelConfig
 
@@ -60,32 +54,10 @@ class LstmClassifier(ModelBase):
         if lengths.shape != (batch,) or lengths.min() < 1 or lengths.max() > seq:
             raise UsageError(f"lengths must lie in [1, {seq}] per row")
 
-        d = cfg.d_model
-        h = [Tensor(np.zeros((batch, d))) for _ in range(cfg.n_layers)]
-        c = [Tensor(np.zeros((batch, d))) for _ in range(cfg.n_layers)]
-        last = Tensor(np.zeros((batch, d)))
-
-        for t in range(seq):
-            x = embedding_lookup(p["emb.tok"], ids[:, t])
-            for layer in range(cfg.n_layers):
-                gates = add(
-                    add(matmul(x, p[f"lstm.{layer}.wx"]), matmul(h[layer], p[f"lstm.{layer}.wh"])),
-                    p[f"lstm.{layer}.b"],
-                )
-                gi = sigmoid(narrow(gates, 1, 0, d))
-                gf = sigmoid(narrow(gates, 1, d, d))
-                gc = tanh(narrow(gates, 1, 2 * d, d))
-                go = sigmoid(narrow(gates, 1, 3 * d, d))
-                c[layer] = add(mul(gf, c[layer]), mul(gi, gc))
-                h[layer] = mul(go, tanh(c[layer]))
-                x = h[layer]
-            # latch the top hidden state on each row's final valid step
-            pick = (lengths - 1 == t).astype(np.float64)[:, None]
-            if pick.any():
-                sel = Tensor(pick)
-                last = add(mul(sel, h[-1]), mul(Tensor(1.0 - pick), last))
-
-        return add(matmul(last, p["cls.w"]), p["cls.b"])
+        x = embedding_lookup(p["emb.tok"], ids)
+        for layer in range(cfg.n_layers):
+            x = lstm_layer(x, p[f"lstm.{layer}.wx"], p[f"lstm.{layer}.wh"], p[f"lstm.{layer}.b"])
+        return add(matmul(last_step(x, lengths), p["cls.w"]), p["cls.b"])
 
     def classify_logits(self, token_ids: np.ndarray, lengths: np.ndarray) -> Tensor:
         return self.forward(token_ids, lengths)

@@ -10,12 +10,16 @@ Phases cycle awaiting_provision -> distributing -> collecting ->
 aggregating -> distributing, ending in done. Parameters are quantized to
 wire precision before every distribution, and aggregation runs over
 client-id-sorted updates, so results do not depend on arrival order.
+An update holding NaN or inf cannot be averaged safely, so it ends the
+run with a `non_finite_update` ProtocolError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 from ..params import ParameterSet
 from ..rng import Rng
@@ -154,6 +158,12 @@ class FlServer:
             return [(conn, ErrorMsg("client_id_mismatch", f"{msg.client_id} != {slot.client_id}"))]
         if msg.params.manifest() != self.global_params.manifest():
             return [(conn, ErrorMsg("manifest_mismatch", f"client {slot.client_id}"))]
+        bad = next((name for name, arr in msg.params.items() if not np.isfinite(arr).all()), None)
+        if bad is not None:
+            raise ProtocolError(
+                "non_finite_update",
+                f"client {slot.client_id} sent NaN or inf in '{bad}' in round {self.round}",
+            )
 
         self._pending[slot.client_id] = ClientUpdate(
             client_id=slot.client_id,

@@ -151,8 +151,10 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _result(data, (a, b), bwd)
 
@@ -163,8 +165,10 @@ def sub(a, b) -> Tensor:
     data = a.data - b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, -_unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, -_unbroadcast(g, b.data.shape))
 
     return _result(data, (a, b), bwd)
 
@@ -175,8 +179,10 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _result(data, (a, b), bwd)
 
@@ -373,6 +379,99 @@ def narrow(a, axis: int, start: int, size: int) -> Tensor:
         _accumulate(a, buf)
 
     return _result(data, (a,), bwd)
+
+
+def lstm_layer(x, wx, wh, b) -> Tensor:
+    """One unidirectional LSTM layer over whole sequences: x [B, T, d_in] -> h [B, T, d].
+
+    Zero initial state; gate columns are (input, forget, cell, output), so
+    per step gates = x_t @ wx + h @ wh + b, c = f*c + i*g, h = o*tanh(c).
+    The input projections of all timesteps are one time-major GEMM; the
+    recurrence then does one h @ wh per step. Backward runs BPTT in
+    reverse with one dgates @ wh.T per step and forms d wx, d wh and dx
+    as single GEMMs over all T*B rows.
+    """
+    x, wx, wh, b = as_tensor(x), as_tensor(wx), as_tensor(wh), as_tensor(b)
+    if x.ndim != 3:
+        raise ShapeError(f"lstm_layer: input must be [B, T, d_in], got {x.data.shape}")
+    batch, seq, d_in = x.data.shape
+    d = wh.data.shape[0]
+    if wx.data.shape != (d_in, 4 * d) or wh.data.shape != (d, 4 * d) or b.data.shape != (4 * d,):
+        raise ShapeError(
+            f"lstm_layer: input {x.data.shape} needs wx ({d_in}, {4 * d}), wh ({d}, {4 * d}) "
+            f"and b ({4 * d},); got {wx.data.shape}, {wh.data.shape}, {b.data.shape}"
+        )
+    xs = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(seq * batch, d_in)
+    # gate pre-activations, overwritten in place by the activations
+    acts = (xs @ wx.data).reshape(seq, batch, 4 * d)
+    cs = np.empty((seq, batch, d))
+    tanh_cs = np.empty_like(cs)
+    hs = np.empty_like(cs)
+    h = c = np.zeros((batch, d))  # zero initial state
+    for t in range(seq):
+        a = acts[t]
+        a += h @ wh.data
+        a += b.data
+        _expit(a[:, :2 * d], out=a[:, :2 * d])
+        np.tanh(a[:, 2 * d:3 * d], out=a[:, 2 * d:3 * d])
+        _expit(a[:, 3 * d:], out=a[:, 3 * d:])
+        c = np.add(a[:, d:2 * d] * c, a[:, :d] * a[:, 2 * d:3 * d], out=cs[t])
+        h = np.multiply(a[:, 3 * d:], np.tanh(c, out=tanh_cs[t]), out=hs[t])
+
+    def bwd(g):
+        g = g.transpose(1, 0, 2)
+        dgates = np.empty_like(acts)
+        dh_rec = dc_rec = None  # gradient reaching step t from step t+1
+        for t in reversed(range(seq)):
+            a, tc = acts[t], tanh_cs[t]
+            i, f, cell, o = a[:, :d], a[:, d:2 * d], a[:, 2 * d:3 * d], a[:, 3 * d:]
+            dh = g[t] if dh_rec is None else g[t] + dh_rec
+            dc = dh * o * (1.0 - tc * tc)
+            if dc_rec is not None:
+                dc += dc_rec
+            dg = dgates[t]
+            c_prev = cs[t - 1] if t else 0.0
+            dg[:, :d] = dc * cell * i * (1.0 - i)
+            dg[:, d:2 * d] = dc * c_prev * f * (1.0 - f)
+            dg[:, 2 * d:3 * d] = dc * i * (1.0 - cell * cell)
+            dg[:, 3 * d:] = dh * tc * o * (1.0 - o)
+            if t:
+                dh_rec = dg @ wh.data.T
+                dc_rec = dc * f
+        rows = dgates.reshape(seq * batch, 4 * d)
+        if x.requires_grad:
+            dx = (rows @ wx.data.T).reshape(seq, batch, d_in)
+            _accumulate(x, dx.transpose(1, 0, 2))
+        if wx.requires_grad:
+            _accumulate(wx, xs.T @ rows)
+        if wh.requires_grad:
+            _accumulate(wh, hs[:-1].reshape(-1, d).T @ rows[batch:])
+        if b.requires_grad:
+            _accumulate(b, rows.sum(axis=0))
+
+    return _result(hs.transpose(1, 0, 2), (x, wx, wh, b), bwd)
+
+
+def last_step(h, lengths) -> Tensor:
+    """Each row's state at its last valid timestep: h [B, T, d] -> [B, d].
+
+    Row r is read at timestep lengths[r] - 1; lengths lie in [1, T].
+    """
+    h = as_tensor(h)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if h.ndim != 3 or lengths.shape != (h.data.shape[0],):
+        raise ShapeError(f"last_step: lengths {lengths.shape} do not match states {h.data.shape}")
+    if lengths.size and (lengths.min() < 1 or lengths.max() > h.data.shape[1]):
+        raise UsageError(f"last_step: lengths must lie in [1, {h.data.shape[1]}]")
+    rows, steps = np.arange(h.data.shape[0]), lengths - 1
+    data = h.data[rows, steps]
+
+    def bwd(g):
+        buf = np.zeros_like(h.data)
+        buf[rows, steps] = g
+        _accumulate(h, buf)
+
+    return _result(data, (h,), bwd)
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from flnp.cli import cli_main
@@ -55,6 +56,41 @@ def test_run_without_force_skips_existing(tmp_path, capsys):
     assert cli_main(["run", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert "already present" in out
+
+
+def test_two_phase_run_with_fixed_run_id_keeps_both_phases(tmp_path, capsys):
+    cfg = base_config(tmp_path, phase="pretrain_then_finetune", pretrain_rounds=1,
+                      run_id="fixed", data={"n_records": 40, "min_len": 6, "max_len": 10})
+    assert cli_main(["run", "--config", cfg]) == 0
+    assert len(set(re.findall(r"sha256 (\w+)", capsys.readouterr().out))) == 2
+    out = tmp_path / "out"
+    for phase in ("pretrain_mlm", "finetune_classify"):
+        assert (out / f"fixed-{phase}.csv").exists()
+        assert (out / f"fixed-{phase}-params.flnp").exists()
+    assert not (out / "fixed.csv").exists()
+    assert cli_main(["run", "--config", cfg]) == 0
+    assert "already present" in capsys.readouterr().out
+
+
+def test_nan_update_fails_the_run_with_exit_1(tmp_path, capsys, monkeypatch):
+    from flnp.params import ParameterSet
+    from flnp.protocol.client import LocalTrainer
+
+    honest = LocalTrainer.export
+
+    def export(self):
+        params = honest(self)
+        if self.trainer_id != 1:
+            return params
+        return ParameterSet((name, np.full_like(arr, np.nan) if name == "cls.b" else arr)
+                            for name, arr in params.items())
+
+    monkeypatch.setattr(LocalTrainer, "export", export)
+    cfg = base_config(tmp_path, mode="federated", model="lstm", rounds=2)
+    assert cli_main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "non_finite_update" in err and "client 1" in err, err
+    assert "'cls.b'" in err and "round 1" in err, err
 
 
 def test_malformed_json_exits_2_with_position(tmp_path, capsys):

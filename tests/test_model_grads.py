@@ -5,10 +5,11 @@ Small configs keep the loop fast while covering every parameter role.
 
 import numpy as np
 
-from flnp.models import ModelConfig, init_model
-from flnp.tensor import masked_cross_entropy, reshape
+from flnp.models import ModelConfig, init_model, preset
+from flnp.tensor import backward, masked_cross_entropy, reshape
 
 from gradcheck import assert_grads_match
+from lstm_oracle import unrolled_logits
 
 
 def test_small_transformer_mlm_all_parameter_tensors():
@@ -66,3 +67,35 @@ def test_stacked_lstm_gradients():
         return masked_cross_entropy(model.forward(ids, lens), labels)
 
     assert_grads_match(loss, model.params, n_coords=5, rtol=1e-4, seed=4)
+
+
+def _tape_size(root) -> int:
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen and parent._parents:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_fused_lstm_matches_unrolled_ops_at_preset_shapes():
+    cfg = preset("lstm", vocab_size=40, max_seq_len=16)
+    rng = np.random.default_rng(7)
+    ids = rng.integers(3, 40, size=(6, 16))
+    lens = np.array([1, 16, 9, 4, 16, 12])
+    labels = np.array([0, 1, 1, 0, 1, 0])
+
+    def loss_and_grads(forward):
+        model = init_model(cfg, seed=17, mode="classify")
+        loss = masked_cross_entropy(forward(model), labels)
+        backward(loss)
+        return loss.item(), {name: t.grad for name, t in model.params.items()}, loss
+
+    fused, fused_grads, root = loss_and_grads(lambda m: m.forward(ids, lens))
+    oracle, oracle_grads, _ = loss_and_grads(lambda m: unrolled_logits(m, ids, lens))
+    assert _tape_size(root) == cfg.n_layers + 5  # embedding, last_step, matmul, add, loss
+    assert abs(fused - oracle) <= 1e-12 * abs(oracle)
+    for name, want in oracle_grads.items():
+        got = fused_grads[name]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name

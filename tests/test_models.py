@@ -119,6 +119,26 @@ class TestSaveLoad:
         with pytest.raises(UsageError):
             model.load_params(wrong)
 
+    def test_manifest_mismatch_names_first_differing_tensor(self):
+        model = tiny_transformer(mode="classify")
+        renamed = ParameterSet(("enc.1.ln2.gx" if name == "enc.1.ln2.g" else name, arr)
+                               for name, arr in model.export_params().items())
+        n = len(model.manifest())
+        at = [name for name, _ in model.manifest()].index("enc.1.ln2.g")
+        with pytest.raises(UsageError) as err:
+            model.load_params(renamed)
+        assert str(err.value).endswith(
+            f"at entry {at}: expected 'enc.1.ln2.g' (8,), "
+            f"got 'enc.1.ln2.gx' (8,) ({n} vs {n} entries)"
+        )
+
+    def test_manifest_mismatch_names_missing_entry(self):
+        model = tiny_transformer(mode="classify")
+        short = ParameterSet(list(model.export_params().items())[:-1])
+        last_name, last_shape = model.manifest()[-1]
+        with pytest.raises(UsageError, match=f"expected '{last_name}' .*, got no entry"):
+            model.load_params(short)
+
 
 class TestTransformerForward:
     def test_attention_rows_sum_to_one_on_unpadded_keys(self):

@@ -201,6 +201,17 @@ class TestRoundFlow:
         out = server.handle(0, bad)
         assert out[0][1].code == "manifest_mismatch"
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_update_fails_the_round(self, bad):
+        server = _server(n_clients=2, rounds=1)
+        server.handle(0, Hello(client_name="a", auth_token="secret"))
+        server.handle(1, Hello(client_name="b", auth_token="secret"))
+        update = sign(LocalUpdate(1, 1, _params([1.0, bad]), 1), _session_key(server, 1))
+        with pytest.raises(ProtocolError) as err:
+            server.handle(1, update)
+        assert err.value.code == "non_finite_update"
+        assert str(err.value).endswith("client 1 sent NaN or inf in 'w' in round 1")
+
     def test_disconnect_mid_round_aborts_with_round(self):
         server = _server(n_clients=2, rounds=3)
         server.handle(0, Hello(client_name="a", auth_token="secret"))

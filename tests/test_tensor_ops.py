@@ -6,11 +6,14 @@ import pytest
 from flnp.tensor import (
     ShapeError,
     Tensor,
+    UsageError,
     add,
     backward,
     embedding_lookup,
     gelu,
+    last_step,
     layer_norm,
+    lstm_layer,
     masked_cross_entropy,
     matmul,
     mul,
@@ -26,6 +29,14 @@ from flnp.tensor import (
 )
 
 from gradcheck import assert_grads_match
+
+
+def _lstm_weights(rng, d_in, d):
+    return {
+        "wx": Tensor(rng.normal(scale=0.5, size=(d_in, 4 * d)), requires_grad=True),
+        "wh": Tensor(rng.normal(scale=0.5, size=(d, 4 * d)), requires_grad=True),
+        "b": Tensor(rng.normal(scale=0.5, size=(4 * d,)), requires_grad=True),
+    }
 
 
 class TestMatmul:
@@ -235,3 +246,52 @@ class TestShapeOps:
         assert out.data.tolist() == [1.0, 4.0]
         backward(reduce_sum(out))
         assert np.allclose(x.grad, 1.0 / 3.0)
+
+
+class TestLstmLayer:
+    @staticmethod
+    def _loss(x, w, probe):
+        # a fixed random probe weights every output, so no gradient cancels
+        return reduce_sum(mul(lstm_layer(x, w["wx"], w["wh"], w["b"]), probe))
+
+    @pytest.mark.parametrize("batch, seq, d_in, d", [(2, 4, 3, 5), (3, 1, 4, 2)])
+    def test_gradient(self, batch, seq, d_in, d):
+        rng = np.random.default_rng(seq)
+        x = Tensor(rng.normal(size=(batch, seq, d_in)), requires_grad=True)
+        w = _lstm_weights(rng, d_in, d)
+        probe = Tensor(rng.normal(size=(batch, seq, d)))
+        assert_grads_match(lambda: self._loss(x, w, probe), {"x": x, **w},
+                           n_coords=12, rtol=1e-6)
+
+    def test_input_without_grad(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        w = _lstm_weights(rng, 4, 3)
+        probe = Tensor(rng.normal(size=(2, 3, 3)))
+        assert_grads_match(lambda: self._loss(x, w, probe), w, n_coords=12, rtol=1e-6)
+        assert x.grad is None
+
+    def test_weight_shapes_checked(self):
+        w = _lstm_weights(np.random.default_rng(0), 3, 2)
+        with pytest.raises(ShapeError, match=r"wx \(4, 8\)"):
+            lstm_layer(Tensor(np.zeros((1, 2, 4))), w["wx"], w["wh"], w["b"])
+
+
+class TestLastStep:
+    def test_picks_each_rows_last_valid_step(self):
+        h = Tensor(np.arange(24.0).reshape(2, 4, 3))
+        out = last_step(h, [1, 4])
+        assert out.data.tolist() == [[0.0, 1.0, 2.0], [21.0, 22.0, 23.0]]
+
+    def test_gradient_with_lengths_one_and_full(self):
+        rng = np.random.default_rng(9)
+        h = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
+        probe = Tensor(rng.normal(size=(3, 2)))
+        assert_grads_match(lambda: reduce_sum(mul(last_step(mul(h, h), [1, 4, 2]), probe)),
+                           {"h": h}, n_coords=24, rtol=1e-6)
+
+    def test_out_of_range_length_rejected(self):
+        with pytest.raises(UsageError):
+            last_step(Tensor(np.zeros((2, 3, 1))), [0, 3])
+        with pytest.raises(ShapeError):
+            last_step(Tensor(np.zeros((2, 3, 1))), [1, 2, 3])
