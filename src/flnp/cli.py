@@ -116,15 +116,19 @@ def cmd_run(args) -> int:
         print(f"outputs already present ({existing[0]}); use --force to rerun")
         return EXIT_OK
 
-    results = run_experiment(cfg, tcp_clients="subprocess")
+    _write_results(cfg.out_dir, run_experiment(cfg, tcp_clients="subprocess"))
+    return EXIT_OK
+
+
+def _write_results(out_dir: str, results) -> None:
+    """Each phase's metrics CSV and final parameters, named by run id."""
     for result in results:
-        csv_path = os.path.join(cfg.out_dir, f"{result.run_id}.csv")
+        csv_path = os.path.join(out_dir, f"{result.run_id}.csv")
         emit_metrics(result.records, csv_path)
-        params_path = os.path.join(cfg.out_dir, f"{result.run_id}-params.flnp")
+        params_path = os.path.join(out_dir, f"{result.run_id}-params.flnp")
         save_params(result.final_params, params_path)
         print(f"{result.run_id}: metrics -> {csv_path}")
         print(f"{result.run_id}: final-params sha256 {params_checksum(result.final_params)}")
-    return EXIT_OK
 
 
 def _expected_outputs(cfg: ExperimentConfig) -> list[str]:
@@ -136,13 +140,17 @@ def cmd_serve(args) -> int:
     cfg = _load_cfg(args)
     if cfg.mode != "federated":
         raise ConfigError("serve requires mode=federated")
+    if cfg.phase == "pretrain_then_finetune":
+        # remote clients build one model for the whole session, so they
+        # cannot follow the switch from the MLM to the classifier phase
+        raise ConfigError(
+            "serve runs single-phase configs only; phase 'pretrain_then_finetune' needs "
+            "one serve per phase ('pretrain_mlm', then 'finetune_classify' with "
+            "pretrained_params_path) or 'flnp run --transport tcp'"
+        )
     cfg_tcp = config_from_dict({**config_to_dict(cfg), "transport": "tcp"})
     os.makedirs(cfg_tcp.out_dir, exist_ok=True)
-    results = run_experiment(cfg_tcp, tcp_clients="external")
-    for result in results:
-        csv_path = os.path.join(cfg_tcp.out_dir, f"{result.run_id}.csv")
-        emit_metrics(result.records, csv_path)
-        print(f"{result.run_id}: final-params sha256 {params_checksum(result.final_params)}")
+    _write_results(cfg_tcp.out_dir, run_experiment(cfg_tcp, tcp_clients="external"))
     return EXIT_OK
 
 

@@ -8,32 +8,40 @@ n_heads * d_head, not necessarily d_model) is projected back to d_model.
 
 Classification mean-pools hidden states over unpadded positions; the MLM
 head is an affine map to vocabulary logits, untied from the embedding.
+
+The encoder computes on packed rows: only the real tokens of the padded
+batch, gathered once from the attention mask. Each sublayer is one tape
+node (`attention`, then `linear` for the output projection,
+`add_layer_norm`, `linear_gelu`, `linear`, `add_layer_norm`), and only
+`attention` scatters q/k/v into the padded [B, H, T, d_head] layout. A
+final node scatters the hidden states back to [B, T, d_model] with
+exact zeros at padding. The attention weights of a padded query are
+uniform over the real keys of its row. The GEMMs of the forward pass
+keep the per-sequence shapes of the padded batch, so every real
+position's hidden state is bit-identical to a per-op computation on the
+padded batch (`tests/transformer_oracle.py`).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..tensor import (
+    Packing,
     Tensor,
     UsageError,
     add,
+    add_layer_norm,
+    attention,
     embedding_lookup,
-    gelu,
-    layer_norm,
-    matmul,
+    linear,
+    linear_gelu,
     mul,
     reduce_sum,
-    reshape,
-    softmax_rows,
-    transpose,
+    scatter_rows,
 )
 from .base import ModelBase, ParamSpec
 from .config import ModelConfig
-
-_NEG_BIG = 1.0e30  # additive mask value; exp underflows to exactly 0
 
 
 def transformer_manifest(config: ModelConfig, mode: str) -> list[ParamSpec]:
@@ -84,8 +92,8 @@ class TransformerModel(ModelBase):
         attention_mask: np.ndarray,
         return_attention: bool = False,
     ):
-        """Hidden states [B, T, d_model]; optionally the per-layer attention
-        weight arrays [B, H, T, T] for inspection."""
+        """Hidden states [B, T, d_model], exactly 0 at padding; optionally the
+        per-layer attention weight arrays [B, H, T, T] for inspection."""
         cfg = self.config
         p = self.params
         ids = np.asarray(token_ids, dtype=np.int64)
@@ -100,54 +108,32 @@ class TransformerModel(ModelBase):
         if mask.shape != (batch, seq):
             raise UsageError(f"attention mask shape {mask.shape} does not match batch {(batch, seq)}")
 
-        positions = np.broadcast_to(np.arange(seq, dtype=np.int64), (batch, seq))
-        h = add(embedding_lookup(p["emb.tok"], ids), embedding_lookup(p["emb.pos"], positions))
-
-        # keys at padding get a huge negative additive score
-        mask_bias = Tensor((mask - 1.0)[:, None, None, :] * _NEG_BIG)
-        scale = 1.0 / math.sqrt(cfg.d_head)
+        packing = Packing(mask)
+        h = add(embedding_lookup(p["emb.tok"], packing.pack(ids)),
+                embedding_lookup(p["emb.pos"], packing.pos_idx))
         attentions: list[np.ndarray] = []
         for i in range(cfg.n_layers):
-            h, attn = self._layer(i, h, mask_bias, batch, seq, scale)
-            if return_attention:
-                attentions.append(attn)
+            pre = f"enc.{i}"
+            ctx, weights = attention(
+                h, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"], p[f"{pre}.attn.wk"], p[f"{pre}.attn.bk"],
+                p[f"{pre}.attn.wv"], p[f"{pre}.attn.bv"], packing, cfg.n_heads,
+            )
+            out = linear(ctx, p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"], packing)
+            h = add_layer_norm(out, h, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
+            inner = linear_gelu(h, p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"], packing)
+            f = linear(inner, p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"], packing)
+            h = add_layer_norm(f, h, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
+            attentions.append(weights)
+        hidden = scatter_rows(h, packing)
         if return_attention:
-            return h, attentions
-        return h
-
-    def _layer(self, i: int, h: Tensor, mask_bias: Tensor, batch: int, seq: int, scale: float):
-        cfg = self.config
-        p = self.params
-        heads, dh = cfg.n_heads, cfg.d_head
-        pre = f"enc.{i}"
-
-        def split_heads(x: Tensor) -> Tensor:
-            x = reshape(x, (batch, seq, heads, dh))
-            return transpose(x, (0, 2, 1, 3))  # [B, H, T, dh]
-
-        q = split_heads(add(matmul(h, p[f"{pre}.attn.wq"]), p[f"{pre}.attn.bq"]))
-        k = split_heads(add(matmul(h, p[f"{pre}.attn.wk"]), p[f"{pre}.attn.bk"]))
-        v = split_heads(add(matmul(h, p[f"{pre}.attn.wv"]), p[f"{pre}.attn.bv"]))
-
-        scores = add(mul(matmul(q, transpose(k, (0, 1, 3, 2))), scale), mask_bias)
-        attn = softmax_rows(scores)  # [B, H, T, T]
-        ctx = matmul(attn, v)  # [B, H, T, dh]
-        ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, seq, heads * dh))
-        out = add(matmul(ctx, p[f"{pre}.attn.wo"]), p[f"{pre}.attn.bo"])
-
-        h = layer_norm(add(h, out), p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
-        f = add(matmul(gelu(add(matmul(h, p[f"{pre}.ffn.w1"]), p[f"{pre}.ffn.b1"])), p[f"{pre}.ffn.w2"]), p[f"{pre}.ffn.b2"])
-        h = layer_norm(add(h, f), p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
-        return h, attn.data
+            return hidden, attentions
+        return hidden
 
     def mlm_logits(self, hidden: Tensor) -> Tensor:
         """Vocabulary logits [B, T, V]."""
         if self.mode != "mlm":
             raise UsageError(f"model is in mode '{self.mode}', not 'mlm'")
-        batch, seq, d = hidden.shape
-        flat = reshape(hidden, (batch * seq, d))
-        logits = add(matmul(flat, self.params["mlm.w"]), self.params["mlm.b"])
-        return reshape(logits, (batch, seq, self.config.vocab_size))
+        return linear(hidden, self.params["mlm.w"], self.params["mlm.b"])
 
     def classify_logits(self, hidden: Tensor, attention_mask: np.ndarray) -> Tensor:
         """Class logits [B, n_classes] from mask-weighted mean pooling."""
@@ -157,4 +143,4 @@ class TransformerModel(ModelBase):
         counts = np.maximum(mask.sum(axis=1), 1.0)
         pooled = reduce_sum(mul(hidden, Tensor(mask[:, :, None])), axis=1)
         pooled = mul(pooled, Tensor((1.0 / counts)[:, None]))
-        return add(matmul(pooled, self.params["cls.w"]), self.params["cls.b"])
+        return linear(pooled, self.params["cls.w"], self.params["cls.b"])

@@ -15,6 +15,8 @@ any one platform and matches across platforms with a conforming libm.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 _M64 = (1 << 64) - 1
@@ -56,6 +58,11 @@ class Rng:
         """Independent child stream; does not advance this stream."""
         return Rng(self.child_seed(key))
 
+    def _next(self) -> int:
+        """Next output as a Python int; the same value `_raw(1)` gives."""
+        self._count += 1
+        return _mix(self._root + self._count * _GOLDEN)
+
     def _raw(self, n: int) -> np.ndarray:
         """Next n outputs as uint64."""
         start = self._count + 1
@@ -66,7 +73,7 @@ class Rng:
 
     def uint64(self, size: int | tuple[int, ...] | None = None):
         if size is None:
-            return int(self._raw(1)[0])
+            return self._next()
         shape = (size,) if isinstance(size, int) else tuple(size)
         n = int(np.prod(shape)) if shape else 1
         return self._raw(n).reshape(shape)
@@ -74,7 +81,7 @@ class Rng:
     def random(self, size: int | tuple[int, ...] | None = None):
         """Float64 in [0, 1) with 53 random bits."""
         if size is None:
-            return float(self._raw(1)[0] >> np.uint64(11)) * _INV_2_53
+            return float(self._next() >> 11) * _INV_2_53
         shape = (size,) if isinstance(size, int) else tuple(size)
         n = int(np.prod(shape)) if shape else 1
         u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
@@ -106,7 +113,11 @@ class Rng:
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
         if size is None:
-            return int(self._integer_block(bound, 1)[0])
+            limit = (1 << 64) - (1 << 64) % bound  # draws at or above are rejected
+            while True:
+                draw = self._next()
+                if draw < limit:
+                    return draw % bound
         shape = (size,) if isinstance(size, int) else tuple(size)
         n = int(np.prod(shape)) if shape else 1
         return self._integer_block(bound, n).reshape(shape)
@@ -137,4 +148,6 @@ class Rng:
     def weighted_choice(self, cumulative: np.ndarray, size=None):
         """Indices sampled by a precomputed cumulative weight vector."""
         u = self.random(size) * cumulative[-1]
+        if size is None:
+            return bisect.bisect_right(cumulative, u)
         return np.searchsorted(cumulative, u, side="right")

@@ -9,6 +9,13 @@ reachable tensors that require them. Graphs are rebuilt per batch.
 All compute is float64. Binary elementwise ops follow numpy broadcasting
 (gradients are summed back over broadcast axes). Incompatible shapes
 raise :class:`ShapeError` naming both operands.
+
+Besides the per-op kernels, fused ops record one node for a whole
+sublayer and write its backward by hand: `lstm_layer` and `last_step`
+for the LSTM; `linear`, `linear_gelu`, `add_layer_norm` and `attention`
+for the transformer, whose row-wise work runs on packed rows (the real
+tokens of a padded batch, see :class:`Packing`), and `scatter_rows`,
+which puts packed rows back into the padded layout.
 """
 
 from __future__ import annotations
@@ -472,6 +479,225 @@ def last_step(h, lengths) -> Tensor:
         _accumulate(h, buf)
 
     return _result(data, (h,), bwd)
+
+
+class Packing:
+    """Where the real tokens of a padded [B, T] batch sit, in row-major order.
+
+    Packed rows are an [N, ...] array holding only the N real tokens of a
+    0/1 attention mask; `pad` scatters them into a zero [B, T, ...] array
+    and `pack` gathers them back out of one.
+    """
+
+    __slots__ = ("shape", "batch_idx", "pos_idx", "real")
+
+    def __init__(self, mask) -> None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.ndim != 2:
+            raise ShapeError(f"packing: mask must be [B, T], got {mask.shape}")
+        self.shape = mask.shape
+        self.batch_idx, self.pos_idx = np.divmod(np.flatnonzero(mask.reshape(-1)), mask.shape[1])
+        self.real = (mask != 0.0).astype(np.float64)[:, :, None]  # [B, T, 1]
+
+    @property
+    def n_rows(self) -> int:
+        return self.batch_idx.size
+
+    def pad(self, rows: np.ndarray) -> np.ndarray:
+        if rows.shape[0] != self.n_rows:
+            raise ShapeError(f"packing: {rows.shape[0]} rows for a mask with {self.n_rows} real tokens")
+        out = np.zeros(self.shape + rows.shape[1:])
+        out[self.batch_idx, self.pos_idx] = rows
+        return out
+
+    def pack(self, full: np.ndarray) -> np.ndarray:
+        return full[self.batch_idx, self.pos_idx]
+
+
+def _check_linear(op: str, x: Tensor, w: Tensor, b: Tensor) -> None:
+    if x.ndim < 1 or w.ndim != 2 or x.data.shape[-1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]:
+        raise ShapeError(
+            f"{op}: input {x.data.shape}, weight {w.data.shape} and bias {b.data.shape} do not agree"
+        )
+
+
+def _affine(x: Tensor, w: Tensor, b: Tensor, packing: Optional[Packing]) -> np.ndarray:
+    """x @ w + b, with the bias added in place.
+
+    With a packing, x holds packed rows and the GEMM runs on the padded
+    [B, T, d_in] layout, one [T, d_in] @ w per sequence. BLAS rounds a
+    row according to the GEMM's shape and the row's place in it, so each
+    real row then comes out exactly as in a model that computes on the
+    padded batch.
+    """
+    if packing is None:
+        rows = x.data.reshape(-1, w.data.shape[0]) @ w.data
+        out = rows.reshape(x.data.shape[:-1] + w.data.shape[1:])
+    else:
+        out = packing.pack(np.matmul(packing.pad(x.data), w.data))
+    out += b.data
+    return out
+
+
+def _affine_backward(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Gradients of x @ w + b: dx and d w one GEMM each over all rows, d b one sum."""
+    rows = g.reshape(-1, g.shape[-1])
+    if x.requires_grad:
+        _accumulate(x, (rows @ w.data.T).reshape(x.data.shape))
+    if w.requires_grad:
+        _accumulate(w, x.data.reshape(rows.shape[0], -1).T @ rows)
+    if b.requires_grad:
+        _accumulate(b, rows.sum(axis=0))
+
+
+def linear(x, w, b, packing: Optional[Packing] = None) -> Tensor:
+    """Affine map of the last axis: x [..., d_in] @ w [d_in, d_out] + b [d_out].
+
+    The leading axes of x are flattened into the rows of one GEMM; with a
+    packing, x is [N, d_in] packed rows (see `_affine`).
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    _check_linear("linear", x, w, b)
+    out = _affine(x, w, b, packing)
+
+    def bwd(g):
+        _affine_backward(x, w, b, g)
+
+    return _result(out, (x, w, b), bwd)
+
+
+def linear_gelu(x, w, b, packing: Optional[Packing] = None) -> Tensor:
+    """gelu(linear(x, w, b)) as one node, with the same erf GELU as `gelu`."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    _check_linear("linear_gelu", x, w, b)
+    pre = _affine(x, w, b, packing)
+    cdf = pre / _SQRT_2
+    _erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    out = pre * cdf
+
+    def bwd(g):
+        # d gelu = cdf + pre * pdf(pre)
+        d = pre * pre
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= pre
+        d += cdf
+        d *= g
+        _affine_backward(x, w, b, d)
+
+    return _result(out, (x, w, b), bwd)
+
+
+def add_layer_norm(x, residual, gain, bias, eps: float = LAYER_NORM_EPS) -> Tensor:
+    """layer_norm(residual + x, gain, bias) as one node."""
+    x, residual, gain, bias = as_tensor(x), as_tensor(residual), as_tensor(gain), as_tensor(bias)
+    n = x.data.shape[-1]
+    if residual.data.shape != x.data.shape:
+        raise ShapeError(f"add_layer_norm: shapes {x.data.shape} and {residual.data.shape} differ")
+    if gain.data.shape != (n,) or bias.data.shape != (n,):
+        raise ShapeError(
+            f"add_layer_norm: gain {gain.data.shape} / bias {bias.data.shape} must be ({n},)"
+        )
+    xhat = residual.data + x.data
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
+
+    def bwd(g):
+        rows = g.reshape(-1, n)
+        if gain.requires_grad:
+            _accumulate(gain, (rows * xhat.reshape(-1, n)).sum(axis=0))
+        if bias.requires_grad:
+            _accumulate(bias, rows.sum(axis=0))
+        if x.requires_grad or residual.requires_grad:
+            d = g * gain.data
+            m2 = (d * xhat).mean(axis=-1, keepdims=True)
+            d -= d.mean(axis=-1, keepdims=True)
+            d -= xhat * m2
+            d *= inv
+            _accumulate(x, d)
+            _accumulate(residual, d)
+
+    return _result(out, (x, residual, gain, bias), bwd)
+
+
+_MASK_BIG = 1.0e30  # taken off a padded key's score; exp underflows to exactly 0
+
+
+def attention(x, wq, bq, wk, bk, wv, bv, packing: Packing, heads: int):
+    """Multi-head self-attention over packed rows; returns (context, weights).
+
+    x [N, d] holds the packed real tokens of a padded batch. The q/k/v
+    projections run per sequence on the padded layout (see `_affine`), with
+    zeros at padding, and are viewed as [B, heads, T, d_head] for the
+    batched score and context GEMMs. Scores are scaled by 1/sqrt(d_head),
+    and 1e30 is taken off each padded key's score. The context
+    [N, heads * d_head] is gathered back to the packed rows. `weights` is
+    the softmax [B, heads, T, T]; a padded query has q = 0, so its row is
+    uniform over the real keys. Backward keeps only the softmax output and
+    q, k, v; its projection gradients are GEMMs over the packed rows.
+    """
+    x, wq, bq, wk, bk, wv, bv = (as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv))
+    for w, b in ((wq, bq), (wk, bk), (wv, bv)):
+        _check_linear("attention", x, w, b)
+        if w.data.shape != wq.data.shape:
+            raise ShapeError(f"attention: projections {wq.data.shape} and {w.data.shape} differ")
+    width = wq.data.shape[1]
+    if x.ndim != 2 or heads < 1 or width % heads:
+        raise ShapeError(f"attention: input {x.data.shape} and width {width} for {heads} heads")
+    batch, seq = packing.shape
+    dh = width // heads
+    scale = 1.0 / math.sqrt(dh)
+    x_pad = packing.pad(x.data)
+    real = packing.real
+
+    def project(w: Tensor, b: Tensor) -> np.ndarray:
+        full = np.matmul(x_pad, w.data)
+        full += real * b.data  # bias on real rows only: padding stays 0
+        return full.reshape(batch, seq, heads, dh).transpose(0, 2, 1, 3)  # [B, H, T, dh]
+
+    def merge_heads(full: np.ndarray) -> np.ndarray:
+        return packing.pack(full.transpose(0, 2, 1, 3)).reshape(-1, width)
+
+    q, k, v = project(wq, bq), project(wk, bk), project(wv, bv)
+    probs = q @ k.transpose(0, 1, 3, 2)
+    probs *= scale
+    probs += ((real[:, :, 0] - 1.0) * _MASK_BIG)[:, None, None, :]
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    ctx = merge_heads(probs @ v)
+
+    def bwd(g):
+        gctx = packing.pad(g.reshape(-1, heads, dh)).transpose(0, 2, 1, 3)
+        dscores = gctx @ v.transpose(0, 1, 3, 2)
+        dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
+        dscores *= probs
+        dscores *= scale
+        _affine_backward(x, wq, bq, merge_heads(dscores @ k))
+        _affine_backward(x, wk, bk, merge_heads(dscores.transpose(0, 1, 3, 2) @ q))
+        _affine_backward(x, wv, bv, merge_heads(probs.transpose(0, 1, 3, 2) @ gctx))
+
+    return _result(ctx, (x, wq, bq, wk, bk, wv, bv), bwd), probs
+
+
+def scatter_rows(x, packing: Packing) -> Tensor:
+    """Packed rows x [N, d] back to the padded [B, T, d]; zeros at padding."""
+    x = as_tensor(x)
+    if x.ndim != 2:
+        raise ShapeError(f"scatter_rows: rows must be [N, d], got {x.data.shape}")
+    out = packing.pad(x.data)
+
+    def bwd(g):
+        _accumulate(x, packing.pack(g))
+
+    return _result(out, (x,), bwd)
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:

@@ -185,9 +185,25 @@ def test_serve_with_two_client_processes_matches_channel_run(tmp_path, capsys):
             p.kill()
     assert [p.returncode for p in procs] == [0, 0, 0], [err for _, err in outs]
     served = re.findall(r"sha256 (\w+)", outs[0][0])
+    assert len(list((tmp_path / "out").glob("*-params.flnp"))) == 1
 
     assert cli_main(["run", "--config", cfg, "--transport", "channel", "--out", str(tmp_path / "ch")]) == 0
     assert served and served == re.findall(r"sha256 (\w+)", capsys.readouterr().out)
+
+
+def test_serve_refuses_two_phase_config_before_listening(tmp_path, capsys, monkeypatch):
+    import flnp.transport.tcp
+
+    def listen(*args, **kwargs):
+        raise AssertionError("serve opened a listener")
+
+    monkeypatch.setattr(flnp.transport.tcp.TcpServer, "__init__", listen)
+    cfg = base_config(tmp_path, mode="federated", phase="pretrain_then_finetune",
+                      addr="127.0.0.1:0")
+    assert cli_main(["serve", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "'pretrain_then_finetune'" in captured.err, captured.err
+    assert "waiting for" not in captured.out
 
 
 def test_two_phase_tcp_run_matches_channel_run(tmp_path, capsys, monkeypatch):

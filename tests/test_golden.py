@@ -35,7 +35,7 @@ CASES = {
 # case -> (final-params SHA-256, CSV data rows without wall_time_ms)
 GOLDEN = {
     "bert_mini_classify_centralized": (
-        "632246fd78aed3deec924a70709ac4fcdacdb8b38a98bb6235b22925b44b3ae7",
+        "d20783566019bcac7468b827b177242297e471c1af06ff988fcdd988170ce27c",
         [
             "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,0,global,validation,0.449935,1",
             "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,1,global,train,0.877164,0.72093",
@@ -45,7 +45,7 @@ GOLDEN = {
         ],
     ),
     "bert_mini_mlm_federated_channel": (
-        "a6808b884d22fa81ca4218ed700c6b232435007f9bca2ab5e8d5cff3e7d759bd",
+        "f34897b5701aa8060b0229e9ebeb9cbefaf257a2da97b0f2e038127bad7b54a7",
         [
             "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,0,global,validation,4.73272,0",
             "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,client_0,train,4.88781,0",
@@ -164,7 +164,7 @@ PHASE_GOLDEN = {
     "bert_mini_two_phase_federated_channel": [
         (
             {
-                "global": "a6808b884d22fa81ca4218ed700c6b232435007f9bca2ab5e8d5cff3e7d759bd",
+                "global": "f34897b5701aa8060b0229e9ebeb9cbefaf257a2da97b0f2e038127bad7b54a7",
             },
             [
                 "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,0,global,validation,4.73272,0",
@@ -182,7 +182,7 @@ PHASE_GOLDEN = {
         ),
         (
             {
-                "global": "d39506e6b1701dd42a1a917ad1680eb8663c27c62b56dc77fa65046356cbb368",
+                "global": "1f9fccfdaaefc1e21505cfac1bac7ca837570332a8f08608ccfc7afda86edb63",
             },
             [
                 "finetune_classify-federated-bert_mini-i7,federated,bert_mini,0,global,validation,1.63455,0",
@@ -202,8 +202,8 @@ PHASE_GOLDEN = {
     "bert_mini_two_phase_standalone": [
         (
             {
-                "client_0": "cc9a9c9830fac2ff0123f3d0f6bd7e5932f8cc7a7ed9f1a2ea5638ad59805c05",
-                "client_1": "61c0479558e3d843326b4cfabf0db212aef779b35091e381871c16c00b6498f3",
+                "client_0": "e8c1760d9284c7ddaebba7d03b284d3b3cf04663a8f034d4fba7685b2503a053",
+                "client_1": "5a6bb1d071d2e27c50fea9f80b7d41ffc16017b071621eedf71b768de8cc81a4",
             },
             [
                 "pretrain_mlm-standalone-bert_mini-i7,standalone,bert_mini,0,client_0,validation,4.73272,0",
@@ -220,8 +220,8 @@ PHASE_GOLDEN = {
         ),
         (
             {
-                "client_0": "8e6f27ec42a412ffc8232bc01fd9340b9159061a4de1399f1f384d5d64b3dd44",
-                "client_1": "4a16867161ad1a79601ef1bfbf6c98a5464c44160f3fc8a9c601d451c52f6104",
+                "client_0": "651d4a4c1bcf07f68632858c2e82b361348cd19808b6157de3c56e797a6aa978",
+                "client_1": "fc23466a4cea7b6c89de8cd0695d3deafa06938f2e06753ec29996aea01047a7",
             },
             [
                 "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_0,validation,1.62203,0",
@@ -243,7 +243,7 @@ ARTIFACT_GOLDEN = {
     "centralized": [
         (
             {
-                "global": "1229d5fc2cdc6529ab3c26acb643ae327e1c6d157eaacecaba9443a2a1696122",
+                "global": "f4a8dc4e5bbabeeab7cdd71e5d84d20b39634fdd2b07894e98fd59bf7322a41d",
             },
             [
                 "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,0,global,validation,1.63455,0",
@@ -257,8 +257,8 @@ ARTIFACT_GOLDEN = {
     "standalone": [
         (
             {
-                "client_0": "4a494c1913339508011297a631dc04573d962577d56f985f17086686d404725e",
-                "client_1": "0279dc3228e7e1239bacc4ade62dfd677db29b9d421ab63e91ce7c5ad426afde",
+                "client_0": "91820a6ff06ea29e06df09f76b662068ec72e84b3c86e9d28e9acd86de8dffe8",
+                "client_1": "6d508010865b9380e3d2099b7ad3412c51153cadd913db80ea6201e8fd53f422",
             },
             [
                 "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_0,validation,1.63455,0",
@@ -277,7 +277,7 @@ ARTIFACT_GOLDEN = {
     "federated": [
         (
             {
-                "global": "d39506e6b1701dd42a1a917ad1680eb8663c27c62b56dc77fa65046356cbb368",
+                "global": "1f9fccfdaaefc1e21505cfac1bac7ca837570332a8f08608ccfc7afda86edb63",
             },
             [
                 "finetune_classify-federated-bert_mini-i7,federated,bert_mini,0,global,validation,1.63455,0",

@@ -4,12 +4,14 @@ Small configs keep the loop fast while covering every parameter role.
 """
 
 import numpy as np
+import pytest
 
 from flnp.models import ModelConfig, init_model, preset
 from flnp.tensor import backward, masked_cross_entropy, reshape
 
 from gradcheck import assert_grads_match
 from lstm_oracle import unrolled_logits
+from transformer_oracle import per_op_forward
 
 
 def test_small_transformer_mlm_all_parameter_tensors():
@@ -99,3 +101,49 @@ def test_fused_lstm_matches_unrolled_ops_at_preset_shapes():
     for name, want in oracle_grads.items():
         got = fused_grads[name]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def _relative_error(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("mode", ["mlm", "classify"])
+def test_fused_transformer_matches_per_op_oracle_at_preset_shapes(mode):
+    seq = 16
+    cfg = preset("bert_mini", vocab_size=40, max_seq_len=seq)
+    rng = np.random.default_rng(11)
+    ids = rng.integers(3, 40, size=(5, seq))
+    lengths = np.array([1, seq, 9, 4, seq])
+    mask = (np.arange(seq) < lengths[:, None]).astype(float)
+    mask[1, [0, 6, 7]] = 0.0  # a row with holes in its mask
+    if mode == "mlm":
+        labels = np.where((rng.random(mask.shape) < 0.4) & (mask > 0), ids, -1).reshape(-1)
+    else:
+        labels = np.array([0, 1, 1, 0, 1])
+
+    def loss_and_grads(forward):
+        model = init_model(cfg, seed=19, mode=mode)
+        hidden = forward(model)
+        if mode == "mlm":
+            logits = reshape(model.mlm_logits(hidden), (mask.size, cfg.vocab_size))
+        else:
+            logits = model.classify_logits(hidden, mask)
+        loss = masked_cross_entropy(logits, labels)
+        backward(loss)
+        return loss, {name: t.grad for name, t in model.params.items()}
+
+    fused, fused_grads = loss_and_grads(lambda m: m.forward(ids, mask))
+    oracle, oracle_grads = loss_and_grads(lambda m: per_op_forward(m, ids, mask))
+    assert fused.item() == oracle.item()
+    # 3 embedding nodes, 6 per layer, the scatter to [B, T, d], then head and loss
+    head = 3 if mode == "mlm" else 5
+    assert _tape_size(fused) == 3 + 6 * cfg.n_layers + 1 + head
+    for name, want in oracle_grads.items():
+        got = fused_grads[name]
+        if name.endswith(".attn.bk"):
+            # shifting every score of a row alike leaves softmax unchanged, so
+            # the exact gradient is 0 and both graphs return rounding noise
+            dwk = fused_grads[name.replace(".bk", ".wk")]
+            assert np.max(np.abs(got)) <= 1e-12 * np.max(np.abs(dwk)), name
+        else:
+            assert _relative_error(got, want) <= 1e-12, name

@@ -170,6 +170,14 @@ class TestTransformerForward:
         lb = model.classify_logits(model.forward(b, mask), mask).data
         assert np.array_equal(la, lb)
 
+    def test_hidden_states_at_padding_are_exactly_zero(self):
+        model = tiny_transformer()
+        ids = np.array([[3, 4, 5, 6, 0, 0], [3, 0, 7, 8, 9, 10]])
+        mask = np.array([[1, 1, 1, 1, 0, 0], [1, 0, 1, 1, 1, 1]], dtype=float)
+        hidden = model.forward(ids, mask).data
+        assert np.all(hidden[mask == 0] == 0.0)
+        assert np.all(np.abs(hidden[mask == 1]).sum(axis=-1) > 0.0)
+
     def test_sequence_longer_than_limit_rejected(self):
         model = tiny_transformer(seq=4)
         ids = np.zeros((1, 5), dtype=int)

@@ -37,6 +37,30 @@ def test_block_and_scalar_generation_agree():
     assert list(block) == singles
     assert scalars[0] == singles[0]
 
+    # Every scalar draw, interleaved with array draws, equals the same draw
+    # taken as a one-element array from a twin stream. 2**63 + 1 rejects
+    # draws at or above 2**63 + 1, about half of them.
+    cum = np.cumsum([0.5, 0.2, 0.3])
+    kinds = [("uint64", ()), ("random", ()), ("integers", (7,)), ("integers", (2**63 + 1,)),
+             ("weighted_choice", (cum,)), ("integers", (16,))]
+    scalar_stream, array_stream = Rng(99), Rng(99)
+    rejections = 0
+    for step in range(300):
+        kind, args = kinds[step % len(kinds)]
+        if step % 4 == 0:
+            size = 1 + step % 5
+            assert np.array_equal(scalar_stream.random(size), array_stream.random(size))
+            assert np.array_equal(scalar_stream.integers(2**63 + 1, size=size),
+                                  array_stream.integers(2**63 + 1, size=size))
+        before = scalar_stream._count
+        got = getattr(scalar_stream, kind)(*args)
+        rejections += scalar_stream._count - before - 1
+        want = getattr(array_stream, kind)(*args, size=1)[0]
+        assert type(got) is (float if kind == "random" else int)
+        assert got == want, (step, kind)
+        assert scalar_stream._count == array_stream._count
+    assert rejections > 10
+
 
 def test_random_in_unit_interval():
     u = Rng(5).random(10_000)

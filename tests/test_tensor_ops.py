@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from flnp.tensor import (
+    Packing,
     ShapeError,
     Tensor,
     UsageError,
     add,
+    add_layer_norm,
+    attention,
     backward,
     embedding_lookup,
     gelu,
     last_step,
     layer_norm,
+    linear,
+    linear_gelu,
     lstm_layer,
     masked_cross_entropy,
     matmul,
@@ -21,6 +26,7 @@ from flnp.tensor import (
     reduce_mean,
     reduce_sum,
     reshape,
+    scatter_rows,
     sigmoid,
     softmax_rows,
     sub,
@@ -295,3 +301,192 @@ class TestLastStep:
             last_step(Tensor(np.zeros((2, 3, 1))), [0, 3])
         with pytest.raises(ShapeError):
             last_step(Tensor(np.zeros((2, 3, 1))), [1, 2, 3])
+
+
+# a padded [3, 4] batch: lengths 1 and 4, and a row with a hole
+PACK_MASK = np.array([[1, 0, 0, 0], [1, 1, 1, 1], [1, 0, 1, 1]], dtype=float)
+
+
+def _params(rng, **shapes):
+    return {name: Tensor(rng.normal(size=shape), requires_grad=True) for name, shape in shapes.items()}
+
+
+class TestPacking:
+    def test_pad_and_pack_round_trip(self):
+        packing = Packing(PACK_MASK)
+        assert packing.n_rows == 8
+        assert packing.pos_idx.tolist() == [0, 0, 1, 2, 3, 0, 2, 3]
+        rows = np.arange(16.0).reshape(8, 2)
+        full = packing.pad(rows)
+        assert full.shape == (3, 4, 2)
+        assert np.all(full[PACK_MASK == 0] == 0.0)
+        assert np.array_equal(packing.pack(full), rows)
+
+    def test_row_count_checked(self):
+        with pytest.raises(ShapeError, match="7 rows for a mask with 8 real tokens"):
+            Packing(PACK_MASK).pad(np.zeros((7, 2)))
+
+
+class TestLinear:
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3)])
+    def test_gradient(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        p = _params(rng, w=(3, 4), b=(4,))
+        probe = Tensor(rng.normal(size=shape[:-1] + (4,)))
+        assert_grads_match(lambda: reduce_sum(mul(linear(x, p["w"], p["b"]), probe)),
+                           {"x": x, **p}, n_coords=12, rtol=1e-6)
+
+    def test_packed_rows_equal_the_padded_batch(self):
+        rng = np.random.default_rng(3)
+        packing = Packing(PACK_MASK)
+        x = rng.normal(size=(3, 4, 5))
+        p = _params(rng, w=(5, 6), b=(6,))
+        padded = add(matmul(Tensor(x), p["w"]), p["b"]).data
+        packed = linear(Tensor(packing.pack(x)), p["w"], p["b"], packing).data
+        assert np.array_equal(packed, packing.pack(padded))
+
+    def test_input_without_grad(self):
+        rng = np.random.default_rng(4)
+        packing = Packing(PACK_MASK)
+        x = Tensor(rng.normal(size=(8, 3)))
+        p = _params(rng, w=(3, 2), b=(2,))
+        probe = Tensor(rng.normal(size=(8, 2)))
+        assert_grads_match(lambda: reduce_sum(mul(linear(x, p["w"], p["b"], packing), probe)),
+                           p, n_coords=6, rtol=1e-6)
+        assert x.grad is None
+
+    def test_shapes_checked(self):
+        with pytest.raises(ShapeError, match=r"input \(2, 3\), weight \(4, 2\)"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+
+
+class TestLinearGelu:
+    def test_equals_gelu_of_linear(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(6, 3)))
+        p = _params(rng, w=(3, 4), b=(4,))
+        expected = gelu(add(matmul(x, p["w"]), p["b"])).data
+        assert np.array_equal(linear_gelu(x, p["w"], p["b"]).data, expected)
+
+    def test_gradient(self):
+        rng = np.random.default_rng(6)
+        packing = Packing(PACK_MASK)
+        x = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        p = _params(rng, w=(3, 5), b=(5,))
+        probe = Tensor(rng.normal(size=(8, 5)))
+        assert_grads_match(lambda: reduce_sum(mul(linear_gelu(x, p["w"], p["b"], packing), probe)),
+                           {"x": x, **p}, n_coords=12, rtol=1e-6)
+
+    def test_input_without_grad(self):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(4, 3)))
+        p = _params(rng, w=(3, 2), b=(2,))
+        probe = Tensor(rng.normal(size=(4, 2)))
+        assert_grads_match(lambda: reduce_sum(mul(linear_gelu(x, p["w"], p["b"]), probe)),
+                           p, n_coords=6, rtol=1e-6)
+        assert x.grad is None
+
+
+class TestAddLayerNorm:
+    def test_equals_layer_norm_of_sum(self):
+        rng = np.random.default_rng(8)
+        x, res = Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(size=(3, 6)))
+        g, b = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
+        assert np.array_equal(add_layer_norm(x, res, g, b).data, layer_norm(add(res, x), g, b).data)
+
+    def test_gradient(self):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
+        res = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
+        p = _params(rng, gain=(6,), bias=(6,))
+        probe = Tensor(rng.normal(size=(2, 3, 6)))
+        assert_grads_match(
+            lambda: reduce_sum(mul(add_layer_norm(x, res, p["gain"], p["bias"]), probe)),
+            {"x": x, "residual": res, **p}, n_coords=12, rtol=1e-5,
+        )
+
+    def test_residual_without_grad(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        res = Tensor(rng.normal(size=(3, 4)))
+        p = _params(rng, gain=(4,), bias=(4,))
+        probe = Tensor(rng.normal(size=(3, 4)))
+        assert_grads_match(
+            lambda: reduce_sum(mul(add_layer_norm(x, res, p["gain"], p["bias"]), probe)),
+            {"x": x, **p}, n_coords=12, rtol=1e-5,
+        )
+        assert res.grad is None
+
+    def test_shapes_checked(self):
+        with pytest.raises(ShapeError):
+            add_layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3))),
+                           Tensor(np.ones(4)), Tensor(np.zeros(4)))
+
+
+class TestAttention:
+    @staticmethod
+    def _weights(rng, d, width):
+        return _params(rng, wq=(d, width), bq=(width,), wk=(d, width), bk=(width,),
+                       wv=(d, width), bv=(width,))
+
+    @staticmethod
+    def _loss(x, w, packing, heads, probe):
+        ctx, _ = attention(x, w["wq"], w["bq"], w["wk"], w["bk"], w["wv"], w["bv"], packing, heads)
+        return reduce_sum(mul(ctx, probe))
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_gradient(self, heads):
+        rng = np.random.default_rng(heads)
+        packing = Packing(PACK_MASK)
+        x = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        w = self._weights(rng, 3, 4)
+        probe = Tensor(rng.normal(size=(8, 4)))
+        # bk is left out: softmax ignores a shift shared by a row's scores
+        checked = {"x": x, **{k: t for k, t in w.items() if k != "bk"}}
+        assert_grads_match(lambda: self._loss(x, w, packing, heads, probe), checked,
+                           n_coords=12, rtol=1e-6)
+        assert np.abs(w["bk"].grad).max() <= 1e-12 * np.abs(w["wk"].grad).max()
+
+    def test_input_without_grad(self):
+        rng = np.random.default_rng(3)
+        packing = Packing(PACK_MASK)
+        x = Tensor(rng.normal(size=(8, 3)))
+        w = self._weights(rng, 3, 2)
+        probe = Tensor(rng.normal(size=(8, 2)))
+        checked = {k: t for k, t in w.items() if k != "bk"}
+        assert_grads_match(lambda: self._loss(x, w, packing, 1, probe), checked,
+                           n_coords=6, rtol=1e-6)
+        assert x.grad is None
+
+    def test_weights_skip_padded_keys_and_are_uniform_for_padded_queries(self):
+        rng = np.random.default_rng(4)
+        packing = Packing(PACK_MASK)
+        w = self._weights(rng, 3, 4)
+        _, probs = attention(Tensor(rng.normal(size=(8, 3))), w["wq"], w["bq"], w["wk"], w["bk"],
+                             w["wv"], w["bv"], packing, 2)
+        assert probs.shape == (3, 2, 4, 4)
+        keys = PACK_MASK[:, None, None, :]
+        assert np.all(probs[np.broadcast_to(keys == 0, probs.shape)] == 0.0)
+        assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-12
+        padded_queries = probs[2, :, 1]  # row 2's hole
+        assert np.allclose(padded_queries, np.array([1, 0, 1, 1]) / 3.0, atol=1e-15)
+
+    def test_width_must_split_into_heads(self):
+        rng = np.random.default_rng(5)
+        w = self._weights(rng, 3, 4)
+        with pytest.raises(ShapeError):
+            attention(Tensor(np.zeros((8, 3))), w["wq"], w["bq"], w["wk"], w["bk"],
+                      w["wv"], w["bv"], Packing(PACK_MASK), 3)
+
+
+class TestScatterRows:
+    def test_zeros_at_padding_and_gradient(self):
+        rng = np.random.default_rng(6)
+        packing = Packing(PACK_MASK)
+        x = Tensor(rng.normal(size=(8, 2)), requires_grad=True)
+        out = scatter_rows(x, packing)
+        assert np.all(out.data[PACK_MASK == 0] == 0.0)
+        probe = Tensor(rng.normal(size=(3, 4, 2)))
+        assert_grads_match(lambda: reduce_sum(mul(scatter_rows(mul(x, x), packing), probe)),
+                           {"x": x}, n_coords=16, rtol=1e-6)
