@@ -4,9 +4,9 @@ Compute parity: every mode trains through `LocalTrainer`, the one
 local-training path. Federated clients drive it from the round protocol;
 `run_local` drives it directly, as trainer 0 on the pooled shards
 (centralized) or trainer k on shard k (standalone). Every mode runs
-`rounds` blocks of `local_epochs` epochs per trainer, and every parameter
-set crossing a block boundary passes through the 32-bit wire
-quantization, exactly as federated parameters cross the wire. A
+`rounds` blocks of `local_epochs` epochs per trainer, and every block
+boundary passes the weights through a `ParameterSet`, which holds them at
+the 32-bit wire precision, exactly as federated parameters cross the wire. A
 one-client federated run therefore reproduces the centralized run bit for
 bit under equal seeds.
 
@@ -172,7 +172,7 @@ def run_local(cfg: ExperimentConfig, bundle: DatasetBundle, inits: list[Paramete
     finals: dict[str, ParameterSet] = {}
     for k, (scope, init) in enumerate(zip(scopes, inits)):
         trainer = LocalTrainer(config, k)
-        params = init.quantize32()
+        params = init
         trainer.load(params)
         t0 = time.perf_counter()
         loss, top1 = evaluate(trainer.model, val_batches)
@@ -237,8 +237,7 @@ def run_federated(
 
     row = partial(MetricsRecord, cfg.derived_run_id(), cfg.mode, cfg.model)
     t0 = time.perf_counter()
-    init_model_view = build_model(model_cfg, model_mode, init.quantize32())
-    loss0, top10 = evaluate(init_model_view, val_batches)
+    loss0, top10 = evaluate(build_model(model_cfg, model_mode, init), val_batches)
     records = [row(0, "global", "validation", loss0, top10, _ms_since(t0))]
     last_mark[0] = time.perf_counter()
 

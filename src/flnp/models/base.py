@@ -51,6 +51,7 @@ class ModelBase:
         return tuple((name, shape) for name, shape, _ in self.param_specs())
 
     def export_params(self) -> ParameterSet:
+        """The weights, rounded to wire precision."""
         return ParameterSet((name, t.data) for name, t in self.params.items())
 
     def load_params(self, ps: ParameterSet) -> None:

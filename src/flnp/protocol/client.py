@@ -87,7 +87,7 @@ class LocalTrainer:
 
     def export(self) -> ParameterSet:
         """The model's parameters at wire precision."""
-        return self.model.export_params().quantize32()
+        return self.model.export_params()
 
 
 class FlClient:

@@ -34,8 +34,10 @@ def aggregate(updates: list[ClientUpdate], weighted: bool = True) -> ParameterSe
     Evaluated in client-id-sorted order as a baseline plus weighted
     deltas, w0 + sum_i (n_i / N) * (w_i - w0), which is algebraically the
     weighted mean but exact (bit-for-bit) whenever all updates agree,
-    and invariant to the order updates arrived in. `weighted=False`
-    counts every client once regardless of n_samples.
+    and invariant to the order updates arrived in. The sum is taken in
+    float64 and rounded to wire precision once, when the result set is
+    built. `weighted=False` counts every client once regardless of
+    n_samples.
     """
     if not updates:
         raise UsageError("aggregate needs at least one update")
@@ -58,12 +60,15 @@ def aggregate(updates: list[ClientUpdate], weighted: bool = True) -> ParameterSe
         raise UsageError("aggregate needs a positive total sample count")
 
     base = ordered[0].params
-    merged: list[tuple[str, np.ndarray]] = []
-    for name, _ in manifest:
-        acc = np.array(base[name], dtype=np.float64, copy=True)
-        for u, c in zip(ordered[1:], counts[1:]):
-            if c:
-                acc += (c / total) * (u.params[name] - base[name])
-        merged.append((name, acc))
-    return ParameterSet(merged)
+    shares = [(u.params, c / total) for u, c in zip(ordered[1:], counts[1:]) if c]
+
+    def averaged(name: str) -> np.ndarray:
+        w0 = base[name].astype(np.float64)
+        acc = w0.copy()
+        for params, share in shares:
+            acc += share * (params[name].astype(np.float64) - w0)
+        return acc
+
+    # one tensor's float64 sum is alive at a time
+    return ParameterSet((name, averaged(name)) for name, _ in manifest)
 

@@ -7,9 +7,10 @@ mutation happens inside handle, so the one session loop,
 in-process channel or TCP reader threads feed it.
 
 Phases cycle awaiting_provision -> distributing -> collecting ->
-aggregating -> distributing, ending in done. Parameters are quantized to
-wire precision before every distribution, and aggregation runs over
-client-id-sorted updates, so results do not depend on arrival order.
+aggregating -> distributing, ending in done. Aggregation runs over
+client-id-sorted updates, so results do not depend on arrival order, and
+its result is the one set the server validates, distributes and keeps as
+the final parameters.
 An update holding NaN or inf cannot be averaged safely, so it ends the
 run with a `non_finite_update` ProtocolError.
 """
@@ -130,12 +131,11 @@ class FlServer:
         self.phase = "distributing"
         self.round = round_no
         self._pending.clear()
-        wire_params = self.global_params.quantize32()
         out: Outgoing = []
         for conn, slot in sorted(self._slots.items(), key=lambda kv: kv[1].client_id):
             msg = GlobalModel(
                 round=round_no,
-                params=wire_params,
+                params=self.global_params,
                 local_epochs=self.config.local_epochs,
                 lr=self.config.lr,
             )

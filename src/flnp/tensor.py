@@ -32,21 +32,12 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 LAYER_NORM_EPS = 1e-5
 
-_check_finite = False
-
-
 class ShapeError(ValueError):
     """Operand dimensions do not agree."""
 
 
 class UsageError(ValueError):
     """An operation was called outside its contract."""
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Assert on every op that outputs contain no NaN/Inf (debug aid)."""
-    global _check_finite
-    _check_finite = bool(enabled)
 
 
 class Tensor:
@@ -122,8 +113,6 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tenso
         out.requires_grad = False
         out._parents = ()
         out._backward_fn = None
-    if _check_finite and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite value produced by a forward op")
     return out
 
 

@@ -2,13 +2,13 @@
 
 Encoding is deterministic: equal messages produce equal bytes (metric
 maps are serialized in sorted key order). Parameter tensors travel as
-32-bit IEEE-754 values; compute stays 64-bit, so a decoded set equals
-the sender's values rounded to float32. Every message body ends with a
+32-bit IEEE-754 values, which are the values a parameter set holds, so a
+decoded set equals the sent one bit for bit. Every message body ends with a
 u32 auth tag; 0 means unsigned, otherwise it is CRC-32 over the session
 key followed by the body bytes.
 
 A body is encoded as a list of chunks: small fields are packed, and each
-tensor's values are its set's float32 wire view, referenced rather than
+tensor's values are its set's own float32 array, referenced rather than
 copied. Signing, verifying and framing all stream over those chunks, so
 no body is joined except once into the outgoing frame.
 """
@@ -20,7 +20,7 @@ import zlib
 
 import numpy as np
 
-from ..params import ParameterSet
+from ..params import WIRE_DTYPE, ParameterSet
 from ..protocol.messages import (
     ErrorMsg,
     FlMessage,
@@ -141,7 +141,7 @@ class _Reader:
 
 def encode_parameter_set(w: _Writer, ps: ParameterSet) -> None:
     w.u32(len(ps))
-    for name, values in zip(ps.names, ps.wire_view()):
+    for name, values in ps.items():
         w.string(name)
         if values.ndim > 0xFF:
             raise ValueError("tensor rank exceeds the u8 field")
@@ -152,7 +152,7 @@ def encode_parameter_set(w: _Writer, ps: ParameterSet) -> None:
 
 
 def decode_parameter_set(r: _Reader) -> ParameterSet:
-    """Set whose wire view is the received bytes themselves (see from_float32)."""
+    """Set whose arrays are views of the received bytes, not copies."""
     count = r.u32()
     items: list[tuple[str, np.ndarray]] = []
     for _ in range(count):
@@ -162,9 +162,9 @@ def decode_parameter_set(r: _Reader) -> ParameterSet:
         n = 1
         for dim in shape:
             n *= dim
-        items.append((name, np.frombuffer(r.take(4 * n), dtype="<f4").reshape(shape)))
+        items.append((name, np.frombuffer(r.take(4 * n), dtype=WIRE_DTYPE).reshape(shape)))
     try:
-        return ParameterSet.from_float32(items)
+        return ParameterSet._adopt_wire(items)
     except ValueError as exc:
         raise DecodeError("bad_payload", str(exc)) from None
 

@@ -8,7 +8,6 @@ from flnp.tensor import (
     backward,
     mul,
     reduce_sum,
-    set_finite_checks,
     sigmoid,
     tanh,
 )
@@ -75,15 +74,6 @@ def test_constants_do_not_grow_the_tape():
     out = mul(a, b)
     assert not out.requires_grad
     assert out._parents == ()
-
-
-def test_finite_check_flags_nan():
-    set_finite_checks(True)
-    try:
-        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-            mul(Tensor(np.inf), Tensor(0.0))
-    finally:
-        set_finite_checks(False)
 
 
 def test_determinism_bitwise():

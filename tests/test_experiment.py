@@ -10,10 +10,20 @@ import pytest
 from flnp.experiment.config import apply_overrides, config_from_dict, config_to_dict
 from flnp.experiment.federated import ChannelServer
 from flnp.experiment.metrics import MetricsRecord, emit_metrics, parse_metrics, strip_wall_time
-from flnp.experiment.runner import build_dataset, merge_encoder, params_checksum, run_experiment
+from flnp.experiment.runner import (
+    build_dataset,
+    load_params,
+    merge_encoder,
+    params_checksum,
+    run_experiment,
+    save_params,
+    train_config,
+)
+from flnp.models import build_model
 from flnp.models.config import ConfigError
 from flnp.protocol.fedavg import ProtocolError
 from flnp.rng import Rng
+from flnp.training import VALIDATION_MASK_KEY, evaluate, prepare_eval_batches
 
 
 def small_cfg(**kw):
@@ -165,6 +175,20 @@ class TestRuns:
         client_rows = [r for r in result.records if r.scope.startswith("client_") and r.split == "train"]
         assert len(client_rows) == 3 * 2
 
+    def test_reported_final_loss_is_the_loss_of_the_saved_params(self, tmp_path):
+        cfg = small_cfg(transport="channel")
+        bundle = build_dataset(cfg)
+        result = run_experiment(cfg, bundle)[0]
+        path = str(tmp_path / "final.flnp")
+        save_params(result.final_params, path)
+        config = train_config(cfg, bundle)
+        model = build_model(config.model_config, config.settings.phase, load_params(path))
+        batches = prepare_eval_batches(bundle.global_val, bundle.vocab, config.settings,
+                                       Rng(cfg.seeds.batch).split(VALIDATION_MASK_KEY))
+        final = [r for r in result.records if (r.scope, r.split) == ("global", "validation")][-1]
+        assert final.round == cfg.rounds
+        assert evaluate(model, batches)[0] == final.loss
+
     def test_standalone_single_client_full_data_equals_centralized(self):
         base = dict(rounds=2, partition={"n_clients": 1, "mode": "balanced"},
                     allow_single_client=True)
@@ -177,7 +201,7 @@ class TestRuns:
                     allow_single_client=True)
         fed = run_experiment(small_cfg(mode="federated", **base))[0]
         central = run_experiment(small_cfg(mode="centralized", **base))[0]
-        assert fed.final_params.quantize32() == central.final_params.quantize32()
+        assert fed.final_params == central.final_params
 
     def test_standalone_shard_sizes_follow_imbalanced_spec(self):
         cfg = small_cfg(

@@ -105,7 +105,13 @@ class TestInit:
 
 class TestSaveLoad:
     def test_round_trip_bit_exact_logits(self):
-        model = tiny_transformer(mode="classify", seed=4)
+        initialised = tiny_transformer(mode="classify", seed=4)
+        exported = initialised.export_params()
+        for name, t in initialised.params.items():
+            assert np.array_equal(exported[name], t.data.astype(np.float32))
+        # a model built from a set exports that set, and its clone computes the same logits
+        model = build_model(initialised.config, "classify", exported)
+        assert model.export_params() == exported
         ids = np.array([[3, 4, 5, 0], [3, 6, 0, 0]])
         mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]], dtype=float)
         logits = model.classify_logits(model.forward(ids, mask), mask).data

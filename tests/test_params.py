@@ -42,11 +42,19 @@ def test_equality_is_bitwise():
 
 def test_quantize32_idempotent():
     rng = np.random.default_rng(0)
-    ps = ParameterSet([("w", rng.normal(size=(5, 5)))])
-    q1 = ps.quantize32()
-    q2 = q1.quantize32()
-    assert q1 == q2
-    assert np.array_equal(q1["w"], ps["w"].astype(np.float32).astype(np.float64))
+    values = rng.normal(size=(5, 5))
+    ps = ParameterSet([("w", values)])
+    assert ps.quantize32() is ps
+    assert np.array_equal(ps["w"], values.astype(np.float32))
+
+
+def test_arrays_hold_wire_values():
+    big = np.array([1e39, -1e39, 1.0 / 3.0])  # beyond float32 range rounds to +-inf
+    ps = ParameterSet([("w", big), ("t", np.arange(6.0).reshape(2, 3).T)])
+    for _, arr in ps.items():
+        assert arr.dtype == np.dtype("<f4") and arr.flags.c_contiguous
+    assert ps["w"].tolist() == [np.inf, -np.inf, float(np.float32(1.0 / 3.0))]
+    assert ps["t"].tolist() == [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]]
 
 
 def test_n_values():

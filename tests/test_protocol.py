@@ -51,7 +51,7 @@ class TestAggregate:
             values = [0.1, -0.3, 0.7]
             updates = [_update(i, values, n=i + 1) for i in range(k)]
             out = aggregate(updates)
-            assert out["w"].tolist() == values
+            assert out == updates[0].params
 
     def test_order_invariance_bit_exact(self):
         rng = Rng(5)
@@ -76,9 +76,9 @@ class TestAggregate:
             for u, n in zip(updates, counts):
                 for i in range(3):
                     for j in range(2):
-                        expected[i, j] += n * u.params["a"][i, j]
+                        expected[i, j] += n * float(u.params["a"][i, j])
             expected /= total
-            assert np.abs(out["a"] - expected).max() <= 1e-15
+            assert out["a"].tobytes() == expected.astype(np.float32).tobytes()
 
     def test_unweighted_flag(self):
         out = aggregate([_update(0, [0.0], 1), _update(1, [3.0], 999)], weighted=False)
@@ -249,17 +249,16 @@ class TestClient:
     def test_zero_local_epochs_returns_received_globals(self):
         client, init = _client_fixture()
         key = self._provision(client)
-        wire = init.quantize32()
-        out = client.handle(sign(GlobalModel(round=1, params=wire, local_epochs=0, lr=0.01), key))
+        out = client.handle(sign(GlobalModel(round=1, params=init, local_epochs=0, lr=0.01), key))
         assert len(out) == 1
         update = out[0]
         assert isinstance(update, LocalUpdate)
-        assert update.params == wire
+        assert update.params == init
 
     def test_n_samples_is_shard_train_size_not_batch_multiple(self):
         client, init = _client_fixture(n_records=30)  # holdout 6, train 24, batch 8
         key = self._provision(client)
-        out = client.handle(sign(GlobalModel(round=1, params=init.quantize32(),
+        out = client.handle(sign(GlobalModel(round=1, params=init,
                                              local_epochs=1, lr=0.01), key))
         assert out[0].n_samples == 24
 
@@ -268,9 +267,8 @@ class TestClient:
         b, _ = _client_fixture()
         key_a = self._provision(a)
         key_b = self._provision(b)
-        wire = init.quantize32()
-        ua = a.handle(sign(GlobalModel(round=1, params=wire, local_epochs=1, lr=0.01), key_a))[0]
-        ub = b.handle(sign(GlobalModel(round=1, params=wire, local_epochs=1, lr=0.01), key_b))[0]
+        ua = a.handle(sign(GlobalModel(round=1, params=init, local_epochs=1, lr=0.01), key_a))[0]
+        ub = b.handle(sign(GlobalModel(round=1, params=init, local_epochs=1, lr=0.01), key_b))[0]
         assert ua.params == ub.params
         assert ua.local_metrics == ub.local_metrics
 
@@ -286,5 +284,5 @@ class TestClient:
         client, init = _client_fixture()
         self._provision(client)
         with pytest.raises(ProtocolError) as err:
-            client.handle(GlobalModel(round=1, params=init.quantize32(), local_epochs=1, lr=0.01))
+            client.handle(GlobalModel(round=1, params=init, local_epochs=1, lr=0.01))
         assert err.value.code == "auth_failed"

@@ -90,7 +90,7 @@ def test_send_recv_round_trip_over_socketpair():
 def test_signed_model_round_trip_over_socketpair():
     key = b"pairpair"
     params = ParameterSet([("w", np.linspace(-1.0, 1.0, 60).reshape(6, 10)), ("b", np.ones(10))])
-    msg = sign(GlobalModel(round=3, params=params.quantize32(), local_epochs=1, lr=0.1), key)
+    msg = sign(GlobalModel(round=3, params=params, local_epochs=1, lr=0.1), key)
     a, b = socket.socketpair()
     send_message(a, msg)
     got = recv_message(b)
