@@ -51,14 +51,14 @@ class ModelBase:
         return tuple((name, shape) for name, shape, _ in self.param_specs())
 
     def export_params(self) -> ParameterSet:
-        """The weights, rounded to wire precision."""
+        """The weights as a wire-precision set."""
         return ParameterSet((name, t.data) for name, t in self.params.items())
 
     def load_params(self, ps: ParameterSet) -> None:
-        """Replace all weights; names and shapes must match the manifest."""
+        """Replace all weights with float32 copies; names and shapes must match the manifest."""
         _check_manifest(ps, self.manifest())
         for name in ps.names:
-            self.params[name].data = np.array(ps[name], dtype=np.float64, copy=True)
+            self.params[name].data = np.array(ps[name], copy=True)
 
     def named_parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -95,22 +95,17 @@ def _model_class(config: ModelConfig, mode: str):
 
 
 def init_model(config: ModelConfig, seed: int, mode: str = "classify"):
-    """Fresh model with seed-deterministic weights drawn in manifest order."""
-    cls, specs = _model_class(config, mode)
+    """Fresh model with seed-deterministic weights drawn in manifest order,
+    rounded to a ParameterSet first: the model holds exactly the set it exports."""
+    _, specs = _model_class(config, mode)
     rng = Rng(seed)
-    params = {
-        name: Tensor(init_array((name, shape, kind), rng), requires_grad=True)
-        for name, shape, kind in specs
-    }
-    return cls(config, mode, params)
+    ps = ParameterSet((name, init_array((name, shape, kind), rng)) for name, shape, kind in specs)
+    return build_model(config, mode, ps)
 
 
 def build_model(config: ModelConfig, mode: str, ps: ParameterSet):
-    """Model holding a copy of an existing ParameterSet (no random init)."""
+    """Model holding a writable float32 copy of a ParameterSet (no random init)."""
     cls, specs = _model_class(config, mode)
     _check_manifest(ps, [(name, shape) for name, shape, _ in specs])
-    params = {
-        name: Tensor(np.array(arr, dtype=np.float64, copy=True), requires_grad=True)
-        for name, arr in ps.items()
-    }
+    params = {name: Tensor(np.array(arr, copy=True), requires_grad=True) for name, arr in ps.items()}
     return cls(config, mode, params)

@@ -9,17 +9,18 @@ n_heads * d_head, not necessarily d_model) is projected back to d_model.
 Classification mean-pools hidden states over unpadded positions; the MLM
 head is an affine map to vocabulary logits, untied from the embedding.
 
-The encoder computes on packed rows: only the real tokens of the padded
-batch, gathered once from the attention mask. Each sublayer is one tape
-node (`attention`, then `linear` for the output projection,
-`add_layer_norm`, `linear_gelu`, `linear`, `add_layer_norm`), and only
-`attention` scatters q/k/v into the padded [B, H, T, d_head] layout. A
-final node scatters the hidden states back to [B, T, d_model] with
-exact zeros at padding. The attention weights of a padded query are
-uniform over the real keys of its row. The GEMMs of the forward pass
-keep the per-sequence shapes of the padded batch, so every real
-position's hidden state is bit-identical to a per-op computation on the
-padded batch (`tests/transformer_oracle.py`).
+The encoder computes in float32, its parameters' precision, on packed
+rows: only the real tokens of the padded batch, gathered once from the
+attention mask. Each sublayer is one tape node (`attention`, then
+`linear` for the output projection, `add_layer_norm`, `linear_gelu`,
+`linear`, `add_layer_norm`), and every forward and backward GEMM of the
+projections and the feed-forward runs on the packed [N, d] rows. Only
+`attention` scatters q/k/v into the padded [B, H, T, d_head] layout for
+its score and context GEMMs. A final node scatters the hidden states
+back to [B, T, d_model] with exact zeros at padding. The attention
+weights of a padded query are uniform over the real keys of its row.
+With float64 parameters the packed model matches a per-op computation
+on the padded batch (`tests/transformer_oracle.py`).
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class TransformerModel(ModelBase):
             raise UsageError("empty sequence batch")
         if seq > cfg.max_seq_len:
             raise UsageError(f"sequence length {seq} exceeds max_seq_len {cfg.max_seq_len}")
-        mask = np.asarray(attention_mask, dtype=np.float64)
+        mask = np.asarray(attention_mask)
         if mask.shape != (batch, seq):
             raise UsageError(f"attention mask shape {mask.shape} does not match batch {(batch, seq)}")
 
@@ -118,10 +119,10 @@ class TransformerModel(ModelBase):
                 h, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"], p[f"{pre}.attn.wk"], p[f"{pre}.attn.bk"],
                 p[f"{pre}.attn.wv"], p[f"{pre}.attn.bv"], packing, cfg.n_heads,
             )
-            out = linear(ctx, p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"], packing)
+            out = linear(ctx, p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"])
             h = add_layer_norm(out, h, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
-            inner = linear_gelu(h, p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"], packing)
-            f = linear(inner, p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"], packing)
+            inner = linear_gelu(h, p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"])
+            f = linear(inner, p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"])
             h = add_layer_norm(f, h, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
             attentions.append(weights)
         hidden = scatter_rows(h, packing)
@@ -139,7 +140,7 @@ class TransformerModel(ModelBase):
         """Class logits [B, n_classes] from mask-weighted mean pooling."""
         if self.mode != "classify":
             raise UsageError(f"model is in mode '{self.mode}', not 'classify'")
-        mask = np.asarray(attention_mask, dtype=np.float64)
+        mask = np.asarray(attention_mask, dtype=hidden.data.dtype)
         counts = np.maximum(mask.sum(axis=1), 1.0)
         pooled = reduce_sum(mul(hidden, Tensor(mask[:, :, None])), axis=1)
         pooled = mul(pooled, Tensor((1.0 / counts)[:, None]))

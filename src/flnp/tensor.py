@@ -1,4 +1,4 @@
-"""Dense float64 tensors with tape-based reverse-mode autodiff.
+"""Dense tensors with tape-based reverse-mode autodiff: float32 compute, packed GEMMs.
 
 Every operation computes its result eagerly with numpy and, when any
 input participates in gradients, records a backward closure plus the
@@ -6,16 +6,18 @@ parent links on the output. ``backward(root)`` walks the recorded tape
 in reverse topological order and accumulates ``grad`` arrays onto the
 reachable tensors that require them. Graphs are rebuilt per batch.
 
-All compute is float64. Binary elementwise ops follow numpy broadcasting
-(gradients are summed back over broadcast axes). Incompatible shapes
-raise :class:`ShapeError` naming both operands.
+Compute is float32, the parameters' and the wire's precision: each op
+allocates in its inputs' dtype (float64 inputs, as in the gradient
+checks, compute in float64). Binary elementwise ops follow numpy
+broadcasting (gradients are summed back over broadcast axes).
+Incompatible shapes raise :class:`ShapeError` naming both operands.
 
 Besides the per-op kernels, fused ops record one node for a whole
 sublayer and write its backward by hand: `lstm_layer` and `last_step`
 for the LSTM; `linear`, `linear_gelu`, `add_layer_norm` and `attention`
-for the transformer, whose row-wise work runs on packed rows (the real
-tokens of a padded batch, see :class:`Packing`), and `scatter_rows`,
-which puts packed rows back into the padded layout.
+for the transformer, whose row-wise work and forward GEMMs run on packed
+rows (the real tokens of a padded batch, see :class:`Packing`), and
+`scatter_rows`, which puts packed rows back into the padded layout.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import erf as _erf
-from scipy.special import expit as _expit
 
 _SQRT_2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -44,7 +45,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        # floating data keeps its precision; anything else becomes float64
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._parents: tuple[Tensor, ...] = ()
@@ -193,9 +196,18 @@ def tanh(a) -> Tensor:
     return _result(out, (a,), bwd)
 
 
+def _sigmoid_(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid in place, as 0.5 * tanh(0.5 * x) + 0.5: no exp to overflow."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x *= 0.5
+    x += 0.5
+    return x
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    out = _expit(a.data)
+    out = _sigmoid_(a.data.copy())
 
     def bwd(g):
         _accumulate(a, g * out * (1.0 - out))
@@ -321,7 +333,7 @@ def masked_cross_entropy(logits, labels, ignore_value: int = -1) -> Tensor:
         def bwd_empty(g):
             _accumulate(logits, np.zeros_like(logits.data))
 
-        return _result(np.float64(0.0), (logits,), bwd_empty)
+        return _result(logits.data.dtype.type(0.0), (logits,), bwd_empty)
 
     rows = logits.data[valid]
     m = rows.max(axis=1, keepdims=True)
@@ -337,7 +349,7 @@ def masked_cross_entropy(logits, labels, ignore_value: int = -1) -> Tensor:
         buf[valid] = p * (float(g) / k)
         _accumulate(logits, buf)
 
-    return _result(np.float64(loss), (logits,), bwd)
+    return _result(logits.data.dtype.type(loss), (logits,), bwd)
 
 
 def reshape(a, shape) -> Tensor:
@@ -400,17 +412,17 @@ def lstm_layer(x, wx, wh, b) -> Tensor:
     xs = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(seq * batch, d_in)
     # gate pre-activations, overwritten in place by the activations
     acts = (xs @ wx.data).reshape(seq, batch, 4 * d)
-    cs = np.empty((seq, batch, d))
+    cs = np.empty((seq, batch, d), dtype=acts.dtype)
     tanh_cs = np.empty_like(cs)
     hs = np.empty_like(cs)
-    h = c = np.zeros((batch, d))  # zero initial state
+    h = c = np.zeros((batch, d), dtype=acts.dtype)  # zero initial state
     for t in range(seq):
         a = acts[t]
         a += h @ wh.data
         a += b.data
-        _expit(a[:, :2 * d], out=a[:, :2 * d])
+        _sigmoid_(a[:, :2 * d])
         np.tanh(a[:, 2 * d:3 * d], out=a[:, 2 * d:3 * d])
-        _expit(a[:, 3 * d:], out=a[:, 3 * d:])
+        _sigmoid_(a[:, 3 * d:])
         c = np.add(a[:, d:2 * d] * c, a[:, :d] * a[:, 2 * d:3 * d], out=cs[t])
         h = np.multiply(a[:, 3 * d:], np.tanh(c, out=tanh_cs[t]), out=hs[t])
 
@@ -475,18 +487,18 @@ class Packing:
 
     Packed rows are an [N, ...] array holding only the N real tokens of a
     0/1 attention mask; `pad` scatters them into a zero [B, T, ...] array
-    and `pack` gathers them back out of one.
+    of their dtype and `pack` gathers them back out of one.
     """
 
     __slots__ = ("shape", "batch_idx", "pos_idx", "real")
 
     def __init__(self, mask) -> None:
-        mask = np.asarray(mask, dtype=np.float64)
+        mask = np.asarray(mask)
         if mask.ndim != 2:
             raise ShapeError(f"packing: mask must be [B, T], got {mask.shape}")
         self.shape = mask.shape
         self.batch_idx, self.pos_idx = np.divmod(np.flatnonzero(mask.reshape(-1)), mask.shape[1])
-        self.real = (mask != 0.0).astype(np.float64)[:, :, None]  # [B, T, 1]
+        self.real = mask != 0  # [B, T] bool
 
     @property
     def n_rows(self) -> int:
@@ -495,7 +507,7 @@ class Packing:
     def pad(self, rows: np.ndarray) -> np.ndarray:
         if rows.shape[0] != self.n_rows:
             raise ShapeError(f"packing: {rows.shape[0]} rows for a mask with {self.n_rows} real tokens")
-        out = np.zeros(self.shape + rows.shape[1:])
+        out = np.zeros(self.shape + rows.shape[1:], dtype=rows.dtype)
         out[self.batch_idx, self.pos_idx] = rows
         return out
 
@@ -510,22 +522,15 @@ def _check_linear(op: str, x: Tensor, w: Tensor, b: Tensor) -> None:
         )
 
 
-def _affine(x: Tensor, w: Tensor, b: Tensor, packing: Optional[Packing]) -> np.ndarray:
-    """x @ w + b, with the bias added in place.
+def _affine(x: Tensor, w: Tensor, b: Tensor) -> np.ndarray:
+    """x @ w + b as one GEMM over the rows of x's leading axes, bias added in place.
 
-    With a packing, x holds packed rows and the GEMM runs on the padded
-    [B, T, d_in] layout, one [T, d_in] @ w per sequence. BLAS rounds a
-    row according to the GEMM's shape and the row's place in it, so each
-    real row then comes out exactly as in a model that computes on the
-    padded batch.
+    Float32 compute, packed GEMMs: the transformer passes packed rows, so
+    its forward GEMMs run on the real tokens only, in float32.
     """
-    if packing is None:
-        rows = x.data.reshape(-1, w.data.shape[0]) @ w.data
-        out = rows.reshape(x.data.shape[:-1] + w.data.shape[1:])
-    else:
-        out = packing.pack(np.matmul(packing.pad(x.data), w.data))
+    out = x.data.reshape(-1, w.data.shape[0]) @ w.data
     out += b.data
-    return out
+    return out.reshape(x.data.shape[:-1] + w.data.shape[1:])
 
 
 def _affine_backward(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
@@ -539,15 +544,14 @@ def _affine_backward(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
         _accumulate(b, rows.sum(axis=0))
 
 
-def linear(x, w, b, packing: Optional[Packing] = None) -> Tensor:
+def linear(x, w, b) -> Tensor:
     """Affine map of the last axis: x [..., d_in] @ w [d_in, d_out] + b [d_out].
 
-    The leading axes of x are flattened into the rows of one GEMM; with a
-    packing, x is [N, d_in] packed rows (see `_affine`).
+    The leading axes of x are flattened into the rows of one GEMM.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     _check_linear("linear", x, w, b)
-    out = _affine(x, w, b, packing)
+    out = _affine(x, w, b)
 
     def bwd(g):
         _affine_backward(x, w, b, g)
@@ -555,11 +559,11 @@ def linear(x, w, b, packing: Optional[Packing] = None) -> Tensor:
     return _result(out, (x, w, b), bwd)
 
 
-def linear_gelu(x, w, b, packing: Optional[Packing] = None) -> Tensor:
+def linear_gelu(x, w, b) -> Tensor:
     """gelu(linear(x, w, b)) as one node, with the same erf GELU as `gelu`."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     _check_linear("linear_gelu", x, w, b)
-    pre = _affine(x, w, b, packing)
+    pre = _affine(x, w, b)
     cdf = pre / _SQRT_2
     _erf(cdf, out=cdf)
     cdf += 1.0
@@ -623,14 +627,15 @@ def attention(x, wq, bq, wk, bk, wv, bv, packing: Packing, heads: int):
     """Multi-head self-attention over packed rows; returns (context, weights).
 
     x [N, d] holds the packed real tokens of a padded batch. The q/k/v
-    projections run per sequence on the padded layout (see `_affine`), with
-    zeros at padding, and are viewed as [B, heads, T, d_head] for the
-    batched score and context GEMMs. Scores are scaled by 1/sqrt(d_head),
-    and 1e30 is taken off each padded key's score. The context
-    [N, heads * d_head] is gathered back to the packed rows. `weights` is
-    the softmax [B, heads, T, T]; a padded query has q = 0, so its row is
-    uniform over the real keys. Backward keeps only the softmax output and
-    q, k, v; its projection gradients are GEMMs over the packed rows.
+    projections are GEMMs over those rows; only q, k and v are scattered
+    into the padded layout, zero at padding, and viewed as
+    [B, heads, T, d_head] for the batched score and context GEMMs. Scores
+    are scaled by 1/sqrt(d_head), and 1e30 is taken off each padded key's
+    score. The context [N, heads * d_head] is gathered back to the packed
+    rows. `weights` is the softmax [B, heads, T, T]; a padded query has
+    q = 0, so its row is uniform over the real keys. Backward keeps only
+    the softmax output and q, k, v; its projection gradients are GEMMs
+    over the packed rows.
     """
     x, wq, bq, wk, bk, wv, bv = (as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv))
     for w, b in ((wq, bq), (wk, bk), (wv, bv)):
@@ -643,12 +648,9 @@ def attention(x, wq, bq, wk, bk, wv, bv, packing: Packing, heads: int):
     batch, seq = packing.shape
     dh = width // heads
     scale = 1.0 / math.sqrt(dh)
-    x_pad = packing.pad(x.data)
-    real = packing.real
 
     def project(w: Tensor, b: Tensor) -> np.ndarray:
-        full = np.matmul(x_pad, w.data)
-        full += real * b.data  # bias on real rows only: padding stays 0
+        full = packing.pad(_affine(x, w, b))
         return full.reshape(batch, seq, heads, dh).transpose(0, 2, 1, 3)  # [B, H, T, dh]
 
     def merge_heads(full: np.ndarray) -> np.ndarray:
@@ -657,7 +659,7 @@ def attention(x, wq, bq, wk, bk, wv, bv, packing: Packing, heads: int):
     q, k, v = project(wq, bq), project(wk, bk), project(wv, bv)
     probs = q @ k.transpose(0, 1, 3, 2)
     probs *= scale
-    probs += ((real[:, :, 0] - 1.0) * _MASK_BIG)[:, None, None, :]
+    probs += np.where(packing.real, 0.0, -_MASK_BIG).astype(probs.dtype)[:, None, None, :]
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)

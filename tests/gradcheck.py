@@ -3,7 +3,9 @@
 Independent of the autodiff path: it only re-runs forward evaluations.
 Comparison uses the mixed criterion |fd - analytic| <= rtol * max(|fd|,
 |analytic|) + atol; the absolute term absorbs FD roundoff (~1e-10 for
-O(1) losses at h=1e-6) on near-zero gradient coordinates.
+O(1) losses at h=1e-6) on near-zero gradient coordinates. Models compute
+in their parameters' precision, float32, so `widen` gives a model float64
+parameters before it is checked at these tolerances.
 """
 
 from __future__ import annotations
@@ -12,6 +14,13 @@ import numpy as np
 
 FD_STEP = 1e-6
 FD_ATOL = 1e-8
+
+
+def widen(model):
+    """`model`, with float64 copies of its parameters: every op then computes in float64."""
+    for t in model.params.values():
+        t.data = t.data.astype(np.float64)
+    return model
 
 
 def central_difference(loss_fn, array: np.ndarray, index, h: float = FD_STEP) -> float:

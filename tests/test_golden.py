@@ -35,17 +35,17 @@ CASES = {
 # case -> (final-params SHA-256, CSV data rows without wall_time_ms)
 GOLDEN = {
     "bert_mini_classify_centralized": (
-        "d20783566019bcac7468b827b177242297e471c1af06ff988fcdd988170ce27c",
+        "4577fbbca38dacffe230152b91abe9576861437ba873f9bc6dc7cbeadd444769",
         [
             "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,0,global,validation,0.449935,1",
             "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,1,global,train,0.877164,0.72093",
-            "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,1,global,validation,0.0752288,1",
-            "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,train,0.648058,0.674419",
-            "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,validation,0.0664691,1",
+            "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,1,global,validation,0.0752289,1",
+            "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,train,0.648054,0.674419",
+            "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,validation,0.0664689,1",
         ],
     ),
     "bert_mini_mlm_federated_channel": (
-        "f34897b5701aa8060b0229e9ebeb9cbefaf257a2da97b0f2e038127bad7b54a7",
+        "4d5ca8fdff26255db2285a7ac77e0dcfa2ea9680f004cefbfa7bbd7f779e41f3",
         [
             "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,0,global,validation,4.73272,0",
             "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,client_0,train,4.88781,0",
@@ -61,11 +61,11 @@ GOLDEN = {
         ],
     ),
     "lstm_classify_federated_tcp": (
-        "18223607846634a14529b8a76b9fe3b8b783512ddc1e2dc3206fd3d80e5ef7f0",
+        "48057b9120c23349e3a130256d5f2f646c173f1301f7e3a50cb1fa51c91500ba",
         [
             "finetune_classify-federated-lstm-i7,federated,lstm,0,global,validation,0.693176,0.166667",
             "finetune_classify-federated-lstm-i7,federated,lstm,1,client_0,train,0.58403,0.727273",
-            "finetune_classify-federated-lstm-i7,federated,lstm,1,client_0,validation,0.00565728,1",
+            "finetune_classify-federated-lstm-i7,federated,lstm,1,client_0,validation,0.00565729,1",
             "finetune_classify-federated-lstm-i7,federated,lstm,1,client_1,train,0.608494,0.636364",
             "finetune_classify-federated-lstm-i7,federated,lstm,1,client_1,validation,1.29285,0.8",
             "finetune_classify-federated-lstm-i7,federated,lstm,1,global,validation,0.0837682,1",
@@ -77,14 +77,14 @@ GOLDEN = {
         ],
     ),
     "lstm_classify_standalone": (
-        "bf5199d530dc76bf2e79fd5214a2f35eb20d519fc4b4e961eb3837fc7b166e2d",
+        "54f3a03b3f4b48dd1f1d66a31a1f11a928487bce46bf47250c8a5994fa55337b",
         [
             "finetune_classify-standalone-lstm-i7,standalone,lstm,0,client_0,validation,0.693176,0.166667",
             "finetune_classify-standalone-lstm-i7,standalone,lstm,0,client_1,validation,0.693176,0.166667",
             "finetune_classify-standalone-lstm-i7,standalone,lstm,1,client_0,train,0.58403,0.727273",
-            "finetune_classify-standalone-lstm-i7,standalone,lstm,1,client_0,validation,0.00584394,1",
+            "finetune_classify-standalone-lstm-i7,standalone,lstm,1,client_0,validation,0.00584392,1",
             "finetune_classify-standalone-lstm-i7,standalone,lstm,1,client_1,train,0.608494,0.636364",
-            "finetune_classify-standalone-lstm-i7,standalone,lstm,1,client_1,validation,0.00312359,1",
+            "finetune_classify-standalone-lstm-i7,standalone,lstm,1,client_1,validation,0.0031236,1",
             "finetune_classify-standalone-lstm-i7,standalone,lstm,2,client_0,train,0.978643,0.863636",
             "finetune_classify-standalone-lstm-i7,standalone,lstm,2,client_0,validation,0.506593,1",
             "finetune_classify-standalone-lstm-i7,standalone,lstm,2,client_1,train,0.618977,0.863636",
@@ -164,7 +164,7 @@ PHASE_GOLDEN = {
     "bert_mini_two_phase_federated_channel": [
         (
             {
-                "global": "f34897b5701aa8060b0229e9ebeb9cbefaf257a2da97b0f2e038127bad7b54a7",
+                "global": "4d5ca8fdff26255db2285a7ac77e0dcfa2ea9680f004cefbfa7bbd7f779e41f3",
             },
             [
                 "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,0,global,validation,4.73272,0",
@@ -182,28 +182,28 @@ PHASE_GOLDEN = {
         ),
         (
             {
-                "global": "1f9fccfdaaefc1e21505cfac1bac7ca837570332a8f08608ccfc7afda86edb63",
+                "global": "e5f9ce895cfe85116d0a80e2fb98b184d8144dd02ca55440a0f7cd0c7a9699fe",
             },
             [
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,0,global,validation,1.63455,0",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,train,0.384271,0.772727",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,validation,0.00274687,1",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,train,0.779912,0.590909",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,validation,0.664596,0.8",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,global,validation,0.00974132,1",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,train,0.582573,0.863636",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,validation,0.0720327,1",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,train,0.492759,0.863636",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,validation,1.70746,0.2",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,global,validation,0.0990227,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,0,global,validation,1.6345,0",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,train,0.384263,0.772727",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,validation,0.00274701,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,train,0.779905,0.590909",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,validation,0.664689,0.8",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,global,validation,0.0097396,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,train,0.582578,0.863636",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,validation,0.072041,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,train,0.492745,0.863636",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,validation,1.70708,0.2",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,global,validation,0.0990529,1",
             ],
         ),
     ],
     "bert_mini_two_phase_standalone": [
         (
             {
-                "client_0": "e8c1760d9284c7ddaebba7d03b284d3b3cf04663a8f034d4fba7685b2503a053",
-                "client_1": "5a6bb1d071d2e27c50fea9f80b7d41ffc16017b071621eedf71b768de8cc81a4",
+                "client_0": "1efb454d90bdcf0898a0dbdb5f6c725522a1a14058c03ce00cec1ffe6bfbb933",
+                "client_1": "7ed25cf2e2887a5b880d03cc68058236bf630577346df8ae13dfd7cc086df7c5",
             },
             [
                 "pretrain_mlm-standalone-bert_mini-i7,standalone,bert_mini,0,client_0,validation,4.73272,0",
@@ -220,20 +220,20 @@ PHASE_GOLDEN = {
         ),
         (
             {
-                "client_0": "651d4a4c1bcf07f68632858c2e82b361348cd19808b6157de3c56e797a6aa978",
-                "client_1": "fc23466a4cea7b6c89de8cd0695d3deafa06938f2e06753ec29996aea01047a7",
+                "client_0": "862a8615c41c265439a087e01af26b06ee48014fb06caa971e9345e68b484b61",
+                "client_1": "f548ce92e33505858793a70007cd81df515bc1a814d3504f1e336616c0a8c62e",
             },
             [
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_0,validation,1.62203,0",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_0,validation,1.62204,0",
                 "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_1,validation,1.62722,0",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,train,1.41843,0.5",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,validation,0.00958173,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,train,1.4196,0.5",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,validation,0.00958721,1",
                 "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,train,0.816808,0.590909",
                 "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,validation,0.0390591,1",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,train,0.592893,0.863636",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,validation,0.103104,1",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,train,0.997107,0.409091",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,validation,0.972946,0",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,train,0.592898,0.863636",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,validation,0.10304,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,train,0.997108,0.409091",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,validation,0.972941,0",
             ],
         ),
     ],
@@ -243,54 +243,54 @@ ARTIFACT_GOLDEN = {
     "centralized": [
         (
             {
-                "global": "f4a8dc4e5bbabeeab7cdd71e5d84d20b39634fdd2b07894e98fd59bf7322a41d",
+                "global": "2e2458a75f3522fa62cde6fa11be3e4eb58d1f7edfe18cabe71e49add651f261",
             },
             [
-                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,0,global,validation,1.63455,0",
-                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,1,global,train,0.528844,0.767442",
-                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,1,global,validation,0.026764,1",
-                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,train,0.485453,0.860465",
-                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,validation,0.13088,1",
+                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,0,global,validation,1.6345,0",
+                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,1,global,train,0.528852,0.767442",
+                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,1,global,validation,0.0267613,1",
+                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,train,0.485471,0.860465",
+                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,validation,0.130878,1",
             ],
         ),
     ],
     "standalone": [
         (
             {
-                "client_0": "91820a6ff06ea29e06df09f76b662068ec72e84b3c86e9d28e9acd86de8dffe8",
-                "client_1": "6d508010865b9380e3d2099b7ad3412c51153cadd913db80ea6201e8fd53f422",
+                "client_0": "259b45e61e0dbec72bd419ddd6ad3028e3b73f982aaf016fbfe95edbcc129f04",
+                "client_1": "b58f1dd0697f847acf95413087a8066c69193e7b808829b4cbc96d22133809e5",
             },
             [
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_0,validation,1.63455,0",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_1,validation,1.63455,0",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,train,0.384271,0.772727",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,validation,0.00274677,1",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,train,0.779912,0.590909",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,validation,0.0439152,1",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,train,0.659563,0.863636",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,validation,0.0611093,1",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,train,0.606127,0.590909",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,validation,0.082733,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_0,validation,1.6345,0",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_1,validation,1.6345,0",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,train,0.384263,0.772727",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,validation,0.0027469,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,train,0.779905,0.590909",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,validation,0.0438897,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,train,0.65955,0.863636",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,validation,0.0611087,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,train,0.606005,0.590909",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,validation,0.0827351,1",
             ],
         ),
     ],
     "federated": [
         (
             {
-                "global": "1f9fccfdaaefc1e21505cfac1bac7ca837570332a8f08608ccfc7afda86edb63",
+                "global": "e5f9ce895cfe85116d0a80e2fb98b184d8144dd02ca55440a0f7cd0c7a9699fe",
             },
             [
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,0,global,validation,1.63455,0",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,train,0.384271,0.772727",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,validation,0.00274687,1",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,train,0.779912,0.590909",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,validation,0.664596,0.8",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,global,validation,0.00974132,1",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,train,0.582573,0.863636",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,validation,0.0720327,1",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,train,0.492759,0.863636",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,validation,1.70746,0.2",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,global,validation,0.0990227,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,0,global,validation,1.6345,0",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,train,0.384263,0.772727",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,validation,0.00274701,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,train,0.779905,0.590909",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,validation,0.664689,0.8",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,global,validation,0.0097396,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,train,0.582578,0.863636",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,validation,0.072041,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,train,0.492745,0.863636",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,validation,1.70708,0.2",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,global,validation,0.0990529,1",
             ],
         ),
     ],

@@ -1,6 +1,8 @@
 """Finite-difference checks through entire models.
 
 Small configs keep the loop fast while covering every parameter role.
+Every model here is widened to float64, so the checks and the oracle
+comparisons keep their float64 tolerances.
 """
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from flnp.models import ModelConfig, init_model, preset
 from flnp.tensor import backward, masked_cross_entropy, reshape
 
-from gradcheck import assert_grads_match
+from gradcheck import assert_grads_match, widen
 from lstm_oracle import unrolled_logits
 from transformer_oracle import per_op_forward
 
@@ -17,7 +19,7 @@ from transformer_oracle import per_op_forward
 def test_small_transformer_mlm_all_parameter_tensors():
     cfg = ModelConfig(kind="transformer", d_model=8, n_layers=2,
                       vocab_size=12, max_seq_len=5, n_heads=3)
-    model = init_model(cfg, seed=21, mode="mlm")
+    model = widen(init_model(cfg, seed=21, mode="mlm"))
     ids = np.array([[3, 4, 5, 0, 0], [3, 6, 7, 8, 0]])
     mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 0]], dtype=float)
     labels = np.array([[-1, 9, -1, -1, -1], [-1, -1, 4, 10, -1]]).reshape(-1)
@@ -32,7 +34,7 @@ def test_small_transformer_mlm_all_parameter_tensors():
 def test_small_transformer_classify_head_and_pooling():
     cfg = ModelConfig(kind="transformer", d_model=6, n_layers=1,
                       vocab_size=10, max_seq_len=4, n_heads=2)
-    model = init_model(cfg, seed=8, mode="classify")
+    model = widen(init_model(cfg, seed=8, mode="classify"))
     ids = np.array([[3, 4, 5, 0], [3, 6, 0, 0]])
     mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]], dtype=float)
     labels = np.array([0, 1])
@@ -47,7 +49,7 @@ def test_small_transformer_classify_head_and_pooling():
 
 def test_single_layer_lstm_all_parameter_tensors():
     cfg = ModelConfig(kind="lstm", d_model=6, n_layers=1, vocab_size=10, max_seq_len=6)
-    model = init_model(cfg, seed=5, mode="classify")
+    model = widen(init_model(cfg, seed=5, mode="classify"))
     ids = np.array([[3, 4, 5, 6], [3, 7, 8, 0]])
     lens = np.array([4, 3])
     labels = np.array([1, 0])
@@ -60,7 +62,7 @@ def test_single_layer_lstm_all_parameter_tensors():
 
 def test_stacked_lstm_gradients():
     cfg = ModelConfig(kind="lstm", d_model=4, n_layers=3, vocab_size=9, max_seq_len=5)
-    model = init_model(cfg, seed=6, mode="classify")
+    model = widen(init_model(cfg, seed=6, mode="classify"))
     ids = np.array([[3, 4, 5], [3, 6, 7]])
     lens = np.array([3, 2])
     labels = np.array([0, 1])
@@ -89,7 +91,7 @@ def test_fused_lstm_matches_unrolled_ops_at_preset_shapes():
     labels = np.array([0, 1, 1, 0, 1, 0])
 
     def loss_and_grads(forward):
-        model = init_model(cfg, seed=17, mode="classify")
+        model = widen(init_model(cfg, seed=17, mode="classify"))
         loss = masked_cross_entropy(forward(model), labels)
         backward(loss)
         return loss.item(), {name: t.grad for name, t in model.params.items()}, loss
@@ -122,7 +124,7 @@ def test_fused_transformer_matches_per_op_oracle_at_preset_shapes(mode):
         labels = np.array([0, 1, 1, 0, 1])
 
     def loss_and_grads(forward):
-        model = init_model(cfg, seed=19, mode=mode)
+        model = widen(init_model(cfg, seed=19, mode=mode))
         hidden = forward(model)
         if mode == "mlm":
             logits = reshape(model.mlm_logits(hidden), (mask.size, cfg.vocab_size))

@@ -14,8 +14,11 @@ from flnp.models import (
     transformer_manifest,
 )
 from flnp.models.config import ConfigError
+from flnp.optim import Adam
 from flnp.params import ParameterSet
-from flnp.tensor import UsageError
+from flnp.tensor import UsageError, backward, masked_cross_entropy, reshape
+
+from gradcheck import widen
 
 
 def tiny_transformer(mode="mlm", vocab=13, layers=2, d=8, heads=2, seq=6, seed=5):
@@ -148,7 +151,7 @@ class TestSaveLoad:
 
 class TestTransformerForward:
     def test_attention_rows_sum_to_one_on_unpadded_keys(self):
-        model = tiny_transformer()
+        model = widen(tiny_transformer())
         ids = np.array([[3, 4, 5, 6, 0, 0]])
         mask = np.array([[1, 1, 1, 1, 0, 0]], dtype=float)
         _, attns = model.forward(ids, mask, return_attention=True)
@@ -194,7 +197,7 @@ class TestTransformerForward:
         # 1 layer, 1 head, d_model=2, T=2, no padding; independent numpy oracle
         cfg = ModelConfig(kind="transformer", d_model=2, n_layers=1,
                           vocab_size=6, max_seq_len=2, n_heads=1)
-        model = init_model(cfg, seed=11, mode="mlm")
+        model = widen(init_model(cfg, seed=11, mode="mlm"))
         p = {name: t.data for name, t in model.params.items()}
         ids = np.array([[3, 5]])
         mask = np.ones((1, 2))
@@ -324,7 +327,7 @@ class TestLstm:
     def test_single_timestep_hand_gate_arithmetic(self):
         # 2-unit single-layer cell vs explicitly evaluated gate equations
         cfg = ModelConfig(kind="lstm", d_model=2, n_layers=1, vocab_size=5, max_seq_len=3)
-        model = init_model(cfg, seed=13, mode="classify")
+        model = widen(init_model(cfg, seed=13, mode="classify"))
         p = {name: t.data for name, t in model.params.items()}
         token = 4
         x = p["emb.tok"][token]
@@ -350,3 +353,48 @@ class TestLstm:
         padded = model.forward(ids, np.array([3])).data
         exact = model.forward(short, np.array([3])).data
         assert np.array_equal(padded, exact)
+
+
+def _tape(root) -> list:
+    """Every tensor reachable from `root`, parameters included."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+class TestComputeDtype:
+    """A model computes in its parameters' float32: one float64 constant would
+    promote every node downstream of it."""
+
+    @pytest.mark.parametrize("kind, mode", [("bert_mini", "mlm"), ("bert_mini", "classify"),
+                                            ("lstm", "classify")])
+    def test_one_training_step_stays_float32(self, kind, mode):
+        cfg = preset(kind, vocab_size=40, max_seq_len=12)
+        model = init_model(cfg, seed=3, mode=mode)
+        rng = np.random.default_rng(4)
+        ids = rng.integers(3, 40, size=(4, 12))
+        lengths = np.array([12, 1, 7, 4])
+        mask = (np.arange(12) < lengths[:, None]).astype(float)
+        if kind == "lstm":
+            loss = masked_cross_entropy(model.forward(ids, lengths), np.array([0, 1, 1, 0]))
+        elif mode == "mlm":
+            logits = reshape(model.mlm_logits(model.forward(ids, mask)), (mask.size, 40))
+            labels = np.where((rng.random(mask.shape) < 0.3) & (mask > 0), ids, -1)
+            loss = masked_cross_entropy(logits, labels.reshape(-1))
+        else:
+            loss = masked_cross_entropy(model.classify_logits(model.forward(ids, mask), mask),
+                                        np.array([0, 1, 1, 0]))
+        opt = Adam(model.params, lr=1e-3)
+        backward(loss)
+        opt.step()
+        tape = _tape(loss)
+        assert len(tape) > len(model.params)
+        for node in tape:
+            assert node.data.dtype == np.float32, node
+            assert node.grad is None or node.grad.dtype == np.float32, node
+        for _, tensor, m, v in opt._slots:
+            assert tensor.data.dtype == m.dtype == v.dtype == np.float32

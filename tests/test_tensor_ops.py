@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from flnp.tensor import (
     Packing,
@@ -114,6 +116,24 @@ class TestElementwise:
         assert_grads_match(
             lambda: reduce_sum(mul(tanh(x), sigmoid(x))), {"x": x}, n_coords=10, rtol=1e-6
         )
+
+    def test_float32_sigmoid_saturates_without_overflow(self):
+        # exp(-x) overflows float32 below x = -88; the tanh form has no exp
+        x = np.float32([-1e4, -100.0, -1.0, 0.0, 1.0, 100.0, 1e4])
+        want = expit(x.astype(np.float64))
+        d = x.size
+        zero = Tensor(np.zeros((d, 4 * d), np.float32))
+        # one LSTM step from zero state, input, forget and output gates at x and cell
+        # candidate tanh(1e4) = 1: c = sigmoid(x) and h = sigmoid(x) * tanh(sigmoid(x))
+        b = Tensor(np.concatenate([x, x, np.full(d, 1e4, np.float32), x]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            direct = sigmoid(Tensor(x)).data
+            h = lstm_layer(Tensor(np.zeros((1, 1, d), np.float32)), zero, zero, b).data[0, 0]
+        assert direct.dtype == h.dtype == np.float32
+        assert np.all(np.isfinite(direct)) and np.all(np.isfinite(h))
+        assert np.max(np.abs(direct - want)) <= 1e-7
+        assert np.max(np.abs(h - want * np.tanh(want))) <= 1e-7
 
 
 class TestSoftmax:
@@ -343,7 +363,7 @@ class TestLinear:
         x = rng.normal(size=(3, 4, 5))
         p = _params(rng, w=(5, 6), b=(6,))
         padded = add(matmul(Tensor(x), p["w"]), p["b"]).data
-        packed = linear(Tensor(packing.pack(x)), p["w"], p["b"], packing).data
+        packed = linear(Tensor(packing.pack(x)), p["w"], p["b"]).data
         assert np.array_equal(packed, packing.pack(padded))
 
     def test_input_without_grad(self):
@@ -352,7 +372,7 @@ class TestLinear:
         x = Tensor(rng.normal(size=(8, 3)))
         p = _params(rng, w=(3, 2), b=(2,))
         probe = Tensor(rng.normal(size=(8, 2)))
-        assert_grads_match(lambda: reduce_sum(mul(linear(x, p["w"], p["b"], packing), probe)),
+        assert_grads_match(lambda: reduce_sum(mul(linear(x, p["w"], p["b"]), probe)),
                            p, n_coords=6, rtol=1e-6)
         assert x.grad is None
 
@@ -375,7 +395,7 @@ class TestLinearGelu:
         x = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
         p = _params(rng, w=(3, 5), b=(5,))
         probe = Tensor(rng.normal(size=(8, 5)))
-        assert_grads_match(lambda: reduce_sum(mul(linear_gelu(x, p["w"], p["b"], packing), probe)),
+        assert_grads_match(lambda: reduce_sum(mul(linear_gelu(x, p["w"], p["b"]), probe)),
                            {"x": x, **p}, n_coords=12, rtol=1e-6)
 
     def test_input_without_grad(self):
