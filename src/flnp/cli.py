@@ -26,7 +26,7 @@ from .tensor import UsageError
 from .transport.tcp import connect
 from .experiment.config import ExperimentConfig, config_from_dict, config_to_dict, load_config
 from .experiment.federated import tcp_client_loop
-from .experiment.metrics import MetricsRecord, emit_metrics
+from .experiment.metrics import MetricsRecord, emit_metrics, parse_metrics
 from .experiment.runner import (
     build_dataset,
     params_checksum,
@@ -176,23 +176,17 @@ def cmd_compare(args) -> int:
             result = run_experiment(pre_cfg)[-1]
             save_params(result.final_params, pretrain_artifact)
         for mode in modes:
-            run_id = f"compare-{model}-{mode}"
-            csv_path = os.path.join(cfg.out_dir, f"{run_id}.csv")
-            if os.path.exists(csv_path) and not args.force:
-                table[(mode, model)] = _final_accuracy_from_csv(csv_path)
-                continue
             cell_cfg = _cell_config(cfg, mode, model, "finetune_classify")
+            csv_path = os.path.join(cfg.out_dir, f"{cell_cfg.run_id}.csv")
+            if os.path.exists(csv_path) and not args.force:
+                table[(mode, model)] = _final_accuracy(parse_metrics(csv_path))
+                continue
             if model != "lstm" and os.path.exists(pretrain_artifact):
                 cell_cfg = config_from_dict(
                     {**config_to_dict(cell_cfg), "pretrained_params_path": pretrain_artifact}
                 )
             result = run_experiment(cell_cfg)[-1]
-            records = [
-                MetricsRecord(run_id, r.mode, r.model, r.round, r.scope, r.split,
-                              r.loss, r.top1_accuracy, r.wall_time_ms)
-                for r in result.records
-            ]
-            emit_metrics(records, csv_path)
+            emit_metrics(result.records, csv_path)
             table[(mode, model)] = _final_accuracy(result.records)
 
     print(f"{'top-1 accuracy':<14} " + " ".join(f"{m:>10}" for m in models))
@@ -204,25 +198,17 @@ def cmd_compare(args) -> int:
 
 def _cell_config(base: ExperimentConfig, mode: str, model: str, phase: str) -> ExperimentConfig:
     data = config_to_dict(base)
-    data.update({"mode": mode, "model": model, "phase": phase, "run_id": None})
+    data.update({"mode": mode, "model": model, "phase": phase, "run_id": f"compare-{model}-{mode}"})
     return config_from_dict(data)
 
 
 def _final_accuracy(records: list[MetricsRecord]) -> float:
+    """Mean last-round validation accuracy of the global rows, else of every row."""
     last_round = max(r.round for r in records)
-    finals = [r.top1_accuracy for r in records
-              if r.round == last_round and r.split == "validation" and r.scope.startswith(("global", "client"))]
-    # standalone has one validation record per client; others one global
-    global_finals = [r.top1_accuracy for r in records
-                     if r.round == last_round and r.split == "validation" and r.scope == "global"]
-    chosen = global_finals or finals
-    return sum(chosen) / len(chosen)
-
-
-def _final_accuracy_from_csv(path: str) -> float:
-    from .experiment.metrics import parse_metrics
-
-    return _final_accuracy(parse_metrics(path))
+    finals = [r for r in records if r.round == last_round and r.split == "validation"]
+    # standalone has one validation row per client and no global row
+    chosen = [r for r in finals if r.scope == "global"] or finals
+    return sum(r.top1_accuracy for r in chosen) / len(chosen)
 
 
 def cli_main(argv: list[str] | None = None) -> int:

@@ -3,7 +3,8 @@
 Each eligible position (a real, non-reserved token) is independently
 selected with probability `select_prob`. Selected positions are replaced
 by the mask id with probability `mask_frac`, by a uniformly random
-non-reserved token with `random_frac`, and otherwise kept unchanged.
+non-reserved token with `random_frac`, and otherwise (the remaining
+1 - mask_frac - random_frac) kept unchanged.
 Labels hold the original token id at every selected position (kept ones
 included) and the ignore sentinel everywhere else.
 """
@@ -11,6 +12,7 @@ included) and the ignore sentinel everywhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,18 +29,17 @@ class MaskingConfig:
     select_prob: float = 0.15
     mask_frac: float = 0.8
     random_frac: float = 0.1
-    keep_frac: float = 0.1
-    ignore_value: int = IGNORE_LABEL
+    ignore_value: ClassVar[int] = IGNORE_LABEL  # the label of every unselected position
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.select_prob <= 1.0:
             raise ConfigError(f"select_prob must lie in [0, 1], got {self.select_prob}")
-        for name in ("mask_frac", "random_frac", "keep_frac"):
+        for name in ("mask_frac", "random_frac"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be non-negative")
-        total = self.mask_frac + self.random_frac + self.keep_frac
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"mask/random/keep fractions must sum to 1, got {total}")
+        total = self.mask_frac + self.random_frac
+        if total > 1.0 + 1e-9:
+            raise ConfigError(f"mask_frac + random_frac must not exceed 1, got {total}")
 
 
 @dataclass(frozen=True)

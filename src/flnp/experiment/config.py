@@ -84,10 +84,7 @@ class ExperimentConfig:
     data: DataConfig = field(default_factory=DataConfig)
     masking: MaskingConfig = field(default_factory=MaskingConfig)
     holdout_frac: float = 0.2
-    reset_optimizer: bool = True
-    weighted_aggregation: bool = True
     allow_single_client: bool = False
-    finetune_from_pretrained: bool = True
     pretrain_rounds: int | None = None
     pretrained_params_path: str | None = None
     auth_token: str = DEFAULT_AUTH_TOKEN

@@ -114,11 +114,8 @@ def _settings(cfg: ExperimentConfig) -> TrainSettings:
         phase="classify" if cfg.phase == "finetune_classify" else "mlm",
         batch_size=cfg.batch_size,
         max_seq_len=cfg.max_seq_len,
-        local_epochs=cfg.local_epochs,
-        lr=cfg.lr,
         masking=cfg.masking,
         holdout_frac=cfg.holdout_frac,
-        reset_optimizer=cfg.reset_optimizer,
     )
 
 
@@ -181,7 +178,6 @@ def run_local(cfg: ExperimentConfig, bundle: DatasetBundle, inits: list[Paramete
             t0 = time.perf_counter()
             train_loss, train_top1 = trainer.train_round(rnd, cfg.local_epochs, cfg.lr)
             params = trainer.export()
-            trainer.load(params)  # score the wire-precision view, as the server does
             val_loss, val_top1 = evaluate(trainer.model, val_batches)
             elapsed = _ms_since(t0)
             records.append(row(rnd, scope, "train", train_loss, train_top1, elapsed))
@@ -226,7 +222,6 @@ def run_federated(
         local_epochs=cfg.local_epochs,
         lr=cfg.lr,
         auth_token=cfg.auth_token,
-        weighted=cfg.weighted_aggregation,
     )
     server = FlServer(
         init_params=init,
@@ -285,19 +280,16 @@ def run_federated(
                 p.kill()  # no-op for a process already reaped
                 p.wait()
 
-    for idx, done in enumerate(server.history):
+    for done, per_client, wall in zip(server.history, server.client_metrics, round_times):
         rnd = done.round
-        wall = round_times[idx] if idx < len(round_times) else 0.0
         m = done.global_metrics
-        records.append(row(rnd, "global", "validation",
-                           m.get("val_loss", 0.0), m.get("val_top1_accuracy", 0.0), wall))
-        per_client = server.client_metrics[idx] if idx < len(server.client_metrics) else {}
+        records.append(row(rnd, "global", "validation", m["val_loss"], m["val_top1_accuracy"], wall))
         for cid in sorted(per_client):
             cm = per_client[cid]
             records.append(row(rnd, f"client_{cid}", "train",
-                               cm.get("train_loss", 0.0), cm.get("train_top1_accuracy", 0.0), wall))
+                               cm["train_loss"], cm["train_top1_accuracy"], wall))
             records.append(row(rnd, f"client_{cid}", "validation",
-                               cm.get("val_loss", 0.0), cm.get("val_top1_accuracy", 0.0), wall))
+                               cm["val_loss"], cm["val_top1_accuracy"], wall))
     return RunResult(run_id=cfg.derived_run_id(), records=records,
                      finals={"global": server.global_params})
 
@@ -344,12 +336,9 @@ def _run_finetune(
     pretrained: list[ParameterSet],
     tcp_clients: str,
 ) -> RunResult:
-    """Fine-tune fresh heads over each pretrained encoder, or from scratch."""
-    inits = None
-    if cfg.finetune_from_pretrained:
-        fresh = _initial_params(cfg, bundle)
-        inits = [merge_encoder(p, fresh) for p in pretrained]
-    return _run_phase(cfg, bundle, inits, tcp_clients)
+    """Fine-tune fresh heads over each pretrained encoder."""
+    fresh = _initial_params(cfg, bundle)
+    return _run_phase(cfg, bundle, [merge_encoder(p, fresh) for p in pretrained], tcp_clients)
 
 
 def run_experiment(

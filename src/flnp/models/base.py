@@ -60,9 +60,6 @@ class ModelBase:
         for name in ps.names:
             self.params[name].data = np.array(ps[name], copy=True)
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        return self.params
-
 
 def _check_manifest(ps: ParameterSet, expected) -> None:
     """UsageError naming the first (name, shape) entry that differs."""

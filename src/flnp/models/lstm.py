@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Tensor, UsageError, add, embedding_lookup, last_step, lstm_layer, matmul
+from ..tensor import Tensor, UsageError, embedding_lookup, last_step, linear, lstm_layer
 from .base import ModelBase, ParamSpec
 from .config import ModelConfig
 
@@ -57,7 +57,7 @@ class LstmClassifier(ModelBase):
         x = embedding_lookup(p["emb.tok"], ids)
         for layer in range(cfg.n_layers):
             x = lstm_layer(x, p[f"lstm.{layer}.wx"], p[f"lstm.{layer}.wh"], p[f"lstm.{layer}.b"])
-        return add(matmul(last_step(x, lengths), p["cls.w"]), p["cls.b"])
+        return linear(last_step(x, lengths), p["cls.w"], p["cls.b"])
 
     def classify_logits(self, token_ids: np.ndarray, lengths: np.ndarray) -> Tensor:
         return self.forward(token_ids, lengths)

@@ -28,16 +28,15 @@ class ClientUpdate:
     local_metrics: dict[str, float] = field(default_factory=dict)
 
 
-def aggregate(updates: list[ClientUpdate], weighted: bool = True) -> ParameterSet:
-    """Weighted mean of the updates' parameters.
+def aggregate(updates: list[ClientUpdate]) -> ParameterSet:
+    """Mean of the updates' parameters, each weighted by its n_samples.
 
     Evaluated in client-id-sorted order as a baseline plus weighted
     deltas, w0 + sum_i (n_i / N) * (w_i - w0), which is algebraically the
     weighted mean but exact (bit-for-bit) whenever all updates agree,
     and invariant to the order updates arrived in. The sum is taken in
     float64 and rounded to wire precision once, when the result set is
-    built. `weighted=False` counts every client once regardless of
-    n_samples.
+    built.
     """
     if not updates:
         raise UsageError("aggregate needs at least one update")
@@ -52,7 +51,7 @@ def aggregate(updates: list[ClientUpdate], weighted: bool = True) -> ParameterSe
             )
         if u.round != rnd:
             raise ProtocolError("round_mismatch", f"rounds {rnd} vs {u.round}")
-    counts = [1 if not weighted else u.n_samples for u in ordered]
+    counts = [u.n_samples for u in ordered]
     if any(c < 0 for c in counts):
         raise UsageError("negative sample count")
     total = float(sum(counts))

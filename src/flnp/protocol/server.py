@@ -17,7 +17,7 @@ run with a `non_finite_update` ProtocolError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,7 +48,6 @@ class ServerConfig:
     local_epochs: int
     lr: float
     auth_token: str
-    weighted: bool = True
 
 
 @dataclass
@@ -72,8 +71,6 @@ class FlServer:
         self.round = 0
         self.history: list[RoundComplete] = []
         self.client_metrics: list[dict[int, dict[str, float]]] = []  # per round
-        self.rounds_distributed = 0
-        self.updates_received = 0
         self._session_rng = session_rng
         self._validate_fn = validate_fn
         self._slots: dict[int, _ClientSlot] = {}  # conn -> slot
@@ -140,7 +137,6 @@ class FlServer:
                 lr=self.config.lr,
             )
             out.append((conn, sign(msg, slot.session_key)))
-        self.rounds_distributed += 1
         self.phase = "collecting"
         return out
 
@@ -172,7 +168,6 @@ class FlServer:
             n_samples=msg.n_samples,
             local_metrics=dict(msg.local_metrics),
         )
-        self.updates_received += 1
         if len(self._pending) < self.config.n_clients:
             return []
         return self._finish_round()
@@ -180,19 +175,9 @@ class FlServer:
     def _finish_round(self) -> Outgoing:
         self.phase = "aggregating"
         updates = list(self._pending.values())
-        self.global_params = aggregate(updates, weighted=self.config.weighted)
+        self.global_params = aggregate(updates)
         self.client_metrics.append({u.client_id: dict(u.local_metrics) for u in updates})
-
-        metrics: dict[str, float] = {}
-        if self._validate_fn is not None:
-            metrics.update(self._validate_fn(self.global_params))
-        # aggregated client-side view, reported separately from the
-        # server-held validation numbers
-        for key in ("val_loss", "val_top1_accuracy", "train_loss"):
-            values = [u.local_metrics[key] for u in updates if key in u.local_metrics]
-            if values:
-                metrics[f"client_{key}_mean"] = sum(values) / len(values)
-
+        metrics = self._validate_fn(self.global_params) if self._validate_fn is not None else {}
         done = RoundComplete(round=self.round, global_metrics=metrics)
         self.history.append(done)
         out = self._broadcast(done)

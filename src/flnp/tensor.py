@@ -8,7 +8,8 @@ reachable tensors that require them. Graphs are rebuilt per batch.
 
 Compute is float32, the parameters' and the wire's precision: each op
 allocates in its inputs' dtype (float64 inputs, as in the gradient
-checks, compute in float64). Binary elementwise ops follow numpy
+checks, compute in float64), and a plain Python number operand takes
+the dtype of the tensor beside it. Binary elementwise ops follow numpy
 broadcasting (gradients are summed back over broadcast axes).
 Incompatible shapes raise :class:`ShapeError` naming both operands.
 
@@ -104,6 +105,15 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors; a plain Python number takes the other's dtype."""
+    if isinstance(a, Tensor) and type(b) in (int, float):
+        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
+    if isinstance(b, Tensor) and type(a) in (int, float):
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    return as_tensor(a), as_tensor(b)
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -145,7 +155,7 @@ def _broadcast_data(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     _broadcast_data(a, b, "add")
     data = a.data + b.data
 
@@ -159,7 +169,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     _broadcast_data(a, b, "sub")
     data = a.data - b.data
 
@@ -173,7 +183,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     _broadcast_data(a, b, "mul")
     data = a.data * b.data
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Batch, MaskedBatch, MaskingConfig, Record, Vocabulary, make_batches, mask_batch
+from .data.masking import IGNORE_LABEL
 from .models import LstmClassifier
 from .models.base import ModelBase
 from .optim import Adam
@@ -36,11 +37,8 @@ class TrainSettings:
     phase: str  # "mlm" | "classify"
     batch_size: int
     max_seq_len: int
-    local_epochs: int
-    lr: float
     masking: MaskingConfig = MaskingConfig()
     holdout_frac: float = HOLDOUT_FRACTION
-    reset_optimizer: bool = True
 
 
 def split_holdout(records: list[Record], frac: float = HOLDOUT_FRACTION) -> tuple[list[Record], list[Record]]:
@@ -58,8 +56,8 @@ def batch_loss(model: ModelBase, batch) -> tuple[Tensor, np.ndarray, np.ndarray]
         logits = model.mlm_logits(hidden)
         b, t, v = logits.shape
         flat_labels = batch.labels.reshape(-1)
-        loss = masked_cross_entropy(reshape(logits, (b * t, v)), flat_labels)
-        scored = flat_labels != -1
+        loss = masked_cross_entropy(reshape(logits, (b * t, v)), flat_labels, IGNORE_LABEL)
+        scored = flat_labels != IGNORE_LABEL
         return loss, logits.data.reshape(b * t, v)[scored], flat_labels[scored]
     if isinstance(model, LstmClassifier):
         logits = model.forward(batch.input_ids, batch.lengths)
@@ -114,13 +112,9 @@ def train_epochs(
     vocab: Vocabulary,
     settings: TrainSettings,
     round_rng: Rng,
-    epochs: int | None = None,
+    epochs: int,
 ) -> tuple[float, float]:
-    """Run `epochs` passes (default settings.local_epochs).
-
-    Returns mean batch loss and top-1 accuracy over everything scored.
-    """
-    epochs = settings.local_epochs if epochs is None else epochs
+    """Run `epochs` passes; returns mean batch loss and top-1 accuracy over everything scored."""
     losses: list[float] = []
     correct = 0
     scored = 0

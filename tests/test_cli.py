@@ -111,6 +111,15 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert cli_main(["run", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("setting", [
+    "weighted_aggregation=false", "reset_optimizer=false", "finetune_from_pretrained=false",
+    "masking.keep_frac=0.1", "masking.ignore_value=-100",
+])
+def test_removed_setting_is_refused(tmp_path, capsys, setting):
+    assert cli_main(["run", "--config", base_config(tmp_path), "--set", setting]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli_main(["run", "--config", str(tmp_path / "none.json")]) == 2
 

@@ -1,10 +1,15 @@
-"""docs/manifests.md is checked against the manifests the models build."""
+"""docs/manifests.md and README's config fields are checked against the code."""
 
+import dataclasses
 import os
+import re
 
+from flnp.data import MaskingConfig
+from flnp.experiment.config import ExperimentConfig
 from flnp.models import PRESETS, lstm_manifest, preset, transformer_manifest
 
 MANIFESTS_MD = os.path.join(os.path.dirname(__file__), "..", "docs", "manifests.md")
+README_MD = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 # sizes no preset dimension takes, rendered as the doc's placeholders
 PLACEHOLDERS = {90001: "V", 90002: "P", 90003: "C"}
@@ -32,3 +37,14 @@ def test_manifests_doc_matches_code():
         doc = fh.read()
     rendered = doc[doc.index("\n## ") + 1:doc.index("Init kinds:")]
     assert rendered == "".join(sections)
+
+
+def test_readme_names_every_config_field():
+    with open(README_MD, encoding="utf-8") as fh:
+        readme = fh.read()
+    start = readme.index("## Experiment configuration")
+    section = readme[start:readme.index("\n## ", start + 1)]
+    named = set(re.findall(r"`([a-z_]+)`", section))
+    for cls in (ExperimentConfig, MaskingConfig):
+        missing = [f.name for f in dataclasses.fields(cls) if f.name not in named]
+        assert not missing, f"README's Experiment configuration omits {cls.__name__} {missing}"

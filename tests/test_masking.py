@@ -27,8 +27,8 @@ def test_config_invariants():
     with pytest.raises(ConfigError):
         MaskingConfig(select_prob=1.5)
     with pytest.raises(ConfigError):
-        MaskingConfig(mask_frac=0.8, random_frac=0.3, keep_frac=0.1)
-    MaskingConfig(mask_frac=0.9, random_frac=0.0, keep_frac=0.1)  # 90/0/10 variant
+        MaskingConfig(mask_frac=0.8, random_frac=0.3)
+    MaskingConfig(mask_frac=0.9, random_frac=0.0)  # 90/0/10 variant
 
 
 def test_p_zero_changes_nothing():
@@ -86,8 +86,7 @@ def test_random_replacements_are_non_reserved():
     rng = Rng(11)
     ids = 4 + rng.integers(VOCAB.size - 4, size=(200, 50))
     batch = _batch(ids, np.full(200, 50))
-    out = mask_batch(batch, VOCAB, MaskingConfig(mask_frac=0.0, random_frac=1.0, keep_frac=0.0),
-                     Rng(6))
+    out = mask_batch(batch, VOCAB, MaskingConfig(mask_frac=0.0, random_frac=1.0), Rng(6))
     selected = out.labels != -1
     assert np.all(out.input_ids[selected] >= NUM_RESERVED)
     assert np.all(out.input_ids[selected] < VOCAB.size)

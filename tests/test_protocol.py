@@ -80,10 +80,6 @@ class TestAggregate:
             expected /= total
             assert out["a"].tobytes() == expected.astype(np.float32).tobytes()
 
-    def test_unweighted_flag(self):
-        out = aggregate([_update(0, [0.0], 1), _update(1, [3.0], 999)], weighted=False)
-        assert out["w"].tolist() == [1.5]
-
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
             aggregate([])
@@ -221,13 +217,12 @@ class TestRoundFlow:
         assert "round 1" in str(err.value)
 
 
-def _client_fixture(n_records=30, local_epochs=1):
+def _client_fixture(n_records=30):
     corpus = [(i % 2, [f"tok{i % 7}", f"tok{(i + 1) % 7}", f"tok{(i + 2) % 7}"]) for i in range(n_records)]
     vocab = build_vocab((" ".join(t) for _, t in corpus), 32)
     model_cfg = ModelConfig(kind="transformer", d_model=8, n_layers=1,
                             vocab_size=vocab.size, max_seq_len=8, n_heads=2)
-    settings = TrainSettings(phase="classify", batch_size=8, max_seq_len=8,
-                             local_epochs=local_epochs, lr=0.01, masking=MaskingConfig())
+    settings = TrainSettings(phase="classify", batch_size=8, max_seq_len=8, masking=MaskingConfig())
     cfg = ClientTrainConfig(
         model_config=model_cfg, vocab=vocab, settings=settings,
         batch_seed=11, shard_provider=lambda cid: corpus,
