@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 runtime failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from .protocol.client import FlClient
 from .protocol.fedavg import ProtocolError
 from .tensor import UsageError
 from .transport.tcp import connect
-from .experiment.config import ExperimentConfig, config_from_dict, config_to_dict, load_config
+from .experiment.config import ExperimentConfig, load_config
 from .experiment.federated import tcp_client_loop
 from .experiment.metrics import MetricsRecord, emit_metrics, parse_metrics
 from .experiment.runner import (
@@ -48,10 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output corpus path")
     gen.add_argument("--n", type=int, default=10000, help="number of records")
     gen.add_argument("--seed", type=int, default=1)
-    gen.add_argument("--min-len", type=int, default=16)
-    gen.add_argument("--max-len", type=int, default=64)
-    gen.add_argument("--prevalence", type=float, default=0.21)
-    gen.add_argument("--label-noise", type=float, default=0.05)
+    gen.add_argument("--min-len", type=int, default=CorpusParams.min_len)
+    gen.add_argument("--max-len", type=int, default=CorpusParams.max_len)
+    gen.add_argument("--prevalence", type=float, default=CorpusParams.prevalence)
+    gen.add_argument("--label-noise", type=float, default=CorpusParams.label_noise)
 
     def add_run_args(p, addr=True):
         p.add_argument("--config", required=True, help="JSON experiment config")
@@ -148,7 +149,7 @@ def cmd_serve(args) -> int:
             "one serve per phase ('pretrain_mlm', then 'finetune_classify' with "
             "pretrained_params_path) or 'flnp run --transport tcp'"
         )
-    cfg_tcp = config_from_dict({**config_to_dict(cfg), "transport": "tcp"})
+    cfg_tcp = dataclasses.replace(cfg, transport="tcp")
     os.makedirs(cfg_tcp.out_dir, exist_ok=True)
     _write_results(cfg_tcp.out_dir, run_experiment(cfg_tcp, tcp_clients="external"))
     return EXIT_OK
@@ -182,9 +183,7 @@ def cmd_compare(args) -> int:
                 table[(mode, model)] = _final_accuracy(parse_metrics(csv_path))
                 continue
             if model != "lstm" and os.path.exists(pretrain_artifact):
-                cell_cfg = config_from_dict(
-                    {**config_to_dict(cell_cfg), "pretrained_params_path": pretrain_artifact}
-                )
+                cell_cfg = dataclasses.replace(cell_cfg, pretrained_params_path=pretrain_artifact)
             result = run_experiment(cell_cfg)[-1]
             emit_metrics(result.records, csv_path)
             table[(mode, model)] = _final_accuracy(result.records)
@@ -197,9 +196,8 @@ def cmd_compare(args) -> int:
 
 
 def _cell_config(base: ExperimentConfig, mode: str, model: str, phase: str) -> ExperimentConfig:
-    data = config_to_dict(base)
-    data.update({"mode": mode, "model": model, "phase": phase, "run_id": f"compare-{model}-{mode}"})
-    return config_from_dict(data)
+    return dataclasses.replace(base, mode=mode, model=model, phase=phase,
+                               run_id=f"compare-{model}-{mode}")
 
 
 def _final_accuracy(records: list[MetricsRecord]) -> float:

@@ -26,10 +26,9 @@ class PartitionSpec:
         if self.n_clients < 1:
             raise ConfigError(f"n_clients must be >= 1, got {self.n_clients}")
         if self.mode in ("imbalanced", "small"):
-            if len(self.ratios) != self.n_clients:
-                raise ConfigError(
-                    f"{len(self.ratios)} ratios for {self.n_clients} clients"
-                )
+            n_ratios = len(self.ratios or ())  # null in a config is no ratios
+            if n_ratios != self.n_clients:
+                raise ConfigError(f"{n_ratios} ratios for {self.n_clients} clients")
             if any(r <= 0.0 for r in self.ratios):
                 raise ConfigError("every ratio must be positive")
             if abs(sum(self.ratios) - 1.0) > 1e-9:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..data import IMBALANCED_RATIOS, MaskingConfig, PartitionSpec
+from ..data import CorpusParams, MaskingConfig, PartitionSpec
 from ..models import preset
 from ..models.config import ConfigError, ModelConfig
 
@@ -36,10 +36,10 @@ class DataConfig:
     source: str = "synthetic"  # synthetic | file
     path: str | None = None
     n_records: int = 2000
-    min_len: int = 16
-    max_len: int = 64
-    prevalence: float = 0.21
-    label_noise: float = 0.05
+    min_len: int = CorpusParams.min_len
+    max_len: int = CorpusParams.max_len
+    prevalence: float = CorpusParams.prevalence
+    label_noise: float = CorpusParams.label_noise
     vocab_max_size: int = 2000
     val_fraction: float = 0.1
 
@@ -53,26 +53,11 @@ class DataConfig:
 
 
 @dataclass(frozen=True)
-class PartitionConfig:
-    n_clients: int = 8
-    mode: str = "balanced"  # balanced | imbalanced | small
-    ratios: tuple[float, ...] | None = None
-
-    def spec(self) -> PartitionSpec:
-        ratios = self.ratios
-        if ratios is None:
-            ratios = IMBALANCED_RATIOS if self.n_clients == 8 else tuple(
-                [1.0 / self.n_clients] * self.n_clients
-            )
-        return PartitionSpec(n_clients=self.n_clients, mode=self.mode, ratios=tuple(ratios))
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     mode: str = "federated"
     phase: str = "pretrain_mlm"
     model: str = "bert_mini"
-    partition: PartitionConfig = field(default_factory=PartitionConfig)
+    partition: PartitionSpec = field(default_factory=PartitionSpec)
     rounds: int = 10
     local_epochs: int = 1
     batch_size: int = 32
@@ -167,7 +152,7 @@ def _build(cls, value: Any):
 
 
 _DATACLASS_FIELDS = {
-    (ExperimentConfig, "partition"): PartitionConfig,
+    (ExperimentConfig, "partition"): PartitionSpec,
     (ExperimentConfig, "seeds"): Seeds,
     (ExperimentConfig, "data"): DataConfig,
     (ExperimentConfig, "masking"): MaskingConfig,

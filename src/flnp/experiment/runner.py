@@ -104,7 +104,7 @@ def build_dataset(cfg: ExperimentConfig) -> DatasetBundle:
     n_val = max(1, int(round(cfg.data.val_fraction * len(shuffled))))
     global_val = shuffled[:n_val]
     pool = shuffled[n_val:]
-    shards = partition(pool, cfg.partition.spec(), seed=prng.child_seed(1))
+    shards = partition(pool, cfg.partition, seed=prng.child_seed(1))
     return DatasetBundle(vocab=vocab, shards=shards, global_val=global_val)
 
 

@@ -14,7 +14,7 @@ from .messages import (
     RoundPlan,
     Shutdown,
 )
-from .fedavg import ClientUpdate, ProtocolError, aggregate
+from .fedavg import ProtocolError, aggregate
 
 __all__ = [
     "ErrorMsg",
@@ -26,7 +26,6 @@ __all__ = [
     "RoundComplete",
     "RoundPlan",
     "Shutdown",
-    "ClientUpdate",
     "ProtocolError",
     "aggregate",
 ]

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..params import ParameterSet
 from ..tensor import UsageError
+from .messages import LocalUpdate
 
 
 class ProtocolError(RuntimeError):
@@ -19,16 +18,7 @@ class ProtocolError(RuntimeError):
         self.detail = detail
 
 
-@dataclass(frozen=True)
-class ClientUpdate:
-    client_id: int
-    round: int
-    params: ParameterSet
-    n_samples: int
-    local_metrics: dict[str, float] = field(default_factory=dict)
-
-
-def aggregate(updates: list[ClientUpdate]) -> ParameterSet:
+def aggregate(updates: list[LocalUpdate]) -> ParameterSet:
     """Mean of the updates' parameters, each weighted by its n_samples.
 
     Evaluated in client-id-sorted order as a baseline plus weighted

@@ -25,7 +25,7 @@ import numpy as np
 from ..params import ParameterSet
 from ..rng import Rng
 from ..transport.codec import sign, verify_auth
-from .fedavg import ClientUpdate, ProtocolError, aggregate
+from .fedavg import ProtocolError, aggregate
 from .messages import (
     ErrorMsg,
     FlMessage,
@@ -75,7 +75,7 @@ class FlServer:
         self._validate_fn = validate_fn
         self._slots: dict[int, _ClientSlot] = {}  # conn -> slot
         self._names: set[str] = set()
-        self._pending: dict[int, ClientUpdate] = {}
+        self._pending: dict[int, LocalUpdate] = {}
 
     # -- driver surface ------------------------------------------------
 
@@ -161,13 +161,7 @@ class FlServer:
                 f"client {slot.client_id} sent NaN or inf in '{bad}' in round {self.round}",
             )
 
-        self._pending[slot.client_id] = ClientUpdate(
-            client_id=slot.client_id,
-            round=msg.round,
-            params=msg.params,
-            n_samples=msg.n_samples,
-            local_metrics=dict(msg.local_metrics),
-        )
+        self._pending[slot.client_id] = msg
         if len(self._pending) < self.config.n_clients:
             return []
         return self._finish_round()

@@ -10,8 +10,6 @@ from .codec import (
     compute_auth_tag,
     decode_message,
     encode_message,
-    encode_parameter_set,
-    decode_parameter_set,
     sign,
     verify_auth,
 )
@@ -27,8 +25,6 @@ __all__ = [
     "compute_auth_tag",
     "decode_message",
     "encode_message",
-    "encode_parameter_set",
-    "decode_parameter_set",
     "sign",
     "verify_auth",
     "TcpConnection",

@@ -7,14 +7,17 @@ decoded set equals the sent one bit for bit. Every message body ends with a
 u32 auth tag; 0 means unsigned, otherwise it is CRC-32 over the session
 key followed by the body bytes.
 
-A body is encoded as a list of chunks: small fields are packed, and each
-tensor's values are its set's own float32 array, referenced rather than
-copied. Signing, verifying and framing all stream over those chunks, so
-no body is joined except once into the outgoing frame.
+`BODY_LAYOUT` is the one statement of each body's fields in wire order;
+the encoder and the decoder both walk it. A body is encoded as a list of
+chunks: small fields are packed, and each tensor's values are its set's
+own float32 array, referenced rather than copied. Signing, verifying and
+framing all stream over those chunks, so no body is joined except once
+into the outgoing frame.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -46,197 +49,114 @@ MSG_CODES: dict[type, int] = {
 }
 _CODE_TO_TYPE = {v: k for k, v in MSG_CODES.items()}
 
+# (field, encoding) pairs in wire order. An encoding is a name below or a
+# dataclass, whose own entry is laid out in place. auth_tag is not a body
+# field: it trails the body.
+BODY_LAYOUT: dict[type, tuple[tuple[str, object], ...]] = {
+    Hello: (("client_name", "str"), ("auth_token", "str")),
+    Provisioned: (("client_id", "u32"), ("session_key", "blob"), ("round_plan", RoundPlan)),
+    GlobalModel: (("round", "u32"), ("local_epochs", "u32"), ("lr", "f64"), ("params", "params")),
+    LocalUpdate: (
+        ("client_id", "u32"),
+        ("round", "u32"),
+        ("n_samples", "u64"),
+        ("local_metrics", "metrics"),
+        ("params", "params"),
+    ),
+    RoundComplete: (("round", "u32"), ("global_metrics", "metrics")),
+    Shutdown: (("reason", "str"),),
+    ErrorMsg: (("code", "str"), ("detail", "str")),
+    RoundPlan: (("rounds", "u32"), ("local_epochs", "u32"), ("lr", "f64")),
+}
 
-class _Writer:
-    def __init__(self) -> None:
-        self.chunks: list = []  # bytes and other contiguous buffers, in order
+_FIXED = {name: struct.Struct("<" + c) for name, c in
+          (("u8", "B"), ("u16", "H"), ("u32", "I"), ("u64", "Q"), ("f64", "d"))}
 
-    def u8(self, v: int) -> None:
-        self.chunks.append(struct.pack("<B", v))
 
-    def u16(self, v: int) -> None:
-        self.chunks.append(struct.pack("<H", v))
-
-    def u32(self, v: int) -> None:
-        self.chunks.append(struct.pack("<I", v))
-
-    def u64(self, v: int) -> None:
-        self.chunks.append(struct.pack("<Q", v))
-
-    def f64(self, v: float) -> None:
-        self.chunks.append(struct.pack("<d", v))
-
-    def raw(self, b) -> None:
-        """Append any contiguous buffer (bytes, memoryview, numpy array)."""
-        self.chunks.append(b)
-
-    def string(self, s: str) -> None:
-        b = s.encode("utf-8")
+def _put(chunks: list, kind, value) -> None:
+    """Append `value` encoded as `kind` to `chunks`, tensors by reference."""
+    if kind in _FIXED:
+        chunks.append(_FIXED[kind].pack(value))
+    elif kind in ("str", "blob"):
+        b = value.encode("utf-8") if kind == "str" else value
         if len(b) > 0xFFFF:
-            raise ValueError(f"string of {len(b)} bytes exceeds the u16 length field")
-        self.u16(len(b))
-        self.raw(b)
-
-    def blob(self, b: bytes) -> None:
-        if len(b) > 0xFFFF:
-            raise ValueError("blob exceeds the u16 length field")
-        self.u16(len(b))
-        self.raw(b)
-
-    def metrics(self, values: dict[str, float]) -> None:
-        self.u16(len(values))
-        for name in sorted(values):
-            self.string(name)
-            self.f64(float(values[name]))
-
-    def getvalue(self) -> bytes:
-        return b"".join(self.chunks)
+            raise ValueError(f"{kind} of {len(b)} bytes exceeds the u16 length field")
+        _put(chunks, "u16", len(b))
+        chunks.append(b)
+    elif kind == "metrics":
+        _put(chunks, "u16", len(value))
+        for name in sorted(value):
+            _put(chunks, "str", name)
+            _put(chunks, "f64", float(value[name]))
+    elif kind == "params":
+        _put(chunks, "u32", len(value))
+        for name, values in value.items():
+            _put(chunks, "str", name)
+            if values.ndim > 0xFF:
+                raise ValueError("tensor rank exceeds the u8 field")
+            chunks += (struct.pack(f"<B{values.ndim}I", values.ndim, *values.shape), values)
+    else:
+        for name, sub in BODY_LAYOUT[kind]:
+            _put(chunks, sub, getattr(value, name))
 
 
 class _Reader:
-    """Reads fields from a buffer; bulk fields are zero-copy memoryviews."""
+    """Decodes `BODY_LAYOUT` encodings; tensors are views of the buffer, not copies."""
 
     def __init__(self, data) -> None:
         self._data = memoryview(data)
         self._pos = 0
 
     def take(self, n: int) -> memoryview:
-        if n < 0 or self._pos + n > len(self._data):
+        if self._pos + n > len(self._data):
             raise DecodeError("bad_payload", "field runs past the end of the body")
         out = self._data[self._pos : self._pos + n]
         self._pos += n
         return out
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
+    def read(self, kind):
+        if kind in _FIXED:
+            return _FIXED[kind].unpack(self.take(_FIXED[kind].size))[0]
+        if kind == "str":
+            try:
+                return str(self.take(self.read("u16")), "utf-8")
+            except UnicodeDecodeError:
+                raise DecodeError("bad_payload", "invalid UTF-8 in string field") from None
+        if kind == "blob":
+            return bytes(self.take(self.read("u16")))
+        if kind == "metrics":
+            return {self.read("str"): self.read("f64") for _ in range(self.read("u16"))}
+        if kind == "params":
+            return self._params()
+        return kind(**{name: self.read(sub) for name, sub in BODY_LAYOUT[kind]})
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
-
-    def string(self) -> str:
-        n = self.u16()
+    def _params(self) -> ParameterSet:
+        items: list[tuple[str, np.ndarray]] = []
+        for _ in range(self.read("u32")):
+            name = self.read("str")
+            shape = tuple(self.read("u32") for _ in range(self.read("u8")))
+            values = np.frombuffer(self.take(4 * math.prod(shape)), dtype=WIRE_DTYPE)
+            items.append((name, values.reshape(shape)))
         try:
-            return str(self.take(n), "utf-8")
-        except UnicodeDecodeError:
-            raise DecodeError("bad_payload", "invalid UTF-8 in string field") from None
+            return ParameterSet._adopt_wire(items)
+        except ValueError as exc:
+            raise DecodeError("bad_payload", str(exc)) from None
 
-    def blob(self) -> bytes:
-        return bytes(self.take(self.u16()))
-
-    def metrics(self) -> dict[str, float]:
-        return {self.string(): self.f64() for _ in range(self.u16())}
-
-    def done(self) -> bool:
-        return self._pos == len(self._data)
-
-
-def encode_parameter_set(w: _Writer, ps: ParameterSet) -> None:
-    w.u32(len(ps))
-    for name, values in ps.items():
-        w.string(name)
-        if values.ndim > 0xFF:
-            raise ValueError("tensor rank exceeds the u8 field")
-        w.u8(values.ndim)
-        for dim in values.shape:
-            w.u32(dim)
-        w.raw(values)
-
-
-def decode_parameter_set(r: _Reader) -> ParameterSet:
-    """Set whose arrays are views of the received bytes, not copies."""
-    count = r.u32()
-    items: list[tuple[str, np.ndarray]] = []
-    for _ in range(count):
-        name = r.string()
-        rank = r.u8()
-        shape = tuple(r.u32() for _ in range(rank))
-        n = 1
-        for dim in shape:
-            n *= dim
-        items.append((name, np.frombuffer(r.take(4 * n), dtype=WIRE_DTYPE).reshape(shape)))
-    try:
-        return ParameterSet._adopt_wire(items)
-    except ValueError as exc:
-        raise DecodeError("bad_payload", str(exc)) from None
+    def read_all(self, kind, what: str):
+        """`kind` decoded from the whole buffer, with no bytes left over."""
+        value = self.read(kind)
+        if self._pos != len(self._data):
+            raise DecodeError("bad_payload", f"unconsumed bytes after the {what}")
+        return value
 
 
 def _encode_body(msg: FlMessage) -> list:
     """The body as a list of buffers, in wire order."""
-    w = _Writer()
-    if isinstance(msg, Hello):
-        w.string(msg.client_name)
-        w.string(msg.auth_token)
-    elif isinstance(msg, Provisioned):
-        w.u32(msg.client_id)
-        w.blob(msg.session_key)
-        w.u32(msg.round_plan.rounds)
-        w.u32(msg.round_plan.local_epochs)
-        w.f64(msg.round_plan.lr)
-    elif isinstance(msg, GlobalModel):
-        w.u32(msg.round)
-        w.u32(msg.local_epochs)
-        w.f64(msg.lr)
-        encode_parameter_set(w, msg.params)
-    elif isinstance(msg, LocalUpdate):
-        w.u32(msg.client_id)
-        w.u32(msg.round)
-        w.u64(msg.n_samples)
-        w.metrics(msg.local_metrics)
-        encode_parameter_set(w, msg.params)
-    elif isinstance(msg, RoundComplete):
-        w.u32(msg.round)
-        w.metrics(msg.global_metrics)
-    elif isinstance(msg, Shutdown):
-        w.string(msg.reason)
-    elif isinstance(msg, ErrorMsg):
-        w.string(msg.code)
-        w.string(msg.detail)
-    else:
+    if type(msg) not in MSG_CODES:
         raise TypeError(f"not a protocol message: {type(msg).__name__}")
-    return w.chunks
-
-
-def _decode_body(code: int, body) -> FlMessage:
-    r = _Reader(body)
-    cls = _CODE_TO_TYPE.get(code)
-    if cls is None:
-        raise DecodeError("unknown_type", str(code))
-    if cls is Hello:
-        msg: FlMessage = Hello(client_name=r.string(), auth_token=r.string())
-    elif cls is Provisioned:
-        msg = Provisioned(
-            client_id=r.u32(),
-            session_key=r.blob(),
-            round_plan=RoundPlan(rounds=r.u32(), local_epochs=r.u32(), lr=r.f64()),
-        )
-    elif cls is GlobalModel:
-        msg = GlobalModel(round=r.u32(), local_epochs=r.u32(), lr=r.f64(), params=decode_parameter_set(r))
-    elif cls is LocalUpdate:
-        msg = LocalUpdate(
-            client_id=r.u32(),
-            round=r.u32(),
-            n_samples=r.u64(),
-            local_metrics=r.metrics(),
-            params=decode_parameter_set(r),
-        )
-    elif cls is RoundComplete:
-        msg = RoundComplete(round=r.u32(), global_metrics=r.metrics())
-    elif cls is Shutdown:
-        msg = Shutdown(reason=r.string())
-    else:
-        msg = ErrorMsg(code=r.string(), detail=r.string())
-    if not r.done():
-        raise DecodeError("bad_payload", "unconsumed bytes after the message body")
-    return msg
+    chunks: list = []
+    _put(chunks, type(msg), msg)
+    return chunks
 
 
 def encode_message(msg: FlMessage) -> bytes:
@@ -254,24 +174,23 @@ def decode_message(data, max_payload: int = DEFAULT_MAX_PAYLOAD) -> FlMessage:
     code, payload = parse_frame(data, max_payload=max_payload)
     if len(payload) < 4:
         raise DecodeError("bad_payload", "payload too short for the auth tag")
-    msg = _decode_body(code, payload[:-4])
+    msg_type = _CODE_TO_TYPE.get(code)
+    if msg_type is None:
+        raise DecodeError("unknown_type", str(code))
+    msg = _Reader(payload[:-4]).read_all(msg_type, "message body")
     (tag,) = struct.unpack_from("<I", payload, len(payload) - 4)
     return with_tag(msg, tag) if tag else msg
 
 
 def parameter_set_to_bytes(ps: ParameterSet) -> bytes:
     """Standalone wire encoding of a parameter set (values at float32)."""
-    w = _Writer()
-    encode_parameter_set(w, ps)
-    return w.getvalue()
+    chunks: list = []
+    _put(chunks, "params", ps)
+    return b"".join(chunks)
 
 
 def parameter_set_from_bytes(data) -> ParameterSet:
-    r = _Reader(data)
-    ps = decode_parameter_set(r)
-    if not r.done():
-        raise DecodeError("bad_payload", "unconsumed bytes after the parameter set")
-    return ps
+    return _Reader(data).read_all("params", "parameter set")
 
 
 def compute_auth_tag(session_key: bytes, msg: FlMessage) -> int:

@@ -120,6 +120,16 @@ def test_removed_setting_is_refused(tmp_path, capsys, setting):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("partition, error", [
+    ({"n_clients": 4, "mode": "imbalanced"}, "8 ratios for 4 clients"),
+    ({"n_clients": 4, "mode": "small"}, "8 ratios for 4 clients"),
+    ({"n_clients": 8, "mode": "imbalanced", "ratios": None}, "0 ratios for 8 clients"),
+])
+def test_uneven_partition_without_ratios_is_refused(tmp_path, capsys, partition, error):
+    assert cli_main(["run", "--config", base_config(tmp_path, partition=partition)]) == 2
+    assert error in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli_main(["run", "--config", str(tmp_path / "none.json")]) == 2
 

@@ -1,7 +1,7 @@
 import hashlib
 import struct
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,12 @@ from flnp.transport import (
     sign,
     verify_auth,
 )
-from flnp.transport.codec import parameter_set_from_bytes, parameter_set_to_bytes
+from flnp.transport.codec import (
+    BODY_LAYOUT,
+    MSG_CODES,
+    parameter_set_from_bytes,
+    parameter_set_to_bytes,
+)
 from flnp.transport.frame import build_frame
 
 # every byte hand-verified: magic "FLNP", version 1 (LE u16), type 6,
@@ -66,6 +71,23 @@ def _random_message(rng: Rng):
     if pick == 5:
         return Shutdown(reason="done" if rng.random() < 0.5 else "")
     return ErrorMsg(code="auth_failed", detail="nope")
+
+
+class TestLayout:
+    def test_layout_names_every_body_field_once(self):
+        # a field missing here would never cross the wire and decode as its default
+        assert set(BODY_LAYOUT) == {*MSG_CODES, RoundPlan}
+        for cls, layout in BODY_LAYOUT.items():
+            names = [f.name for f in fields(cls) if f.name != "auth_tag"]
+            assert sorted(name for name, _ in layout) == sorted(names), cls.__name__
+
+    def test_str_and_blob_longer_than_their_u16_length_are_refused(self):
+        plan = RoundPlan(rounds=1, local_epochs=1, lr=0.1)
+        for msg in (Hello(client_name="x" * 0x10000, auth_token="t"),
+                    Provisioned(client_id=1, session_key=bytes(0x10000), round_plan=plan)):
+            with pytest.raises(ValueError, match="exceeds the u16 length field"):
+                encode_message(msg)
+        assert decode_message(encode_message(Hello(client_name="x" * 0xFFFF, auth_token="")))
 
 
 class TestGolden:

@@ -5,7 +5,6 @@ from flnp.data import MaskingConfig, build_vocab
 from flnp.models import ModelConfig, init_model
 from flnp.params import ParameterSet
 from flnp.protocol import (
-    ClientUpdate,
     ErrorMsg,
     GlobalModel,
     Hello,
@@ -28,7 +27,7 @@ def _params(values) -> ParameterSet:
 
 
 def _update(cid, values, n, rnd=1):
-    return ClientUpdate(client_id=cid, round=rnd, params=_params(values), n_samples=n)
+    return LocalUpdate(client_id=cid, round=rnd, params=_params(values), n_samples=n)
 
 
 class TestAggregate:
@@ -68,7 +67,7 @@ class TestAggregate:
             for cid in range(8):
                 vals = rng.normal(0, 1, (3, 2))
                 n = 1 + int(rng.integers(500))
-                updates.append(ClientUpdate(cid, 1, ParameterSet([("a", vals)]), n))
+                updates.append(LocalUpdate(cid, 1, ParameterSet([("a", vals)]), n))
                 counts.append(n)
             out = aggregate(updates)
             total = sum(counts)
@@ -86,7 +85,7 @@ class TestAggregate:
 
     def test_manifest_mismatch_rejected(self):
         a = _update(0, [1.0], 1)
-        b = ClientUpdate(1, 1, ParameterSet([("asdf", np.zeros(1))]), 1)
+        b = LocalUpdate(1, 1, ParameterSet([("asdf", np.zeros(1))]), 1)
         with pytest.raises(ProtocolError) as err:
             aggregate([a, b])
         assert err.value.code == "manifest_mismatch"
