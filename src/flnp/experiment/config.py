@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 from ..data import CorpusParams, MaskingConfig, PartitionSpec
 from ..models import preset
@@ -130,12 +131,44 @@ class ExperimentConfig:
         return host, int(port)
 
 
+def _is_number(raw: Any) -> bool:
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
+def _scalar(cls, key: str, hint: Any, raw: Any):
+    """`raw` as field `key` of `cls` holds it; ConfigError if its JSON type does not fit.
+
+    An int is no bool, a float may be an int, and a tuple holds numbers;
+    null is accepted where the field allows None, and is the empty tuple.
+    """
+    options = get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    if raw is None and type(None) in options:
+        return None
+    hint = options[0]
+    if get_origin(hint) is tuple:
+        if raw is None:
+            return ()
+        if isinstance(raw, list) and all(_is_number(x) for x in raw):
+            return tuple(raw)
+        wanted = "a list of numbers"
+    elif hint is float:
+        if _is_number(raw):
+            return raw
+        wanted = "a number"
+    elif isinstance(raw, hint) and not (hint is int and isinstance(raw, bool)):
+        return raw
+    else:
+        wanted = {int: "an integer", bool: "true or false", str: "a string"}[hint]
+    raise ConfigError(f"{cls.__name__}.{key} must be {wanted}, got {json.dumps(raw)}")
+
+
 def _build(cls, value: Any):
     """Recursively construct a (frozen) dataclass tree from plain JSON data."""
     if value is None or not dataclasses.is_dataclass(cls):
         return value
     if not isinstance(value, dict):
         raise ConfigError(f"expected an object for {cls.__name__}, got {type(value).__name__}")
+    hints = get_type_hints(cls)
     known = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, raw in value.items():
@@ -144,10 +177,8 @@ def _build(cls, value: Any):
         target = _DATACLASS_FIELDS.get((cls, key))
         if target is not None:
             kwargs[key] = _build(target, raw)
-        elif isinstance(raw, list):
-            kwargs[key] = tuple(raw)
         else:
-            kwargs[key] = raw
+            kwargs[key] = _scalar(cls, key, hints[key], raw)
     return cls(**kwargs)
 
 

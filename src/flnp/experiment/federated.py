@@ -5,14 +5,17 @@ machine: it takes the next inbound (conn, message) from the transport,
 hands it to `server.handle` and sends what comes back. `TcpServer` feeds
 it from socket reader threads, with clients as in-process threads or
 separate OS processes running `tcp_client_loop`. `ChannelServer` offers
-the same surface in process: it runs each client's `handle` inline as a
-message is sent, so a whole session is one deterministic single-threaded
-schedule, and a channel run equals a TCP run bit for bit.
+the same surface in process: it hands each sent message to a pool of
+worker threads, so clients train concurrently as they do over TCP, and
+`recv` returns the replies in the order their messages were sent. The
+server therefore sees one deterministic order whatever order the threads
+finish in, and a channel run equals a TCP run bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 from ..protocol.client import FlClient
 from ..protocol.fedavg import ProtocolError
@@ -24,39 +27,69 @@ from ..transport.tcp import ConnectionClosed, TcpConnection
 class ChannelServer:
     """In-process delivery with the server-side surface of `TcpServer`, `recv` and `send`.
 
-    Each client's hello is queued on construction. With a drop policy every
-    message, either way, consults `drop_rng`; a dropped message closes its
-    link, so the server sees a disconnect and aborts deterministically.
+    Each client's hello is queued on construction. `send` hands the message
+    to one of `workers` threads; a client handles one message at a time, in
+    the order it was sent. `recv` waits for the replies in send order, and
+    an exception raised by a client's `handle` surfaces there. With a drop
+    policy every sent message consults `drop_rng` in `send`, and every reply
+    in `recv`, in inbox order; a dropped message closes its link, so the
+    server sees a disconnect and aborts deterministically. `close` cancels
+    queued work and waits for running work.
     """
 
-    def __init__(self, clients: list[FlClient], drop_rng: Rng | None = None,
-                 drop_prob: float = 0.0) -> None:
+    def __init__(self, clients: list[FlClient], workers: int = 1,
+                 drop_rng: Rng | None = None, drop_prob: float = 0.0) -> None:
         self._clients = clients
         self._drop_rng = drop_rng
         self._drop_prob = drop_prob
         self._closed: set[int] = set()
-        self._inbox = deque((conn, client.hello()) for conn, client in enumerate(clients))
+        self._closing = False
+        self._pool = ThreadPoolExecutor(workers, thread_name_prefix="flnp-channel")
+        self._last: dict[int, Future] = {}  # each client's latest message
+        # a message, or a Future of the replies to a sent one
+        self._inbox: deque = deque((conn, client.hello()) for conn, client in enumerate(clients))
 
     def _dropped(self) -> bool:
         return self._drop_rng is not None and self._drop_rng.random() < self._drop_prob
 
     def recv(self) -> tuple[int, object]:
         """Next (conn, message), or (conn, None) for a link that closed."""
-        if not self._inbox:
-            raise ProtocolError("incomplete", "run stalled: no client has a message pending")
-        return self._inbox.popleft()
+        while self._inbox:
+            conn, item = self._inbox.popleft()
+            if not isinstance(item, Future):
+                return conn, item
+            if conn in self._closed:
+                continue  # sent before its link closed
+            replies = []
+            for reply in item.result():
+                if self._dropped():
+                    self._closed.add(conn)
+                    replies.append((conn, None))
+                    break
+                replies.append((conn, reply))
+            self._inbox.extendleft(reversed(replies))
+        raise ProtocolError("incomplete", "run stalled: no client has a message pending")
 
     def send(self, conn: int, msg) -> None:
-        """Deliver `msg` to client `conn` and queue its replies."""
+        """Queue `msg` for client `conn`; its replies arrive through `recv`."""
         if conn in self._closed or self._dropped():
             self._closed.add(conn)
             raise ConnectionClosed(f"link {conn} is closed")
-        for reply in self._clients[conn].handle(msg):
-            if self._dropped():
-                self._closed.add(conn)
-                self._inbox.append((conn, None))
-                return
-            self._inbox.append((conn, reply))
+        job = self._pool.submit(self._handle, conn, msg, self._last.get(conn))
+        self._last[conn] = job
+        self._inbox.append((conn, job))
+
+    def _handle(self, conn: int, msg, previous: Future | None) -> list:
+        if previous is not None:
+            # submitted earlier, so already taken by a worker: this waits, never deadlocks
+            wait([previous])
+        if self._closing:
+            return []  # closed while this message waited its turn
+        return list(self._clients[conn].handle(msg))
+
+    def close(self) -> None:
+        self._closing = True
+        self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 def drive(server: FlServer, transport) -> None:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+from ..blas import blas_threads, session_budget
 from ..data import Vocabulary, build_vocab, gen_synthetic_corpus, load_corpus, partition
 from ..data.corpus import CorpusParams, Record
 from ..models import build_model, init_model
@@ -154,6 +155,9 @@ def run_local(cfg: ExperimentConfig, bundle: DatasetBundle, inits: list[Paramete
     Centralized runs trainer 0 on the pooled shards under scope `global`;
     standalone runs trainer k on shard k under scope `client_k`. `inits`
     holds one initial parameter set per trainer, or one that all start from.
+    The trainers run one after another under the budget of a one-client
+    session, so a one-client federated run computes with the same BLAS
+    thread count as the centralized run.
     """
     if cfg.mode == "centralized":
         config = train_config(cfg, bundle, lambda _: bundle.pooled)
@@ -167,22 +171,24 @@ def run_local(cfg: ExperimentConfig, bundle: DatasetBundle, inits: list[Paramete
     row = partial(MetricsRecord, cfg.derived_run_id(), cfg.mode, cfg.model)
     records: list[MetricsRecord] = []
     finals: dict[str, ParameterSet] = {}
-    for k, (scope, init) in enumerate(zip(scopes, inits)):
-        trainer = LocalTrainer(config, k)
-        params = init
-        trainer.load(params)
-        t0 = time.perf_counter()
-        loss, top1 = evaluate(trainer.model, val_batches)
-        records.append(row(0, scope, "validation", loss, top1, _ms_since(t0)))
-        for rnd in range(1, cfg.rounds + 1):
+    _, budget = session_budget(1)  # one trainer at a time
+    with blas_threads(budget):
+        for k, (scope, init) in enumerate(zip(scopes, inits)):
+            trainer = LocalTrainer(config, k)
+            params = init
+            trainer.load(params)
             t0 = time.perf_counter()
-            train_loss, train_top1 = trainer.train_round(rnd, cfg.local_epochs, cfg.lr)
-            params = trainer.export()
-            val_loss, val_top1 = evaluate(trainer.model, val_batches)
-            elapsed = _ms_since(t0)
-            records.append(row(rnd, scope, "train", train_loss, train_top1, elapsed))
-            records.append(row(rnd, scope, "validation", val_loss, val_top1, elapsed))
-        finals[scope] = params
+            loss, top1 = evaluate(trainer.model, val_batches)
+            records.append(row(0, scope, "validation", loss, top1, _ms_since(t0)))
+            for rnd in range(1, cfg.rounds + 1):
+                t0 = time.perf_counter()
+                train_loss, train_top1 = trainer.train_round(rnd, cfg.local_epochs, cfg.lr)
+                params = trainer.export()
+                val_loss, val_top1 = evaluate(trainer.model, val_batches)
+                elapsed = _ms_since(t0)
+                records.append(row(rnd, scope, "train", train_loss, train_top1, elapsed))
+                records.append(row(rnd, scope, "validation", val_loss, val_top1, elapsed))
+            finals[scope] = params
     return RunResult(run_id=cfg.derived_run_id(), records=records, finals=finals)
 
 
@@ -194,91 +200,101 @@ def run_federated(
 ) -> RunResult:
     """FedAvg rounds of `cfg`'s phase over the channel or TCP.
 
-    Both deliveries run the same `drive` loop. Over TCP the clients run as
-    threads, as `flnp client` subprocesses reading this phase's config from
+    Both deliveries run the same `drive` loop, and the whole session runs
+    under one compute budget (`flnp.blas.session_budget`): the channel
+    trains `workers` clients at once, and every client, thread or process,
+    gets `budget` BLAS threads. Over TCP the clients run as threads, as
+    `flnp client` subprocesses reading this phase's config from
     `out_dir/<run_id>-config.json`, or (external) as remote processes the
     server waits for. Spawned client processes are killed and reaped if the
     run fails.
     """
-    config = train_config(cfg, bundle)
-    model_cfg, model_mode = config.model_config, config.settings.phase
-    val_batches = _val_batches(cfg, bundle, config.settings)
-    init = init_params or _initial_params(cfg, bundle)
     n_clients = len(bundle.shards)
+    workers, budget = session_budget(n_clients)
+    with blas_threads(budget):
+        config = train_config(cfg, bundle)
+        model_cfg, model_mode = config.model_config, config.settings.phase
+        val_batches = _val_batches(cfg, bundle, config.settings)
+        init = init_params or _initial_params(cfg, bundle)
 
-    round_times: list[float] = []
-    last_mark = [time.perf_counter()]
+        round_times: list[float] = []
+        last_mark = [time.perf_counter()]
 
-    def validate_fn(ps: ParameterSet) -> dict[str, float]:
-        round_times.append(_ms_since(last_mark[0]))
-        model = build_model(model_cfg, model_mode, ps)
-        loss, top1 = evaluate(model, val_batches)
+        def validate_fn(ps: ParameterSet) -> dict[str, float]:
+            round_times.append(_ms_since(last_mark[0]))
+            model = build_model(model_cfg, model_mode, ps)
+            loss, top1 = evaluate(model, val_batches)
+            last_mark[0] = time.perf_counter()
+            return {"val_loss": loss, "val_top1_accuracy": top1}
+
+        server_cfg = ServerConfig(
+            n_clients=n_clients,
+            rounds=cfg.rounds,
+            local_epochs=cfg.local_epochs,
+            lr=cfg.lr,
+            auth_token=cfg.auth_token,
+        )
+        server = FlServer(
+            init_params=init,
+            config=server_cfg,
+            session_rng=Rng(cfg.seeds.init).split(SESSION_KEY_STREAM),
+            validate_fn=validate_fn,
+        )
+
+        row = partial(MetricsRecord, cfg.derived_run_id(), cfg.mode, cfg.model)
+        t0 = time.perf_counter()
+        loss0, top10 = evaluate(build_model(model_cfg, model_mode, init), val_batches)
+        records = [row(0, "global", "validation", loss0, top10, _ms_since(t0))]
         last_mark[0] = time.perf_counter()
-        return {"val_loss": loss, "val_top1_accuracy": top1}
 
-    server_cfg = ServerConfig(
-        n_clients=n_clients,
-        rounds=cfg.rounds,
-        local_epochs=cfg.local_epochs,
-        lr=cfg.lr,
-        auth_token=cfg.auth_token,
-    )
-    server = FlServer(
-        init_params=init,
-        config=server_cfg,
-        session_rng=Rng(cfg.seeds.init).split(SESSION_KEY_STREAM),
-        validate_fn=validate_fn,
-    )
+        def make_client(i: int) -> FlClient:
+            return FlClient(name=f"client-{i}", auth_token=cfg.auth_token, config=config)
 
-    row = partial(MetricsRecord, cfg.derived_run_id(), cfg.mode, cfg.model)
-    t0 = time.perf_counter()
-    loss0, top10 = evaluate(build_model(model_cfg, model_mode, init), val_batches)
-    records = [row(0, "global", "validation", loss0, top10, _ms_since(t0))]
-    last_mark[0] = time.perf_counter()
-
-    def make_client(i: int) -> FlClient:
-        return FlClient(name=f"client-{i}", auth_token=cfg.auth_token, config=config)
-
-    if cfg.transport == "channel":
-        drive(server, ChannelServer([make_client(i) for i in range(n_clients)]))
-    else:
-        host, port = cfg.host_port()
-        tcp = TcpServer(host, port, expected=n_clients)
-        tcp.start()
-        threads: list[threading.Thread] = []
-        procs: list[subprocess.Popen] = []
-        try:
-            if tcp_clients == "thread":
-                for i in range(n_clients):
-                    conn = connect(host, tcp.port)
-                    t = threading.Thread(target=tcp_client_loop, args=(make_client(i), conn),
-                                         daemon=True)
-                    t.start()
-                    threads.append(t)
-            elif tcp_clients == "subprocess":
-                client_config = _write_config(cfg)
-                procs = [
-                    subprocess.Popen(
-                        [sys.executable, "-m", "flnp", "client",
-                         "--config", client_config,
-                         "--addr", f"{host}:{tcp.port}",
-                         "--name", f"client-{i}"],
-                    )
-                    for i in range(n_clients)
-                ]
-            else:
-                print(f"waiting for {n_clients} clients on {host}:{tcp.port}", flush=True)
-            drive(server, tcp)
-            for t in threads:
-                t.join(timeout=30)
-            for p in procs:
-                if p.wait(timeout=120) != 0:
-                    raise RuntimeError(f"client process exited with {p.returncode}")
-        finally:
-            tcp.close()
-            for p in procs:
-                p.kill()  # no-op for a process already reaped
-                p.wait()
+        if cfg.transport == "channel":
+            channel = ChannelServer([make_client(i) for i in range(n_clients)], workers=workers)
+            try:
+                drive(server, channel)
+            finally:
+                channel.close()
+        else:
+            host, port = cfg.host_port()
+            tcp = TcpServer(host, port, expected=n_clients)
+            tcp.start()
+            threads: list[threading.Thread] = []
+            procs: list[subprocess.Popen] = []
+            try:
+                if tcp_clients == "thread":
+                    for i in range(n_clients):
+                        conn = connect(host, tcp.port)
+                        t = threading.Thread(target=tcp_client_loop, args=(make_client(i), conn),
+                                             daemon=True)
+                        t.start()
+                        threads.append(t)
+                elif tcp_clients == "subprocess":
+                    client_config = _write_config(cfg)
+                    procs = [
+                        subprocess.Popen(
+                            [sys.executable, "-m", "flnp", "client",
+                             "--config", client_config,
+                             "--addr", f"{host}:{tcp.port}",
+                             "--name", f"client-{i}"],
+                            env={**os.environ, "OPENBLAS_NUM_THREADS": str(budget)},
+                        )
+                        for i in range(n_clients)
+                    ]
+                else:
+                    print(f"waiting for {n_clients} clients on {host}:{tcp.port}", flush=True)
+                drive(server, tcp)
+                for t in threads:
+                    t.join(timeout=30)
+                for p in procs:
+                    if p.wait(timeout=120) != 0:
+                        raise RuntimeError(f"client process exited with {p.returncode}")
+            finally:
+                tcp.close()
+                for p in procs:
+                    p.kill()  # no-op for a process already reaped
+                    p.wait()
 
     for done, per_client, wall in zip(server.history, server.client_metrics, round_times):
         rnd = done.round

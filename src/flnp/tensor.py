@@ -570,7 +570,11 @@ def linear(x, w, b) -> Tensor:
 
 
 def linear_gelu(x, w, b) -> Tensor:
-    """gelu(linear(x, w, b)) as one node, with the same erf GELU as `gelu`."""
+    """gelu(linear(x, w, b)) as one node, with the same erf GELU as `gelu`.
+
+    Backward recomputes the pre-activation, bit for bit: one GEMM costs
+    less than holding a [rows, d_out] array per layer on the tape.
+    """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     _check_linear("linear_gelu", x, w, b)
     pre = _affine(x, w, b)
@@ -579,9 +583,11 @@ def linear_gelu(x, w, b) -> Tensor:
     cdf += 1.0
     cdf *= 0.5
     out = pre * cdf
+    del pre
 
     def bwd(g):
         # d gelu = cdf + pre * pdf(pre)
+        pre = _affine(x, w, b)
         d = pre * pre
         d *= -0.5
         np.exp(d, out=d)
@@ -726,8 +732,18 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return mul(out, 1.0 / float(count))
 
 
+def _consumed(grad: np.ndarray) -> None:
+    """Stands in for the backward step of a node that a backward has run."""
+
+
 def backward(root: Tensor) -> None:
-    """Reverse-accumulate gradients from a scalar root over its tape."""
+    """Reverse-accumulate gradients from a scalar root over its tape.
+
+    The tape is consumed as it is walked: once a non-leaf node's step has
+    run, its gradient and its step's saved operands are freed, so only the
+    leaves (the parameters) keep gradients. A second backward through a
+    consumed node raises `UsageError`.
+    """
     if root.data.size != 1:
         raise UsageError(f"backward root must be scalar, got shape {root.data.shape}")
     # iterative postorder: long LSTM chains overflow Python recursion
@@ -747,7 +763,13 @@ def backward(root: Tensor) -> None:
             order.append(node)
             stack.pop()
 
+    if any(node._backward_fn is _consumed for node in order):
+        raise UsageError("backward through a tape that an earlier backward consumed")
     root.grad = np.ones_like(root.data) if root.grad is None else root.grad + np.ones_like(root.data)
     for node in reversed(order):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
+        if node._parents:
+            # consumed: free the node's gradient and the operands its step saved
+            node.grad = None
+            node._backward_fn = _consumed

@@ -95,11 +95,11 @@ def evaluate(model: ModelBase, eval_batches: list) -> tuple[float, float]:
     for batch in eval_batches:
         loss, logits, labels = batch_loss(model, batch)
         n = len(labels)
-        if n == 0:
-            continue
-        total_loss += loss.item() * n
-        total_scored += n
-        total_correct += count_correct(logits, labels)
+        if n:
+            total_loss += loss.item() * n
+            total_scored += n
+            total_correct += count_correct(logits, labels)
+        del loss, logits  # else this batch's tape stays alive through the next forward
     if total_scored == 0:
         return 0.0, 0.0
     return total_loss / total_scored, total_correct / total_scored
@@ -136,6 +136,7 @@ def train_epochs(
             if len(labels):
                 correct += count_correct(logits, labels)
                 scored += len(labels)
+            del loss, logits  # else this step's tape stays alive through the next forward
     mean_loss = float(np.mean(losses)) if losses else 0.0
     top1 = correct / scored if scored else 0.0
     return mean_loss, top1

@@ -92,8 +92,7 @@ def _put(chunks: list, kind, value) -> None:
         _put(chunks, "u32", len(value))
         for name, values in value.items():
             _put(chunks, "str", name)
-            if values.ndim > 0xFF:
-                raise ValueError("tensor rank exceeds the u8 field")
+            # NumPy caps rank at 64, so the rank always fits its u8
             chunks += (struct.pack(f"<B{values.ndim}I", values.ndim, *values.shape), values)
     else:
         for name, sub in BODY_LAYOUT[kind]:

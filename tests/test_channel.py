@@ -1,3 +1,6 @@
+import threading
+import time
+
 import pytest
 
 from flnp.experiment.federated import ChannelServer
@@ -113,3 +116,95 @@ def test_drop_injection_is_deterministic():
     assert first is not None
     # a different seed fails at a different step (overwhelmingly likely)
     assert failure_step(43) != first or failure_step(44) != first
+
+
+class RecordingClient(EchoClient):
+    """Notes how many of its `handle` calls overlap; `gate` holds each call until set."""
+
+    def __init__(self, name, gate=None, entered=None):
+        super().__init__(name)
+        self.gate = gate
+        self.entered = entered
+        self.running = 0
+        self.most_running = 0
+        self._lock = threading.Lock()
+
+    def handle(self, msg):
+        with self._lock:
+            self.running += 1
+            self.most_running = max(self.most_running, self.running)
+        if self.entered is not None:
+            self.entered.set()
+        if self.gate is not None:
+            assert self.gate.wait(timeout=10)
+        time.sleep(0.002)
+        try:
+            return super().handle(msg)
+        finally:
+            with self._lock:
+                self.running -= 1
+
+
+def test_a_client_handles_one_message_at_a_time_in_send_order():
+    a, b = RecordingClient("a"), RecordingClient("b")
+    channel = ChannelServer([a, b], workers=4)
+    try:
+        drain_hellos(channel, 2)
+        for i in range(6):
+            channel.send(0, Shutdown(reason=str(i)))
+            channel.send(1, Shutdown(reason=str(i)))
+        got = [channel.recv() for _ in range(12)]
+    finally:
+        channel.close()
+    assert [msg.reason for msg in a.got] == [str(i) for i in range(6)]
+    assert [msg.reason for msg in b.got] == [str(i) for i in range(6)]
+    assert a.most_running == b.most_running == 1
+    assert [conn for conn, _ in got] == [0, 1] * 6
+
+
+def test_replies_come_back_in_send_order_when_the_first_client_is_slow():
+    fast_done = threading.Event()
+    slow = RecordingClient("slow", gate=fast_done)
+    fast = RecordingClient("fast", entered=fast_done)
+    channel = ChannelServer([slow, fast], workers=2)
+    try:
+        drain_hellos(channel, 2)
+        channel.send(0, Shutdown())
+        channel.send(1, Shutdown())
+        # client 0 is held until client 1 has started: they ran at once
+        assert [channel.recv() for _ in range(2)] == [
+            (0, Shutdown(reason="slow:0")), (1, Shutdown(reason="fast:0")),
+        ]
+    finally:
+        channel.close()
+
+
+def test_an_exception_in_handle_surfaces_at_recv():
+    class Failing(EchoClient):
+        def handle(self, msg):
+            raise ProtocolError("auth_failed", "bad tag")
+
+    channel = ChannelServer([Failing("a")], workers=2)
+    try:
+        drain_hellos(channel, 1)
+        channel.send(0, Shutdown())  # queued, not raised here
+        with pytest.raises(ProtocolError, match="bad tag"):
+            channel.recv()
+    finally:
+        channel.close()
+
+
+def test_close_cancels_queued_work_and_ends_the_pool():
+    gate = threading.Event()
+    entered = threading.Event()
+    client = RecordingClient("a", gate=gate, entered=entered)
+    before = set(threading.enumerate())
+    channel = ChannelServer([client], workers=2)
+    drain_hellos(channel, 1)
+    for _ in range(3):
+        channel.send(0, Shutdown())
+    assert entered.wait(timeout=10)
+    threading.Timer(0.05, gate.set).start()
+    channel.close()  # waits for the running message, drops the two queued
+    assert len(client.got) == 1
+    assert not [t for t in set(threading.enumerate()) - before if t.name.startswith("flnp-channel")]

@@ -120,6 +120,17 @@ def test_removed_setting_is_refused(tmp_path, capsys, setting):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, error", [
+    ("rounds=abc", 'ExperimentConfig.rounds must be an integer, got "abc"'),
+    ('lr="fast"', 'ExperimentConfig.lr must be a number, got "fast"'),
+    ("rounds=true", "ExperimentConfig.rounds must be an integer, got true"),
+    ("partition.ratios=0.5,0.5", 'PartitionSpec.ratios must be a list of numbers, got "0.5,0.5"'),
+])
+def test_wrongly_typed_setting_is_refused(tmp_path, capsys, setting, error):
+    assert cli_main(["run", "--config", base_config(tmp_path), "--set", setting]) == 2
+    assert error in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("partition, error", [
     ({"n_clients": 4, "mode": "imbalanced"}, "8 ratios for 4 clients"),
     ({"n_clients": 4, "mode": "small"}, "8 ratios for 4 clients"),

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import subprocess
+import threading
 from functools import partial
 
 import numpy as np
@@ -232,6 +233,27 @@ class TestRuns:
         first = failing_round(3)
         assert first is not None and "round" in first
         assert failing_round(3) == first
+
+    def test_failed_channel_run_leaves_no_pool_thread(self, monkeypatch):
+        from flnp.experiment import runner
+
+        cfg = small_cfg(rounds=2)
+        bundle = build_dataset(cfg)
+        evaluate = runner.evaluate
+        calls = []
+
+        def evaluate_failing_round_1(model, batches):
+            calls.append(None)
+            if len(calls) == 2:  # the first call scores round 0, before any client starts
+                raise RuntimeError("validation failed")
+            return evaluate(model, batches)
+
+        monkeypatch.setattr(runner, "evaluate", evaluate_failing_round_1)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="validation failed"):
+            runner.run_federated(cfg, bundle)
+        assert not [t for t in set(threading.enumerate()) - before
+                    if t.name.startswith("flnp-channel")]
 
     def test_failed_run_reaps_client_processes(self, tmp_path, monkeypatch):
         from flnp.experiment import runner

@@ -143,6 +143,25 @@ def test_tcp_run_equals_channel_run(tmp_path):
     assert rows == expected_rows
 
 
+def test_deliveries_agree_at_threaded_gemm_sizes(monkeypatch):
+    """At GEMM sizes OpenBLAS splits over its threads, a channel run with one
+    worker, one with two workers and a TCP run with client threads give one
+    checksum under one budget of 2 BLAS threads per client."""
+    from flnp.experiment import runner
+
+    fields = {
+        "mode": "federated", "phase": "pretrain_mlm", "model": "bert_mini", "rounds": 1,
+        "batch_size": 32, "max_seq_len": 64,
+        "data": {"n_records": 80, "min_len": 48, "max_len": 64},
+    }
+    checksums = set()
+    for transport, workers in (("channel", 1), ("channel", 2), ("tcp", 2)):
+        monkeypatch.setattr(runner, "session_budget", lambda n, w=workers: (w, 2))
+        cfg = tiny_config(fields, transport=transport, addr="127.0.0.1:0")
+        checksums.add(params_checksum(run_experiment(cfg)[0].final_params))
+    assert len(checksums) == 1
+
+
 # Chained pretrain -> fine-tune runs, with every phase pinned: the fine-tune
 # phase starts from the pretrained encoder (one set per standalone client).
 PHASE_CASES = {
