@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 
+from .blas import blas_threads, session_budget
 from .data import CorpusParams, gen_synthetic_corpus, save_corpus
 from .models.config import ConfigError
 from .protocol.client import FlClient
@@ -158,7 +159,9 @@ def cmd_serve(args) -> int:
 def cmd_client(args) -> int:
     cfg = _load_cfg(args)
     client = FlClient(args.name, cfg.auth_token, train_config(cfg, build_dataset(cfg)))
-    tcp_client_loop(client, connect(*cfg.host_port()))  # --addr is already in cfg.addr
+    # the server's budget for a session of this size, so a served run equals `flnp run`
+    with blas_threads(session_budget(cfg.effective_clients())[1]):
+        tcp_client_loop(client, connect(*cfg.host_port()))  # --addr is already in cfg.addr
     print(f"{args.name}: completed {len(client.round_history)} rounds")
     return EXIT_OK
 

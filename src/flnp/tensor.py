@@ -14,11 +14,13 @@ broadcasting (gradients are summed back over broadcast axes).
 Incompatible shapes raise :class:`ShapeError` naming both operands.
 
 Besides the per-op kernels, fused ops record one node for a whole
-sublayer and write its backward by hand: `lstm_layer` and `last_step`
-for the LSTM; `linear`, `linear_gelu`, `add_layer_norm` and `attention`
-for the transformer, whose row-wise work and forward GEMMs run on packed
-rows (the real tokens of a padded batch, see :class:`Packing`), and
-`scatter_rows`, which puts packed rows back into the padded layout.
+sublayer and write its backward by hand: `lstm_layer` for the LSTM,
+whose recurrence and GEMMs run on packed steps (the real steps of
+length-sorted rows, time-major, see :class:`Packing`); `linear`,
+`linear_gelu`, `add_layer_norm` and `attention` for the transformer,
+whose row-wise work and forward GEMMs run on packed rows (the real
+tokens of a padded batch), and `scatter_rows`, which puts packed rows
+back into the padded layout.
 """
 
 from __future__ import annotations
@@ -399,105 +401,14 @@ def narrow(a, axis: int, start: int, size: int) -> Tensor:
     return _result(data, (a,), bwd)
 
 
-def lstm_layer(x, wx, wh, b) -> Tensor:
-    """One unidirectional LSTM layer over whole sequences: x [B, T, d_in] -> h [B, T, d].
-
-    Zero initial state; gate columns are (input, forget, cell, output), so
-    per step gates = x_t @ wx + h @ wh + b, c = f*c + i*g, h = o*tanh(c).
-    The input projections of all timesteps are one time-major GEMM; the
-    recurrence then does one h @ wh per step. Backward runs BPTT in
-    reverse with one dgates @ wh.T per step and forms d wx, d wh and dx
-    as single GEMMs over all T*B rows.
-    """
-    x, wx, wh, b = as_tensor(x), as_tensor(wx), as_tensor(wh), as_tensor(b)
-    if x.ndim != 3:
-        raise ShapeError(f"lstm_layer: input must be [B, T, d_in], got {x.data.shape}")
-    batch, seq, d_in = x.data.shape
-    d = wh.data.shape[0]
-    if wx.data.shape != (d_in, 4 * d) or wh.data.shape != (d, 4 * d) or b.data.shape != (4 * d,):
-        raise ShapeError(
-            f"lstm_layer: input {x.data.shape} needs wx ({d_in}, {4 * d}), wh ({d}, {4 * d}) "
-            f"and b ({4 * d},); got {wx.data.shape}, {wh.data.shape}, {b.data.shape}"
-        )
-    xs = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(seq * batch, d_in)
-    # gate pre-activations, overwritten in place by the activations
-    acts = (xs @ wx.data).reshape(seq, batch, 4 * d)
-    cs = np.empty((seq, batch, d), dtype=acts.dtype)
-    tanh_cs = np.empty_like(cs)
-    hs = np.empty_like(cs)
-    h = c = np.zeros((batch, d), dtype=acts.dtype)  # zero initial state
-    for t in range(seq):
-        a = acts[t]
-        a += h @ wh.data
-        a += b.data
-        _sigmoid_(a[:, :2 * d])
-        np.tanh(a[:, 2 * d:3 * d], out=a[:, 2 * d:3 * d])
-        _sigmoid_(a[:, 3 * d:])
-        c = np.add(a[:, d:2 * d] * c, a[:, :d] * a[:, 2 * d:3 * d], out=cs[t])
-        h = np.multiply(a[:, 3 * d:], np.tanh(c, out=tanh_cs[t]), out=hs[t])
-
-    def bwd(g):
-        g = g.transpose(1, 0, 2)
-        dgates = np.empty_like(acts)
-        dh_rec = dc_rec = None  # gradient reaching step t from step t+1
-        for t in reversed(range(seq)):
-            a, tc = acts[t], tanh_cs[t]
-            i, f, cell, o = a[:, :d], a[:, d:2 * d], a[:, 2 * d:3 * d], a[:, 3 * d:]
-            dh = g[t] if dh_rec is None else g[t] + dh_rec
-            dc = dh * o * (1.0 - tc * tc)
-            if dc_rec is not None:
-                dc += dc_rec
-            dg = dgates[t]
-            c_prev = cs[t - 1] if t else 0.0
-            dg[:, :d] = dc * cell * i * (1.0 - i)
-            dg[:, d:2 * d] = dc * c_prev * f * (1.0 - f)
-            dg[:, 2 * d:3 * d] = dc * i * (1.0 - cell * cell)
-            dg[:, 3 * d:] = dh * tc * o * (1.0 - o)
-            if t:
-                dh_rec = dg @ wh.data.T
-                dc_rec = dc * f
-        rows = dgates.reshape(seq * batch, 4 * d)
-        if x.requires_grad:
-            dx = (rows @ wx.data.T).reshape(seq, batch, d_in)
-            _accumulate(x, dx.transpose(1, 0, 2))
-        if wx.requires_grad:
-            _accumulate(wx, xs.T @ rows)
-        if wh.requires_grad:
-            _accumulate(wh, hs[:-1].reshape(-1, d).T @ rows[batch:])
-        if b.requires_grad:
-            _accumulate(b, rows.sum(axis=0))
-
-    return _result(hs.transpose(1, 0, 2), (x, wx, wh, b), bwd)
-
-
-def last_step(h, lengths) -> Tensor:
-    """Each row's state at its last valid timestep: h [B, T, d] -> [B, d].
-
-    Row r is read at timestep lengths[r] - 1; lengths lie in [1, T].
-    """
-    h = as_tensor(h)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if h.ndim != 3 or lengths.shape != (h.data.shape[0],):
-        raise ShapeError(f"last_step: lengths {lengths.shape} do not match states {h.data.shape}")
-    if lengths.size and (lengths.min() < 1 or lengths.max() > h.data.shape[1]):
-        raise UsageError(f"last_step: lengths must lie in [1, {h.data.shape[1]}]")
-    rows, steps = np.arange(h.data.shape[0]), lengths - 1
-    data = h.data[rows, steps]
-
-    def bwd(g):
-        buf = np.zeros_like(h.data)
-        buf[rows, steps] = g
-        _accumulate(h, buf)
-
-    return _result(data, (h,), bwd)
-
-
 class Packing:
     """Where the real tokens of a padded [B, T] batch sit, in row-major order.
 
     Packed rows are an [N, ...] array holding only the N real tokens of a
     0/1 attention mask; `pad` scatters them into a zero [B, T, ...] array
-    of their dtype and `pack` gathers them back out of one.
+    of their dtype and `pack` gathers them back out of one. The LSTM packs
+    over a time-major [T, B] mask instead, so `batch_idx` is then the step
+    and `pos_idx` the row.
     """
 
     __slots__ = ("shape", "batch_idx", "pos_idx", "real")
@@ -514,6 +425,11 @@ class Packing:
     def n_rows(self) -> int:
         return self.batch_idx.size
 
+    @property
+    def counts(self) -> np.ndarray:
+        """Real tokens per row of the mask: per step, for a time-major one."""
+        return np.count_nonzero(self.real, axis=1)
+
     def pad(self, rows: np.ndarray) -> np.ndarray:
         if rows.shape[0] != self.n_rows:
             raise ShapeError(f"packing: {rows.shape[0]} rows for a mask with {self.n_rows} real tokens")
@@ -523,6 +439,102 @@ class Packing:
 
     def pack(self, full: np.ndarray) -> np.ndarray:
         return full[self.batch_idx, self.pos_idx]
+
+
+def lstm_layer(x, wx, wh, b, packing: Packing) -> Tensor:
+    """One unidirectional LSTM layer over packed steps: x [N, d_in] -> h [N, d].
+
+    `packing` is over the time-major [T, B] mask of a batch whose rows are
+    sorted by length, longest first, so step t holds the first n_t rows;
+    x holds the N real steps in that order (step t's rows start at
+    n_0 + ... + n_{t-1}). Step t runs on its n_t rows from a zero initial
+    state. Gate columns are (input, forget, cell, output), so per step
+    gates = x_t @ wx + h_{t-1}[:n_t] @ wh + b, c = f*c + i*g, h = o*tanh(c).
+    The input projections of all steps are one GEMM over the N rows; the
+    recurrence then does one h @ wh per step. The sigmoid gates' columns
+    of wx, wh and b are halved, which is exact, so the four activations
+    are one tanh over the [n_t, 4d] block, one multiply and one add
+    (sigmoid(z) = 0.5 * tanh(z / 2) + 0.5). Backward runs BPTT in reverse
+    with one dgates @ wh.T per step, whose n_{t+1} rows add into the first
+    rows of step t, and forms dx, d wx, d wh and d b over the N rows.
+    """
+    x, wx, wh, b = as_tensor(x), as_tensor(wx), as_tensor(wh), as_tensor(b)
+    if x.ndim != 2 or x.data.shape[0] != packing.n_rows:
+        raise ShapeError(
+            f"lstm_layer: input must be the packing's {packing.n_rows} rows [N, d_in], got {x.data.shape}"
+        )
+    d_in = x.data.shape[1]
+    d = wh.data.shape[0]
+    if wx.data.shape != (d_in, 4 * d) or wh.data.shape != (d, 4 * d) or b.data.shape != (4 * d,):
+        raise ShapeError(
+            f"lstm_layer: input {x.data.shape} needs wx ({d_in}, {4 * d}), wh ({d}, {4 * d}) "
+            f"and b ({4 * d},); got {wx.data.shape}, {wh.data.shape}, {b.data.shape}"
+        )
+    counts = packing.counts
+    if np.any(counts[1:] > counts[:-1]) or not np.array_equal(
+        packing.real, np.arange(packing.shape[1]) < counts[:, None]
+    ):
+        raise UsageError("lstm_layer: each step must hold a prefix of the step before's rows")
+    spans = list(zip((np.cumsum(counts) - counts).tolist(), counts.tolist()))  # (start, n_t)
+    half = np.where(np.arange(4 * d) // d == 2, 1.0, 0.5).astype(wh.data.dtype)
+    shift = 1.0 - half
+    wh_half = wh.data * half
+    b_half = b.data * half
+    # gate pre-activations, overwritten in place by the activations
+    acts = x.data @ (wx.data * half)
+    cs = np.empty((acts.shape[0], d), dtype=acts.dtype)
+    tanh_cs = np.empty_like(cs)
+    hs = np.empty_like(cs)
+    for t, (lo, n) in enumerate(spans):
+        a = acts[lo:lo + n]
+        if t:
+            a += hs[prev:prev + n] @ wh_half
+        a += b_half
+        np.tanh(a, out=a)
+        a *= half
+        a += shift
+        c = np.multiply(a[:, :d], a[:, 2 * d:3 * d], out=cs[lo:lo + n])
+        if t:
+            c += a[:, d:2 * d] * cs[prev:prev + n]
+        np.multiply(a[:, 3 * d:], np.tanh(c, out=tanh_cs[lo:lo + n]), out=hs[lo:lo + n])
+        prev = lo
+
+    def bwd(g):
+        dgates = np.empty_like(acts)
+        wh_t = np.ascontiguousarray(wh.data.T)
+        dh_rec = dc_rec = None  # gradient reaching step t from step t+1, n_{t+1} rows
+        for t in reversed(range(len(spans))):
+            lo, n = spans[t]
+            a, tc = acts[lo:lo + n], tanh_cs[lo:lo + n]
+            i, f, cell, o = a[:, :d], a[:, d:2 * d], a[:, 2 * d:3 * d], a[:, 3 * d:]
+            dh = g[lo:lo + n]
+            if dh_rec is not None:
+                dh = dh.copy()
+                dh[:len(dh_rec)] += dh_rec
+            dc = dh * o * (1.0 - tc * tc)
+            if dc_rec is not None:
+                dc[:len(dc_rec)] += dc_rec
+            dg = dgates[lo:lo + n]
+            c_prev = cs[spans[t - 1][0]:spans[t - 1][0] + n] if t else 0.0
+            dg[:, :d] = dc * cell * i * (1.0 - i)
+            dg[:, d:2 * d] = dc * c_prev * f * (1.0 - f)
+            dg[:, 2 * d:3 * d] = dc * i * (1.0 - cell * cell)
+            dg[:, 3 * d:] = dh * tc * o * (1.0 - o)
+            if t:
+                dh_rec = dg @ wh_t
+                dc_rec = dc * f
+        if x.requires_grad:
+            _accumulate(x, dgates @ wx.data.T)
+        if wx.requires_grad:
+            _accumulate(wx, x.data.T @ dgates)
+        if wh.requires_grad:
+            # step t's row j follows step t-1's row j, n_{t-1} rows back
+            prev_rows = np.arange(counts[0], len(acts)) - np.repeat(counts[:-1], counts[1:])
+            _accumulate(wh, hs[prev_rows].T @ dgates[counts[0]:])
+        if b.requires_grad:
+            _accumulate(b, dgates.sum(axis=0))
+
+    return _result(hs, (x, wx, wh, b), bwd)
 
 
 def _check_linear(op: str, x: Tensor, w: Tensor, b: Tensor) -> None:

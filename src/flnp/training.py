@@ -88,18 +88,31 @@ def count_correct(logits: np.ndarray, labels: np.ndarray) -> int:
 
 
 def evaluate(model: ModelBase, eval_batches: list) -> tuple[float, float]:
-    """Forward-only mean loss and top-1 accuracy over prepared batches."""
-    total_loss = 0.0
-    total_scored = 0
-    total_correct = 0
-    for batch in eval_batches:
-        loss, logits, labels = batch_loss(model, batch)
-        n = len(labels)
-        if n:
-            total_loss += loss.item() * n
-            total_scored += n
-            total_correct += count_correct(logits, labels)
-        del loss, logits  # else this batch's tape stays alive through the next forward
+    """Forward-only mean loss and top-1 accuracy over prepared batches.
+
+    The model's parameters stop requiring grad for the call, so no op
+    records a tape; each gets its flag back afterwards, also on an error.
+    The flags belong to this model alone, so other threads' models keep
+    recording theirs.
+    """
+    params = list(model.params.values())
+    flags = [t.requires_grad for t in params]
+    for t in params:
+        t.requires_grad = False
+    try:
+        total_loss = 0.0
+        total_scored = 0
+        total_correct = 0
+        for batch in eval_batches:
+            loss, logits, labels = batch_loss(model, batch)
+            n = len(labels)
+            if n:
+                total_loss += loss.item() * n
+                total_scored += n
+                total_correct += count_correct(logits, labels)
+    finally:
+        for t, flag in zip(params, flags):
+            t.requires_grad = flag
     if total_scored == 0:
         return 0.0, 0.0
     return total_loss / total_scored, total_correct / total_scored

@@ -1,9 +1,10 @@
 """The LSTM classifier's forward pass unrolled into per-timestep tensor ops.
 
-An oracle for the fused `lstm_layer`/`last_step` graph: the same gate
+An oracle for the packed, fused `lstm_layer` graph: the same gate
 equations, built from matmul, add, narrow, sigmoid, tanh and mul nodes
-one timestep at a time, with the top hidden state latched on each row's
-last valid step by a 0/1 select.
+one timestep at a time over the padded batch in its own row order, with
+the top hidden state latched on each row's last valid step by a 0/1
+select.
 """
 
 import numpy as np

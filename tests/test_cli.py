@@ -187,18 +187,14 @@ def test_module_entry_point(tmp_path):
     assert out.exists()
 
 
-def test_serve_with_two_client_processes_matches_channel_run(tmp_path, capsys):
-    # single-phase LSTM over loopback TCP; a two-phase run over TCP is not
-    # supported by the remote client yet
-    fields = dict(
-        mode="federated", phase="finetune_classify", model="lstm", rounds=2,
-        max_seq_len=12, batch_size=8, addr="127.0.0.1:0",
-        data={"n_records": 40, "min_len": 6, "max_len": 10},
-    )
-    cfg = base_config(tmp_path, **fields)
+def serve(cfg, n_clients, unset_for_clients=()):
+    """Run `flnp serve` and `n_clients` `flnp client` processes on `cfg`; the server's checksums.
+
+    The clients start without the environment variables named in `unset_for_clients`.
+    """
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
 
-    def flnp(*args):
+    def flnp(*args, env=env):
         return subprocess.Popen([sys.executable, "-m", "flnp", *args, "--config", cfg],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
 
@@ -208,14 +204,42 @@ def test_serve_with_two_client_processes_matches_channel_run(tmp_path, capsys):
         line = procs[0].stdout.readline()
         addr = re.search(r"on (127\.0\.0\.1:\d+)$", line.strip())
         assert addr, line + procs[0].stderr.read()
-        procs += [flnp("client", "--addr", addr.group(1), "--name", f"site-{i}") for i in range(2)]
+        procs += [flnp("client", "--addr", addr.group(1), "--name", f"site-{i}",
+                       env={k: v for k, v in env.items() if k not in unset_for_clients})
+                  for i in range(n_clients)]
         outs = [p.communicate(timeout=300) for p in procs]
     finally:
         for p in procs:
             p.kill()
-    assert [p.returncode for p in procs] == [0, 0, 0], [err for _, err in outs]
-    served = re.findall(r"sha256 (\w+)", outs[0][0])
+    assert [p.returncode for p in procs] == [0] * (n_clients + 1), [err for _, err in outs]
+    return re.findall(r"sha256 (\w+)", outs[0][0])
+
+
+def test_serve_with_two_client_processes_matches_channel_run(tmp_path, capsys):
+    # single-phase LSTM over loopback TCP; a two-phase run over TCP is not
+    # supported by the remote client yet
+    fields = dict(
+        mode="federated", phase="finetune_classify", model="lstm", rounds=2,
+        max_seq_len=12, batch_size=8, addr="127.0.0.1:0",
+        data={"n_records": 40, "min_len": 6, "max_len": 10},
+    )
+    cfg = base_config(tmp_path, **fields)
+    served = serve(cfg, 2)
     assert len(list((tmp_path / "out").glob("*-params.flnp"))) == 1
+
+    assert cli_main(["run", "--config", cfg, "--transport", "channel", "--out", str(tmp_path / "ch")]) == 0
+    assert served and served == re.findall(r"sha256 (\w+)", capsys.readouterr().out)
+
+
+def test_served_clients_compute_under_the_session_budget(tmp_path, capsys):
+    # at these GEMM sizes OpenBLAS splits over its threads, so a client left
+    # at its default thread count would not reproduce the in-process run
+    cfg = base_config(
+        tmp_path, mode="federated", phase="pretrain_mlm", rounds=1, batch_size=32,
+        max_seq_len=64, addr="127.0.0.1:0",
+        data={"n_records": 80, "min_len": 48, "max_len": 64},
+    )
+    served = serve(cfg, 2, unset_for_clients=("OPENBLAS_NUM_THREADS",))
 
     assert cli_main(["run", "--config", cfg, "--transport", "channel", "--out", str(tmp_path / "ch")]) == 0
     assert served and served == re.findall(r"sha256 (\w+)", capsys.readouterr().out)

@@ -311,3 +311,58 @@ class TestPretrainFinetune:
                         pretrained_params_path="/nonexistent/snXX.flnp")
         with pytest.raises(UsageError):
             run_experiment(cfg)
+
+
+class TestEvaluate:
+    @staticmethod
+    def model_and_batches(model_name, phase):
+        cfg = small_cfg(mode="centralized", model=model_name, phase=phase)
+        bundle = build_dataset(cfg)
+        config = train_config(cfg, bundle)
+        model = build_model(config.model_config, config.settings.phase,
+                            run_experiment(cfg, bundle)[0].final_params)
+        batches = prepare_eval_batches(bundle.global_val, bundle.vocab, config.settings,
+                                       Rng(cfg.seeds.batch).split(VALIDATION_MASK_KEY))
+        return model, batches
+
+    @pytest.mark.parametrize("model_name, phase", [("bert_mini", "pretrain_mlm"),
+                                                   ("lstm", "finetune_classify")])
+    def test_records_no_tape_and_scores_as_a_taped_forward(self, model_name, phase, monkeypatch):
+        import flnp.training
+
+        model, batches = self.model_and_batches(model_name, phase)
+        taped = []
+        for batch in batches:  # the same forwards with the tape recorded
+            loss, logits, labels = flnp.training.batch_loss(model, batch)
+            assert loss._parents
+            taped.append((loss.item(), len(labels), flnp.training.count_correct(logits, labels)))
+        want_loss = sum(loss * n for loss, n, _ in taped) / sum(n for _, n, _ in taped)
+        want_top1 = sum(c for _, _, c in taped) / sum(n for _, n, _ in taped)
+
+        losses = []
+
+        def recording(model, batch):
+            out = batch_loss(model, batch)
+            losses.append(out[0])
+            return out
+
+        batch_loss = flnp.training.batch_loss
+        monkeypatch.setattr(flnp.training, "batch_loss", recording)
+        assert evaluate(model, batches) == (want_loss, want_top1)
+        assert len(losses) == len(batches)
+        assert all(not loss._parents and not loss.requires_grad for loss in losses)
+        assert all(t.requires_grad for t in model.params.values())
+
+    def test_requires_grad_comes_back_after_an_error(self, monkeypatch):
+        import flnp.training
+
+        model, batches = self.model_and_batches("lstm", "finetune_classify")
+        model.params["cls.b"].requires_grad = False  # a flag that was off stays off
+
+        def failing(model, batch):
+            raise RuntimeError("forward failed")
+
+        monkeypatch.setattr(flnp.training, "batch_loss", failing)
+        with pytest.raises(RuntimeError, match="forward failed"):
+            evaluate(model, batches)
+        assert {n for n, t in model.params.items() if not t.requires_grad} == {"cls.b"}

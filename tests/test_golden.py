@@ -61,7 +61,7 @@ GOLDEN = {
         ],
     ),
     "lstm_classify_federated_tcp": (
-        "48057b9120c23349e3a130256d5f2f646c173f1301f7e3a50cb1fa51c91500ba",
+        "d767c5708c53d1e2385e06bdf9a8ee1d02e8149e20be5e46d27c70e128f0f880",
         [
             "finetune_classify-federated-lstm-i7,federated,lstm,0,global,validation,0.693176,0.166667",
             "finetune_classify-federated-lstm-i7,federated,lstm,1,client_0,train,0.58403,0.727273",
@@ -77,7 +77,7 @@ GOLDEN = {
         ],
     ),
     "lstm_classify_standalone": (
-        "54f3a03b3f4b48dd1f1d66a31a1f11a928487bce46bf47250c8a5994fa55337b",
+        "5a1904eca072e19ee313ee6109f8936a25dc6e8ff058074f7979ad56d07fa4e6",
         [
             "finetune_classify-standalone-lstm-i7,standalone,lstm,0,client_0,validation,0.693176,0.166667",
             "finetune_classify-standalone-lstm-i7,standalone,lstm,0,client_1,validation,0.693176,0.166667",

@@ -3,6 +3,10 @@
 An import cycle hides when a test imports modules in a lucky order, so each
 module is imported into an interpreter with no flnp module loaded.
 `flnp.__main__` runs the CLI on import; the CLI tests cover it.
+
+The benchmark's tracer (`bench/spans.py`) wraps flnp callables by name, so
+it is installed here too: a rename or deletion that it still names breaks
+`bench/run.py --trace 1` and `--smoke`, which the tests here never run.
 """
 
 import os
@@ -10,6 +14,7 @@ import subprocess
 import sys
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
 FIRST_IMPORT_EACH = r"""
 import importlib
@@ -43,3 +48,11 @@ def test_every_module_imports_first_in_a_fresh_interpreter():
     assert proc.returncode == 0, proc.stderr
     imported = proc.stdout.split()
     assert "flnp.transport.codec" in imported and "flnp.experiment.runner" in imported
+
+
+def test_benchmark_tracer_finds_every_callable_it_wraps():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([BENCH, SRC]))
+    code = "import spans; t = spans.Tracer(); spans.install(t); t.uninstall()"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

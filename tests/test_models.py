@@ -19,6 +19,7 @@ from flnp.params import ParameterSet
 from flnp.tensor import UsageError, backward, masked_cross_entropy, reshape
 
 from gradcheck import widen
+from lstm_oracle import unrolled_logits
 
 
 def tiny_transformer(mode="mlm", vocab=13, layers=2, d=8, heads=2, seq=6, seed=5):
@@ -353,6 +354,42 @@ class TestLstm:
         padded = model.forward(ids, np.array([3])).data
         exact = model.forward(short, np.array([3])).data
         assert np.array_equal(padded, exact)
+
+    def test_padding_width_reaches_neither_logits_nor_grads(self):
+        # the packed layout holds real steps only, so wider padding and junk
+        # tokens in it leave every bit of the logits and gradients alone
+        cfg = ModelConfig(kind="lstm", d_model=6, n_layers=2, vocab_size=11, max_seq_len=16)
+        rng = np.random.default_rng(4)
+        lens = np.array([5, 9, 1, 9, 3])
+        ids = np.where(np.arange(9) < lens[:, None], rng.integers(3, 11, size=(5, 9)), 0)
+        wide = np.concatenate([ids, np.zeros((5, 7), dtype=ids.dtype)], axis=1)
+        wide[np.arange(16) >= lens[:, None]] = rng.integers(3, 11, size=int((16 - lens).sum()))
+        labels = np.array([0, 1, 1, 0, 1])
+
+        def logits_and_grads(token_ids):
+            model = init_model(cfg, seed=2, mode="classify")
+            logits = model.forward(token_ids, lens)
+            backward(masked_cross_entropy(logits, labels))
+            return logits.data, {name: t.grad for name, t in model.params.items()}
+
+        narrow_logits, narrow_grads = logits_and_grads(ids)
+        wide_logits, wide_grads = logits_and_grads(wide)
+        assert np.array_equal(narrow_logits, wide_logits)
+        for name, grad in narrow_grads.items():
+            assert np.array_equal(grad, wide_grads[name]), name
+
+    @pytest.mark.parametrize("lens", [[3, 7, 1, 7, 3, 5], [1, 1], [7], [1]])
+    def test_logits_come_back_in_the_batchs_row_order(self, lens):
+        # unsorted rows, ties in length, lengths 1 and T, and B = 1 against
+        # the unrolled per-timestep graph, which never reorders rows
+        cfg = ModelConfig(kind="lstm", d_model=5, n_layers=2, vocab_size=12, max_seq_len=7)
+        model = widen(init_model(cfg, seed=9, mode="classify"))
+        lens = np.array(lens)
+        ids = np.random.default_rng(len(lens)).integers(3, 12, size=(len(lens), 7))
+        got = model.forward(ids, lens).data
+        want = unrolled_logits(model, ids, lens).data
+        assert got.shape == (len(lens), cfg.n_classes)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _tape(root) -> list:

@@ -16,7 +16,6 @@ from flnp.tensor import (
     backward,
     embedding_lookup,
     gelu,
-    last_step,
     layer_norm,
     linear,
     linear_gelu,
@@ -138,7 +137,8 @@ class TestElementwise:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             direct = sigmoid(Tensor(x)).data
-            h = lstm_layer(Tensor(np.zeros((1, 1, d), np.float32)), zero, zero, b).data[0, 0]
+            h = lstm_layer(Tensor(np.zeros((1, d), np.float32)), zero, zero, b,
+                           Packing(np.ones((1, 1)))).data[0]
         assert direct.dtype == h.dtype == np.float32
         assert np.all(np.isfinite(direct)) and np.all(np.isfinite(h))
         assert np.max(np.abs(direct - want)) <= 1e-7
@@ -283,53 +283,66 @@ class TestShapeOps:
         assert np.allclose(x.grad, 1.0 / 3.0)
 
 
+def _steps(lengths) -> Packing:
+    """Time-major packing of rows sorted longest first: step t holds the rows longer than t."""
+    lengths = np.asarray(lengths)
+    return Packing(np.arange(lengths.max())[:, None] < lengths)
+
+
 class TestLstmLayer:
     @staticmethod
-    def _loss(x, w, probe):
+    def _loss(x, w, probe, packing):
         # a fixed random probe weights every output, so no gradient cancels
-        return reduce_sum(mul(lstm_layer(x, w["wx"], w["wh"], w["b"]), probe))
+        return reduce_sum(mul(lstm_layer(x, w["wx"], w["wh"], w["b"], packing), probe))
 
-    @pytest.mark.parametrize("batch, seq, d_in, d", [(2, 4, 3, 5), (3, 1, 4, 2)])
-    def test_gradient(self, batch, seq, d_in, d):
-        rng = np.random.default_rng(seq)
-        x = Tensor(rng.normal(size=(batch, seq, d_in)), requires_grad=True)
+    @pytest.mark.parametrize("lengths, d_in, d", [([4, 3, 3, 1], 3, 5), ([1, 1, 1], 4, 2),
+                                                  ([5, 2], 2, 3)])
+    def test_gradient_over_ragged_steps(self, lengths, d_in, d):
+        rng = np.random.default_rng(len(lengths))
+        packing = _steps(lengths)
+        x = Tensor(rng.normal(size=(packing.n_rows, d_in)), requires_grad=True)
         w = _lstm_weights(rng, d_in, d)
-        probe = Tensor(rng.normal(size=(batch, seq, d)))
-        assert_grads_match(lambda: self._loss(x, w, probe), {"x": x, **w},
+        probe = Tensor(rng.normal(size=(packing.n_rows, d)))
+        assert_grads_match(lambda: self._loss(x, w, probe, packing), {"x": x, **w},
                            n_coords=12, rtol=1e-6)
 
     def test_input_without_grad(self):
         rng = np.random.default_rng(5)
-        x = Tensor(rng.normal(size=(2, 3, 4)))
+        packing = _steps([3, 2])
+        x = Tensor(rng.normal(size=(5, 4)))
         w = _lstm_weights(rng, 4, 3)
-        probe = Tensor(rng.normal(size=(2, 3, 3)))
-        assert_grads_match(lambda: self._loss(x, w, probe), w, n_coords=12, rtol=1e-6)
+        probe = Tensor(rng.normal(size=(5, 3)))
+        assert_grads_match(lambda: self._loss(x, w, probe, packing), w, n_coords=12, rtol=1e-6)
         assert x.grad is None
+
+    def test_finished_rows_leave_the_others_alone(self):
+        # each row computes as if it ran alone: a ragged batch gives its rows' own states
+        rng = np.random.default_rng(8)
+        w = _lstm_weights(rng, 3, 4)
+        lengths = [4, 2, 1]
+        packing = _steps(lengths)
+        x = rng.normal(size=(packing.n_rows, 3))
+        h = lstm_layer(Tensor(x), w["wx"], w["wh"], w["b"], packing).data
+        for row, length in enumerate(lengths):
+            steps = packing.batch_idx[packing.pos_idx == row]
+            alone = lstm_layer(Tensor(x[packing.pos_idx == row]), w["wx"], w["wh"], w["b"],
+                               _steps([length])).data
+            assert steps.tolist() == list(range(length))
+            np.testing.assert_allclose(h[packing.pos_idx == row], alone, rtol=1e-12, atol=1e-15)
 
     def test_weight_shapes_checked(self):
         w = _lstm_weights(np.random.default_rng(0), 3, 2)
         with pytest.raises(ShapeError, match=r"wx \(4, 8\)"):
-            lstm_layer(Tensor(np.zeros((1, 2, 4))), w["wx"], w["wh"], w["b"])
+            lstm_layer(Tensor(np.zeros((2, 4))), w["wx"], w["wh"], w["b"], _steps([2]))
+        with pytest.raises(ShapeError, match="3 rows"):
+            lstm_layer(Tensor(np.zeros((2, 3))), w["wx"], w["wh"], w["b"], _steps([2, 1]))
 
-
-class TestLastStep:
-    def test_picks_each_rows_last_valid_step(self):
-        h = Tensor(np.arange(24.0).reshape(2, 4, 3))
-        out = last_step(h, [1, 4])
-        assert out.data.tolist() == [[0.0, 1.0, 2.0], [21.0, 22.0, 23.0]]
-
-    def test_gradient_with_lengths_one_and_full(self):
-        rng = np.random.default_rng(9)
-        h = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
-        probe = Tensor(rng.normal(size=(3, 2)))
-        assert_grads_match(lambda: reduce_sum(mul(last_step(mul(h, h), [1, 4, 2]), probe)),
-                           {"h": h}, n_coords=24, rtol=1e-6)
-
-    def test_out_of_range_length_rejected(self):
-        with pytest.raises(UsageError):
-            last_step(Tensor(np.zeros((2, 3, 1))), [0, 3])
-        with pytest.raises(ShapeError):
-            last_step(Tensor(np.zeros((2, 3, 1))), [1, 2, 3])
+    @pytest.mark.parametrize("mask", [[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[0, 1], [0, 1]]])
+    def test_steps_must_be_shrinking_prefixes(self, mask):
+        w = _lstm_weights(np.random.default_rng(0), 3, 2)
+        packing = Packing(np.array(mask))
+        with pytest.raises(UsageError, match="prefix"):
+            lstm_layer(Tensor(np.zeros((packing.n_rows, 3))), w["wx"], w["wh"], w["b"], packing)
 
 
 # a padded [3, 4] batch: lengths 1 and 4, and a row with a hole
