@@ -36,6 +36,10 @@ _VISIT_MARKERS = ("visit_clinic", "visit_er", "visit_followup")
 _MARKER_WEIGHTS = (0.6, 0.25, 0.15)
 _LEVELS = ("low", "high", "normal")
 _PAIR_AGREEMENT = 0.85  # how often a value token matches its head
+_N_DRUGS = 40
+_N_LABS = 28
+_N_SYMPTOMS = 48
+_EVENTS_PER_VISIT = 4  # a visit holds 1 to this many events
 
 
 @dataclass(frozen=True)
@@ -44,16 +48,8 @@ class CorpusParams:
     max_len: int = 64
     prevalence: float = 0.21  # post-noise positive rate
     label_noise: float = 0.05
-    n_drugs: int = 40
-    n_labs: int = 28
-    n_symptoms: int = 48
-    events_per_visit: int = 4
 
     def __post_init__(self) -> None:
-        if self.n_drugs < 2 or self.n_labs < 1 or self.n_symptoms < 1:
-            raise ConfigError("grammar needs at least 2 drugs, 1 lab and 1 symptom")
-        if self.events_per_visit < 1:
-            raise ConfigError("events_per_visit must be >= 1")
         if not 6 <= self.min_len <= self.max_len:
             raise ConfigError(f"need 6 <= min_len <= max_len, got {self.min_len}, {self.max_len}")
         if not 0.0 <= self.label_noise < 0.5:
@@ -83,15 +79,15 @@ _KIND_CUM = np.cumsum([0.35, 0.30, 0.25, 0.10])
 class _Grammar:
     def __init__(self, params: CorpusParams) -> None:
         self.params = params
-        self.drugs = [f"rx_drug{i:02d}" for i in range(params.n_drugs)]
+        self.drugs = [f"rx_drug{i:02d}" for i in range(_N_DRUGS)]
         self.doses = [f"dose_{lvl}" for lvl in _LEVELS]
-        self.labs = [f"lab_panel{i:02d}" for i in range(params.n_labs)]
+        self.labs = [f"lab_panel{i:02d}" for i in range(_N_LABS)]
         self.levels = [f"val_{lvl}" for lvl in _LEVELS]
-        self.symptoms = [f"sym_{i:02d}" for i in range(params.n_symptoms)]
+        self.symptoms = [f"sym_{i:02d}" for i in range(_N_SYMPTOMS)]
         self.marker_labs = [f"lab_marker_{lvl}" for lvl in _LEVELS]
-        self.drug_cum = np.cumsum([1.0 / (i + 2) for i in range(params.n_drugs)])
-        self.lab_cum = np.cumsum([1.0 / (i + 2) for i in range(params.n_labs)])
-        self.sym_cum = np.cumsum([1.0 / (i + 2) for i in range(params.n_symptoms)])
+        self.drug_cum = np.cumsum([1.0 / (i + 2) for i in range(_N_DRUGS)])
+        self.lab_cum = np.cumsum([1.0 / (i + 2) for i in range(_N_LABS)])
+        self.sym_cum = np.cumsum([1.0 / (i + 2) for i in range(_N_SYMPTOMS)])
         self.marker_cum = np.cumsum(np.asarray(_MARKER_WEIGHTS))
         self.marker_lab_cum = np.cumsum([0.3, 0.3, 0.4])
 
@@ -121,7 +117,7 @@ class _Grammar:
         tokens: list[str] = []
         while len(tokens) < length:
             tokens.append(_VISIT_MARKERS[int(rng.weighted_choice(self.marker_cum))])
-            for _ in range(1 + int(rng.integers(p.events_per_visit))):
+            for _ in range(1 + int(rng.integers(_EVENTS_PER_VISIT))):
                 self.emit_event(rng, tokens)
                 if len(tokens) >= length:
                     break

@@ -18,10 +18,9 @@ import numpy as np
 
 from ..models.config import ConfigError
 from ..rng import Rng
+from ..tensor import IGNORE_LABEL
 from .batching import Batch
 from .vocab import MASK_ID, NUM_RESERVED, Vocabulary
-
-IGNORE_LABEL = -1
 
 
 @dataclass(frozen=True)
@@ -69,5 +68,5 @@ def mask_batch(batch: Batch, vocab: Vocabulary, cfg: MaskingConfig, rng: Rng) ->
     out[to_mask] = MASK_ID
     out[to_random] = random_ids[to_random]
 
-    labels = np.where(selected, ids, np.int64(cfg.ignore_value))
+    labels = np.where(selected, ids, np.int64(IGNORE_LABEL))
     return MaskedBatch(input_ids=out, labels=labels, attention_mask=attention)

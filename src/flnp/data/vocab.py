@@ -40,22 +40,8 @@ class Vocabulary:
     def encode(self, tokens: Iterable[str]) -> list[int]:
         return [self.encode_token(t) for t in tokens]
 
-    def token(self, idx: int) -> str:
-        return self._id_to_token[idx]
-
     def non_reserved_tokens(self) -> list[str]:
         return self._id_to_token[NUM_RESERVED:]
-
-    def save(self, path: str) -> None:
-        """One token per line; zero-based line number = id - 4."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.non_reserved_tokens():
-                fh.write(tok + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            return cls(line.rstrip("\n") for line in fh if line.rstrip("\n"))
 
 
 def build_vocab(lines: Iterable[str], max_size: int) -> Vocabulary:

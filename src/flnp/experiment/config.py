@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 from dataclasses import dataclass, field
 from typing import Any, get_args, get_origin, get_type_hints
@@ -90,6 +91,10 @@ class ExperimentConfig:
             raise ConfigError(f"transport must be channel or tcp, got '{self.transport}'")
         if self.rounds < 0 or self.local_epochs < 0:
             raise ConfigError("rounds and local_epochs must be non-negative")
+        if not 0.0 < self.lr < math.inf:  # NaN fails too
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+        if not 0.0 <= self.holdout_frac < 1.0:
+            raise ConfigError(f"holdout_frac must lie in [0, 1), got {self.holdout_frac}")
         if (
             self.mode == "federated"
             and self.effective_clients() < 2

@@ -44,11 +44,9 @@ class ModelBase:
         self.mode = mode
         self.params = params
 
-    def param_specs(self) -> list[ParamSpec]:
-        raise NotImplementedError
-
     def manifest(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        return tuple((name, shape) for name, shape, _ in self.param_specs())
+        _, specs = _model_class(self.config, self.mode)
+        return tuple((name, shape) for name, shape, _ in specs)
 
     def export_params(self) -> ParameterSet:
         """The weights as a wire-precision set."""
@@ -79,16 +77,16 @@ def _check_manifest(ps: ParameterSet, expected) -> None:
 
 def _model_class(config: ModelConfig, mode: str):
     """The model class for (config, mode) and its parameter specs."""
-    from .lstm import LstmClassifier
-    from .transformer import TransformerModel
+    from .lstm import LstmClassifier, lstm_manifest
+    from .transformer import TransformerModel, transformer_manifest
 
     if mode not in ("mlm", "classify"):
         raise ConfigError(f"unknown mode '{mode}'")
     if config.kind == "lstm":
         if mode == "mlm":
             raise ConfigError("the LSTM model has no MLM head; it only classifies")
-        return LstmClassifier, LstmClassifier.specs_for(config)
-    return TransformerModel, TransformerModel.specs_for(config, mode)
+        return LstmClassifier, lstm_manifest(config)
+    return TransformerModel, transformer_manifest(config, mode)
 
 
 def init_model(config: ModelConfig, seed: int, mode: str = "classify"):

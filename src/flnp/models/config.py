@@ -5,6 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+N_CLASSES = 2  # every classifier is binary: corpora carry 0/1 labels only
+
+
 class ConfigError(ValueError):
     """A configuration value is out of contract."""
 
@@ -16,13 +19,12 @@ class ModelConfig:
     n_layers: int
     vocab_size: int
     max_seq_len: int
-    n_classes: int = 2
     n_heads: int | None = None  # transformer only
 
     def __post_init__(self) -> None:
         if self.kind not in ("lstm", "transformer"):
             raise ConfigError(f"unknown model kind '{self.kind}'")
-        for field in ("d_model", "n_layers", "vocab_size", "max_seq_len", "n_classes"):
+        for field in ("d_model", "n_layers", "vocab_size", "max_seq_len"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be positive, got {getattr(self, field)}")
         if self.kind == "transformer":
@@ -53,13 +55,8 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def preset(name: str, vocab_size: int, max_seq_len: int, n_classes: int = 2) -> ModelConfig:
+def preset(name: str, vocab_size: int, max_seq_len: int) -> ModelConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset '{name}' (expected one of {sorted(PRESETS)})")
     base = PRESETS[name]
-    return ModelConfig(
-        vocab_size=vocab_size,
-        max_seq_len=max_seq_len,
-        n_classes=n_classes,
-        **base,
-    )
+    return ModelConfig(vocab_size=vocab_size, max_seq_len=max_seq_len, **base)

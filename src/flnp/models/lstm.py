@@ -23,7 +23,7 @@ import numpy as np
 
 from ..tensor import Packing, Tensor, UsageError, embedding_lookup, linear, lstm_layer
 from .base import ModelBase, ParamSpec
-from .config import ModelConfig
+from .config import N_CLASSES, ModelConfig
 
 
 def lstm_manifest(config: ModelConfig) -> list[ParamSpec]:
@@ -35,20 +35,13 @@ def lstm_manifest(config: ModelConfig) -> list[ParamSpec]:
             (f"lstm.{i}.wh", (d, 4 * d), "weight"),
             (f"lstm.{i}.b", (4 * d,), "bias"),
         ]
-    specs += [("cls.w", (d, config.n_classes), "weight"), ("cls.b", (config.n_classes,), "bias")]
+    specs += [("cls.w", (d, N_CLASSES), "weight"), ("cls.b", (N_CLASSES,), "bias")]
     return specs
 
 
 class LstmClassifier(ModelBase):
-    @staticmethod
-    def specs_for(config: ModelConfig) -> list[ParamSpec]:
-        return lstm_manifest(config)
-
-    def param_specs(self) -> list[ParamSpec]:
-        return lstm_manifest(self.config)
-
     def forward(self, token_ids: np.ndarray, lengths: np.ndarray) -> Tensor:
-        """Class logits [B, n_classes]."""
+        """Class logits [B, N_CLASSES]."""
         cfg = self.config
         p = self.params
         ids = np.asarray(token_ids, dtype=np.int64)

@@ -42,7 +42,7 @@ from ..tensor import (
     scatter_rows,
 )
 from .base import ModelBase, ParamSpec
-from .config import ModelConfig
+from .config import N_CLASSES, ModelConfig
 
 
 def transformer_manifest(config: ModelConfig, mode: str) -> list[ParamSpec]:
@@ -75,26 +75,13 @@ def transformer_manifest(config: ModelConfig, mode: str) -> list[ParamSpec]:
     if mode == "mlm":
         specs += [("mlm.w", (d, config.vocab_size), "weight"), ("mlm.b", (config.vocab_size,), "bias")]
     else:
-        specs += [("cls.w", (d, config.n_classes), "weight"), ("cls.b", (config.n_classes,), "bias")]
+        specs += [("cls.w", (d, N_CLASSES), "weight"), ("cls.b", (N_CLASSES,), "bias")]
     return specs
 
 
 class TransformerModel(ModelBase):
-    @staticmethod
-    def specs_for(config: ModelConfig, mode: str) -> list[ParamSpec]:
-        return transformer_manifest(config, mode)
-
-    def param_specs(self) -> list[ParamSpec]:
-        return transformer_manifest(self.config, self.mode)
-
-    def forward(
-        self,
-        token_ids: np.ndarray,
-        attention_mask: np.ndarray,
-        return_attention: bool = False,
-    ):
-        """Hidden states [B, T, d_model], exactly 0 at padding; optionally the
-        per-layer attention weight arrays [B, H, T, T] for inspection."""
+    def forward(self, token_ids: np.ndarray, attention_mask: np.ndarray) -> Tensor:
+        """Hidden states [B, T, d_model], exactly 0 at padding."""
         cfg = self.config
         p = self.params
         ids = np.asarray(token_ids, dtype=np.int64)
@@ -112,10 +99,9 @@ class TransformerModel(ModelBase):
         packing = Packing(mask)
         h = add(embedding_lookup(p["emb.tok"], packing.pack(ids)),
                 embedding_lookup(p["emb.pos"], packing.pos_idx))
-        attentions: list[np.ndarray] = []
         for i in range(cfg.n_layers):
             pre = f"enc.{i}"
-            ctx, weights = attention(
+            ctx, _ = attention(
                 h, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"], p[f"{pre}.attn.wk"], p[f"{pre}.attn.bk"],
                 p[f"{pre}.attn.wv"], p[f"{pre}.attn.bv"], packing, cfg.n_heads,
             )
@@ -124,11 +110,7 @@ class TransformerModel(ModelBase):
             inner = linear_gelu(h, p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"])
             f = linear(inner, p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"])
             h = add_layer_norm(f, h, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
-            attentions.append(weights)
-        hidden = scatter_rows(h, packing)
-        if return_attention:
-            return hidden, attentions
-        return hidden
+        return scatter_rows(h, packing)
 
     def mlm_logits(self, hidden: Tensor) -> Tensor:
         """Vocabulary logits [B, T, V]."""
@@ -137,7 +119,7 @@ class TransformerModel(ModelBase):
         return linear(hidden, self.params["mlm.w"], self.params["mlm.b"])
 
     def classify_logits(self, hidden: Tensor, attention_mask: np.ndarray) -> Tensor:
-        """Class logits [B, n_classes] from mask-weighted mean pooling."""
+        """Class logits [B, N_CLASSES] from mask-weighted mean pooling."""
         if self.mode != "classify":
             raise UsageError(f"model is in mode '{self.mode}', not 'classify'")
         mask = np.asarray(attention_mask, dtype=hidden.data.dtype)

@@ -2,42 +2,32 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .tensor import ShapeError, Tensor
 
+# the published defaults (Kingma & Ba, arXiv 1412.6980)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    """Bias-corrected Adam. Updates are deterministic given gradients.
+    """Bias-corrected Adam with BETA1, BETA2 and EPS. Updates are deterministic given gradients.
 
-    Defaults: beta1=0.9, beta2=0.999, eps=1e-8. First and second moment
-    buffers are kept per parameter; `t` counts completed steps.
+    First and second moment buffers are kept per parameter; `t` counts
+    completed steps.
     """
 
-    def __init__(
-        self,
-        params: Mapping[str, Tensor] | Iterable[tuple[str, Tensor]],
-        lr: float = 1e-2,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
-        if lr <= 0.0:
+    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-2) -> None:
+        if not lr > 0.0:  # NaN too
             raise ValueError(f"lr must be positive, got {lr}")
-        if not 0.0 < beta1 < 1.0 or not 0.0 < beta2 < 1.0:
-            raise ValueError(f"betas must lie in (0, 1), got {beta1}, {beta2}")
-        if eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        items = params.items() if isinstance(params, Mapping) else params
         self._slots = [
-            (name, t, np.zeros_like(t.data), np.zeros_like(t.data)) for name, t in items
+            (name, t, np.zeros_like(t.data), np.zeros_like(t.data)) for name, t in params.items()
         ]
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
 
     def zero_grad(self) -> None:
@@ -46,8 +36,8 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for name, tensor, m, v in self._slots:
             g = tensor.grad
             if g is None:
@@ -56,10 +46,10 @@ class Adam:
                 raise ShapeError(
                     f"gradient shape {g.shape} does not match parameter '{name}' {tensor.data.shape}"
                 )
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
             mhat = m / bc1
             vhat = v / bc2
-            tensor.data = tensor.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            tensor.data = tensor.data - self.lr * mhat / (np.sqrt(vhat) + EPS)

@@ -75,9 +75,6 @@ class ParameterSet:
         """
         return self
 
-    def n_values(self) -> int:
-        return sum(arr.size for arr in self._arrays.values())
-
 
 def _frozen(items: Iterable[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
     """Name -> array, each marked read-only; ValueError on a repeated name."""

@@ -6,11 +6,12 @@ mutation happens inside handle, so the one session loop,
 `flnp.experiment.federated.drive`, behaves identically whether the
 in-process channel or TCP reader threads feed it.
 
-Phases cycle awaiting_provision -> distributing -> collecting ->
-aggregating -> distributing, ending in done. Aggregation runs over
-client-id-sorted updates, so results do not depend on arrival order, and
-its result is the one set the server validates, distributes and keeps as
-the final parameters.
+Phases run awaiting_provision -> collecting -> done. A round's global
+model goes out in the same `handle` call that completes provisioning or
+aggregates the round before, so between calls the server is in one of
+those three phases. Aggregation runs over client-id-sorted updates, so
+results do not depend on arrival order, and its result is the one set
+the server validates, distributes and keeps as the final parameters.
 An update holding NaN or inf cannot be averaged safely, so it ends the
 run with a `non_finite_update` ProtocolError.
 """
@@ -125,7 +126,6 @@ class FlServer:
     # -- round loop ------------------------------------------------------
 
     def _distribute_round(self, round_no: int) -> Outgoing:
-        self.phase = "distributing"
         self.round = round_no
         self._pending.clear()
         out: Outgoing = []
@@ -167,7 +167,6 @@ class FlServer:
         return self._finish_round()
 
     def _finish_round(self) -> Outgoing:
-        self.phase = "aggregating"
         updates = list(self._pending.values())
         self.global_params = aggregate(updates)
         self.client_metrics.append({u.client_id: dict(u.local_metrics) for u in updates})

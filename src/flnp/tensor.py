@@ -35,6 +35,7 @@ _SQRT_2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 LAYER_NORM_EPS = 1e-5
+IGNORE_LABEL = -1  # a label that masked_cross_entropy does not score
 
 class ShapeError(ValueError):
     """Operand dimensions do not agree."""
@@ -70,9 +71,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -275,7 +273,7 @@ def softmax_rows(a) -> Tensor:
     return _result(out, (a,), bwd)
 
 
-def layer_norm(a, gain, bias, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(a, gain, bias) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then scale and shift."""
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
     n = a.data.shape[-1]
@@ -286,7 +284,7 @@ def layer_norm(a, gain, bias, eps: float = LAYER_NORM_EPS) -> Tensor:
     mu = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     data = xhat * gain.data + bias.data
 
@@ -322,8 +320,8 @@ def embedding_lookup(table, ids) -> Tensor:
     return _result(data, (table,), bwd)
 
 
-def masked_cross_entropy(logits, labels, ignore_value: int = -1) -> Tensor:
-    """Mean negative log-softmax over positions whose label != ignore_value.
+def masked_cross_entropy(logits, labels) -> Tensor:
+    """Mean negative log-softmax over positions whose label != IGNORE_LABEL.
 
     Returns a 0 scalar with zero gradient when every position is ignored.
     """
@@ -334,7 +332,7 @@ def masked_cross_entropy(logits, labels, ignore_value: int = -1) -> Tensor:
     n, vocab = logits.data.shape
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match logits rows {n}")
-    valid = labels != ignore_value
+    valid = labels != IGNORE_LABEL
     picked = labels[valid]
     if picked.size and (picked.min() < 0 or picked.max() >= vocab):
         bad = picked[(picked < 0) | (picked >= vocab)][0]
@@ -612,7 +610,7 @@ def linear_gelu(x, w, b) -> Tensor:
     return _result(out, (x, w, b), bwd)
 
 
-def add_layer_norm(x, residual, gain, bias, eps: float = LAYER_NORM_EPS) -> Tensor:
+def add_layer_norm(x, residual, gain, bias) -> Tensor:
     """layer_norm(residual + x, gain, bias) as one node."""
     x, residual, gain, bias = as_tensor(x), as_tensor(residual), as_tensor(gain), as_tensor(bias)
     n = x.data.shape[-1]
@@ -625,7 +623,7 @@ def add_layer_norm(x, residual, gain, bias, eps: float = LAYER_NORM_EPS) -> Tens
     xhat = residual.data + x.data
     xhat -= xhat.mean(axis=-1, keepdims=True)
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     out = xhat * gain.data
     out += bias.data

@@ -21,15 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Batch, MaskedBatch, MaskingConfig, Record, Vocabulary, make_batches, mask_batch
-from .data.masking import IGNORE_LABEL
 from .models import LstmClassifier
 from .models.base import ModelBase
 from .optim import Adam
 from .rng import Rng
-from .tensor import Tensor, backward, masked_cross_entropy, reshape
+from .tensor import IGNORE_LABEL, Tensor, backward, masked_cross_entropy, reshape
 
 VALIDATION_MASK_KEY = 0x56414C  # "VAL"
-HOLDOUT_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -37,11 +35,11 @@ class TrainSettings:
     phase: str  # "mlm" | "classify"
     batch_size: int
     max_seq_len: int
-    masking: MaskingConfig = MaskingConfig()
-    holdout_frac: float = HOLDOUT_FRACTION
+    masking: MaskingConfig
+    holdout_frac: float
 
 
-def split_holdout(records: list[Record], frac: float = HOLDOUT_FRACTION) -> tuple[list[Record], list[Record]]:
+def split_holdout(records: list[Record], frac: float) -> tuple[list[Record], list[Record]]:
     """Deterministic train/holdout split: the trailing `frac` is held out."""
     n_hold = int(round(len(records) * frac))
     if n_hold == 0:
@@ -56,7 +54,7 @@ def batch_loss(model: ModelBase, batch) -> tuple[Tensor, np.ndarray, np.ndarray]
         logits = model.mlm_logits(hidden)
         b, t, v = logits.shape
         flat_labels = batch.labels.reshape(-1)
-        loss = masked_cross_entropy(reshape(logits, (b * t, v)), flat_labels, IGNORE_LABEL)
+        loss = masked_cross_entropy(reshape(logits, (b * t, v)), flat_labels)
         scored = flat_labels != IGNORE_LABEL
         return loss, logits.data.reshape(b * t, v)[scored], flat_labels[scored]
     if isinstance(model, LstmClassifier):

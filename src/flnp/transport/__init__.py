@@ -1,8 +1,8 @@
 from .frame import (
-    DEFAULT_MAX_PAYLOAD,
     DecodeError,
     FRAME_MAGIC,
     FRAME_VERSION,
+    MAX_PAYLOAD,
     build_frame,
     parse_frame,
 )
@@ -16,10 +16,10 @@ from .codec import (
 from .tcp import TcpConnection, TcpServer, connect
 
 __all__ = [
-    "DEFAULT_MAX_PAYLOAD",
     "DecodeError",
     "FRAME_MAGIC",
     "FRAME_VERSION",
+    "MAX_PAYLOAD",
     "build_frame",
     "parse_frame",
     "compute_auth_tag",

@@ -36,7 +36,7 @@ from ..protocol.messages import (
     Shutdown,
     with_tag,
 )
-from .frame import DEFAULT_MAX_PAYLOAD, DecodeError, build_frame, parse_frame
+from .frame import DecodeError, build_frame, parse_frame
 
 MSG_CODES: dict[type, int] = {
     Hello: 1,
@@ -164,13 +164,13 @@ def encode_message(msg: FlMessage) -> bytes:
     return build_frame(MSG_CODES[type(msg)], *_encode_body(msg), tag)
 
 
-def decode_message(data, max_payload: int = DEFAULT_MAX_PAYLOAD) -> FlMessage:
+def decode_message(data) -> FlMessage:
     """Exact inverse of encode_message; raises DecodeError on any defect.
 
     Decoded parameter sets view `data` rather than copy it, so `data`
     must not be modified afterwards.
     """
-    code, payload = parse_frame(data, max_payload=max_payload)
+    code, payload = parse_frame(data)
     if len(payload) < 4:
         raise DecodeError("bad_payload", "payload too short for the auth tag")
     msg_type = _CODE_TO_TYPE.get(code)

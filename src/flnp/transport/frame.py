@@ -20,7 +20,7 @@ import zlib
 
 FRAME_MAGIC = b"FLNP"
 FRAME_VERSION = 1
-DEFAULT_MAX_PAYLOAD = 64 * 1024 * 1024  # bounds memory against malformed peers
+MAX_PAYLOAD = 64 * 1024 * 1024  # bounds memory against malformed peers
 
 _HEADER = struct.Struct("<4sHBI")
 HEADER_SIZE = _HEADER.size  # 11
@@ -50,23 +50,23 @@ def build_frame(msg_type: int, *chunks) -> bytes:
     return b"".join((header, *chunks, struct.pack("<I", crc & 0xFFFFFFFF)))
 
 
-def parse_header(data, max_payload: int = DEFAULT_MAX_PAYLOAD) -> tuple[int, int]:
+def parse_header(data) -> tuple[int, int]:
     """Check the first HEADER_SIZE bytes of a frame; returns (msg_type, length)."""
     magic, version, msg_type, length = _HEADER.unpack_from(data)
     if magic != FRAME_MAGIC:
         raise DecodeError("bad_magic", repr(magic))
     if version != FRAME_VERSION:
         raise DecodeError("unsupported_version", str(version))
-    if length > max_payload:
-        raise DecodeError("frame_too_large", f"payload of {length} bytes exceeds cap {max_payload}")
+    if length > MAX_PAYLOAD:
+        raise DecodeError("frame_too_large", f"payload of {length} bytes exceeds cap {MAX_PAYLOAD}")
     return msg_type, length
 
 
-def parse_frame(data, max_payload: int = DEFAULT_MAX_PAYLOAD) -> tuple[int, memoryview]:
+def parse_frame(data) -> tuple[int, memoryview]:
     """Parse one complete frame; returns (msg_type, payload view into `data`)."""
     if len(data) < HEADER_SIZE:
         raise DecodeError("truncated", f"{len(data)} bytes is below the {HEADER_SIZE}-byte header")
-    msg_type, length = parse_header(data, max_payload)
+    msg_type, length = parse_header(data)
     total = HEADER_SIZE + length + TRAILER_SIZE
     if len(data) < total:
         raise DecodeError("truncated", f"need {total} bytes, have {len(data)}")

@@ -15,9 +15,9 @@ import socket
 import threading
 
 from .codec import decode_message, encode_message
-from .frame import DEFAULT_MAX_PAYLOAD, HEADER_SIZE, TRAILER_SIZE, DecodeError, parse_header
+from .frame import HEADER_SIZE, TRAILER_SIZE, DecodeError, parse_header
 
-DEFAULT_PORT = 7878
+CONNECT_TIMEOUT_S = 30.0
 
 
 class ConnectionClosed(RuntimeError):
@@ -38,14 +38,14 @@ def send_message(sock: socket.socket, msg) -> None:
     sock.sendall(encode_message(msg))
 
 
-def recv_message(sock: socket.socket, max_payload: int = DEFAULT_MAX_PAYLOAD):
+def recv_message(sock: socket.socket):
     header = bytearray(HEADER_SIZE)
     _recv_into(sock, memoryview(header), mid_frame=False)
-    _msg_type, length = parse_header(header, max_payload)
+    _msg_type, length = parse_header(header)
     frame = bytearray(HEADER_SIZE + length + TRAILER_SIZE)
     frame[:HEADER_SIZE] = header
     _recv_into(sock, memoryview(frame)[HEADER_SIZE:], mid_frame=True)
-    return decode_message(frame, max_payload=max_payload)
+    return decode_message(frame)
 
 
 class TcpConnection:
@@ -68,8 +68,8 @@ class TcpConnection:
         self._sock.close()
 
 
-def connect(host: str, port: int, timeout: float = 30.0) -> TcpConnection:
-    sock = socket.create_connection((host, port), timeout=timeout)
+def connect(host: str, port: int) -> TcpConnection:
+    sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
     sock.settimeout(None)
     return TcpConnection(sock)
 
@@ -80,11 +80,9 @@ class TcpServer:
     Inbox items are (conn_id, message) or (conn_id, None) on disconnect.
     """
 
-    def __init__(self, host: str, port: int, expected: int,
-                 max_payload: int = DEFAULT_MAX_PAYLOAD) -> None:
+    def __init__(self, host: str, port: int, expected: int) -> None:
         self._listener = socket.create_server((host, port))
         self._expected = expected
-        self._max_payload = max_payload
         self.inbox: "queue.Queue[tuple[int, object]]" = queue.Queue()
         self._conns: dict[int, socket.socket] = {}
         self._lock = threading.Lock()
@@ -113,7 +111,7 @@ class TcpServer:
     def _read_loop(self, conn_id: int, sock: socket.socket) -> None:
         while True:
             try:
-                msg = recv_message(sock, max_payload=self._max_payload)
+                msg = recv_message(sock)
             except (ConnectionClosed, DecodeError, OSError):
                 if not self._stopping:
                     self.inbox.put((conn_id, None))

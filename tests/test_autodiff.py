@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flnp.data import build_vocab
+from flnp.data import MaskingConfig, build_vocab
 from flnp.models import init_model, preset
 from flnp.optim import Adam
 from flnp.rng import Rng
@@ -138,7 +138,8 @@ def _train_peak_bytes(n_batches: int) -> int:
     words = [f"w{i}" for i in range(30)]
     records = [(0, [words[j] for j in rng.integers(0, 30, size=32)]) for _ in range(16 * n_batches)]
     vocab = build_vocab((" ".join(toks) for _, toks in records), 100)
-    settings = TrainSettings(phase="mlm", batch_size=16, max_seq_len=32)
+    settings = TrainSettings(phase="mlm", batch_size=16, max_seq_len=32, masking=MaskingConfig(),
+                             holdout_frac=0.2)
     model = init_model(preset("bert_mini", vocab_size=vocab.size, max_seq_len=32), seed=3, mode="mlm")
     optimizer = Adam(model.params, lr=1e-3)
     tracemalloc.start()

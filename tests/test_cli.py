@@ -131,6 +131,20 @@ def test_wrongly_typed_setting_is_refused(tmp_path, capsys, setting, error):
     assert error in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", [
+    "lr=0", "lr=-1", "lr=NaN", "lr=Infinity",
+    "holdout_frac=-0.5", "holdout_frac=1.0", "holdout_frac=1.5", "holdout_frac=NaN",
+])
+def test_out_of_range_setting_is_refused_before_training(tmp_path, capsys, setting):
+    cfg = base_config(tmp_path, mode="federated", model="lstm")
+    assert cli_main(["run", "--config", cfg, "--set", setting]) == 2
+    err = capsys.readouterr().err
+    field = setting.split("=")[0]
+    assert re.search(rf"^error: {field} must ", err, re.M), err
+    assert "Traceback" not in err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 @pytest.mark.parametrize("partition, error", [
     ({"n_clients": 4, "mode": "imbalanced"}, "8 ratios for 4 clients"),
     ({"n_clients": 4, "mode": "small"}, "8 ratios for 4 clients"),

@@ -20,6 +20,9 @@ from flnp.protocol.messages import (
 )
 from flnp.rng import Rng
 from flnp.transport import (
+    FRAME_MAGIC,
+    FRAME_VERSION,
+    MAX_PAYLOAD,
     DecodeError,
     decode_message,
     encode_message,
@@ -174,9 +177,10 @@ class TestDecodeErrors:
         assert err.value.code == "trailing_data"
 
     def test_oversized_frame_rejected(self):
-        frame = encode_message(Shutdown())
+        # the header alone is refused: nothing is read or allocated past it
+        header = struct.pack("<4sHBI", FRAME_MAGIC, FRAME_VERSION, MSG_CODES[Shutdown], MAX_PAYLOAD + 1)
         with pytest.raises(DecodeError) as err:
-            decode_message(frame, max_payload=3)
+            decode_message(header)
         assert err.value.code == "frame_too_large"
 
     def test_fuzz_random_and_mutated_inputs(self):

@@ -58,8 +58,6 @@ def test_lengths_respect_bounds():
 
 def test_degenerate_grammar_rejected():
     with pytest.raises(ConfigError):
-        CorpusParams(n_drugs=0)
-    with pytest.raises(ConfigError):
         CorpusParams(min_len=2)
     with pytest.raises(ConfigError):
         CorpusParams(prevalence=0.01, label_noise=0.4)

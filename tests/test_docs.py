@@ -14,11 +14,11 @@ WIRE_FORMAT_MD = os.path.join(os.path.dirname(__file__), "..", "docs", "wire-for
 README_MD = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 # sizes no preset dimension takes, rendered as the doc's placeholders
-PLACEHOLDERS = {90001: "V", 90002: "P", 90003: "C"}
+PLACEHOLDERS = {90001: "V", 90002: "P"}
 
 
 def render_section(name, mode):
-    config = preset(name, vocab_size=90001, max_seq_len=90002, n_classes=90003)
+    config = preset(name, vocab_size=90001, max_seq_len=90002)
     if config.kind == "lstm":
         specs = lstm_manifest(config)
     else:

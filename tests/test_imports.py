@@ -6,12 +6,17 @@ module is imported into an interpreter with no flnp module loaded.
 
 The benchmark's tracer (`bench/spans.py`) wraps flnp callables by name, so
 it is installed here too: a rename or deletion that it still names breaks
-`bench/run.py --trace 1` and `--smoke`, which the tests here never run.
+`bench/run.py --trace 1` and `--smoke`. The benchmark's own repeat
+(`bench/worker.py`) calls into flnp beyond the tracer, in its output checks
+and its configs, so one smoke repeat of each workload runs here as well.
 """
 
+import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
@@ -56,3 +61,20 @@ def test_benchmark_tracer_finds_every_callable_it_wraps():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("workload, flags", [
+    ("mlm_mini_channel", ["--trace", "{tmp}/spans.jsonl"]),
+    ("lstm_tcp", ["--check-channel"]),
+    ("bert_wire_tcp", []),
+])
+def test_benchmark_smoke_repeat_passes_its_checks(tmp_path, workload, flags):
+    args = [f.format(tmp=tmp_path) for f in flags]
+    proc = subprocess.run(
+        [sys.executable, os.path.join(BENCH, "worker.py"), "--workload", workload, "--seed", "1",
+         "--smoke", *args],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failures"] == []

@@ -55,7 +55,3 @@ def test_arrays_hold_wire_values():
         assert arr.dtype == np.dtype("<f4") and arr.flags.c_contiguous
     assert ps["w"].tolist() == [np.inf, -np.inf, float(np.float32(1.0 / 3.0))]
     assert ps["t"].tolist() == [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]]
-
-
-def test_n_values():
-    assert _sample().n_values() == 6

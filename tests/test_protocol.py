@@ -221,7 +221,8 @@ def _client_fixture(n_records=30):
     vocab = build_vocab((" ".join(t) for _, t in corpus), 32)
     model_cfg = ModelConfig(kind="transformer", d_model=8, n_layers=1,
                             vocab_size=vocab.size, max_seq_len=8, n_heads=2)
-    settings = TrainSettings(phase="classify", batch_size=8, max_seq_len=8, masking=MaskingConfig())
+    settings = TrainSettings(phase="classify", batch_size=8, max_seq_len=8, masking=MaskingConfig(),
+                             holdout_frac=0.2)
     cfg = ClientTrainConfig(
         model_config=model_cfg, vocab=vocab, settings=settings,
         batch_seed=11, shard_provider=lambda cid: corpus,

@@ -1,4 +1,5 @@
 import socket
+import struct
 import threading
 import time
 
@@ -7,7 +8,18 @@ import pytest
 
 from flnp.params import ParameterSet
 from flnp.protocol.messages import GlobalModel, Hello, Shutdown
-from flnp.transport import DecodeError, TcpServer, connect, encode_message, sign, verify_auth
+from flnp.transport import (
+    FRAME_MAGIC,
+    FRAME_VERSION,
+    MAX_PAYLOAD,
+    DecodeError,
+    TcpServer,
+    connect,
+    encode_message,
+    sign,
+    verify_auth,
+)
+from flnp.transport.codec import MSG_CODES
 from flnp.transport.tcp import recv_message, send_message
 
 
@@ -54,11 +66,11 @@ def test_eight_clients_connect_and_exchange():
 
 
 def test_oversized_frame_rejected_by_reader():
+    # only the 11-byte header is sent: the reader refuses it before sizing a buffer
     a, b = socket.socketpair()
-    big = encode_message(Hello(client_name="x" * 200, auth_token="t"))
-    a.sendall(big)
+    a.sendall(struct.pack("<4sHBI", FRAME_MAGIC, FRAME_VERSION, MSG_CODES[Hello], MAX_PAYLOAD + 1))
     with pytest.raises(DecodeError) as err:
-        recv_message(b, max_payload=16)
+        recv_message(b)
     assert err.value.code == "frame_too_large"
     a.close()
     b.close()

@@ -1,6 +1,6 @@
 import pytest
 
-from flnp.data import CLS_ID, MASK_ID, PAD_ID, UNK_ID, Vocabulary, build_vocab
+from flnp.data import CLS_ID, MASK_ID, PAD_ID, UNK_ID, build_vocab
 from flnp.tensor import UsageError
 
 
@@ -46,17 +46,6 @@ def test_rebuild_is_identical():
 def test_empty_corpus_rejected():
     with pytest.raises(UsageError):
         build_vocab([], max_size=10)
-
-
-def test_save_load_round_trip(tmp_path):
-    vocab = build_vocab(["alpha beta gamma beta"], max_size=10)
-    path = tmp_path / "vocab.txt"
-    vocab.save(str(path))
-    # line number = id - 4, zero-indexed
-    lines = path.read_text().splitlines()
-    assert lines[0] == vocab.token(4)
-    loaded = Vocabulary.load(str(path))
-    assert loaded.non_reserved_tokens() == vocab.non_reserved_tokens()
 
 
 def test_encode_sequence():
