@@ -34,7 +34,7 @@ from .experiment.runner import (
     params_checksum,
     run_experiment,
     save_params,
-    train_config,
+    train_plan,
 )
 
 EXIT_OK = 0
@@ -134,19 +134,18 @@ def _write_results(out_dir: str, results) -> None:
 
 
 def _expected_outputs(cfg: ExperimentConfig) -> list[str]:
-    phases = cfg.chained_phases() if cfg.phase == "pretrain_then_finetune" else (cfg,)
-    return [os.path.join(cfg.out_dir, f"{phase.derived_run_id()}.csv") for phase in phases]
+    return [os.path.join(cfg.out_dir, f"{phase.derived_run_id()}.csv") for phase in cfg.phases()]
 
 
 def cmd_serve(args) -> int:
     cfg = _load_cfg(args)
     if cfg.mode != "federated":
         raise ConfigError("serve requires mode=federated")
-    if cfg.phase == "pretrain_then_finetune":
+    if len(cfg.phases()) > 1:
         # remote clients build one model for the whole session, so they
         # cannot follow the switch from the MLM to the classifier phase
         raise ConfigError(
-            "serve runs single-phase configs only; phase 'pretrain_then_finetune' needs "
+            f"serve runs single-phase configs only; phase '{cfg.phase}' needs "
             "one serve per phase ('pretrain_mlm', then 'finetune_classify' with "
             "pretrained_params_path) or 'flnp run --transport tcp'"
         )
@@ -158,7 +157,7 @@ def cmd_serve(args) -> int:
 
 def cmd_client(args) -> int:
     cfg = _load_cfg(args)
-    client = FlClient(args.name, cfg.auth_token, train_config(cfg, build_dataset(cfg)))
+    client = FlClient(args.name, cfg.auth_token, train_plan(cfg, build_dataset(cfg)))
     # the server's budget for a session of this size, so a served run equals `flnp run`
     with blas_threads(session_budget(cfg.effective_clients())[1]):
         tcp_client_loop(client, connect(*cfg.host_port()))  # --addr is already in cfg.addr

@@ -40,9 +40,6 @@ class Vocabulary:
     def encode(self, tokens: Iterable[str]) -> list[int]:
         return [self.encode_token(t) for t in tokens]
 
-    def non_reserved_tokens(self) -> list[str]:
-        return self._id_to_token[NUM_RESERVED:]
-
 
 def build_vocab(lines: Iterable[str], max_size: int) -> Vocabulary:
     """Frequency vocabulary over lowercased whitespace tokens.

@@ -17,11 +17,11 @@ from typing import Any, get_args, get_origin, get_type_hints
 
 from ..data import CorpusParams, MaskingConfig, PartitionSpec
 from ..models import preset
-from ..models.config import ConfigError, ModelConfig
+from ..models.config import PRESETS, ConfigError, ModelConfig
 
 MODES = ("centralized", "standalone", "federated")
 PHASES = ("pretrain_mlm", "finetune_classify", "pretrain_then_finetune")
-MODEL_NAMES = ("bert", "bert_mini", "lstm")
+MODEL_NAMES = tuple(PRESETS)
 DEFAULT_AUTH_TOKEN = "flnp-shared-token"
 
 
@@ -85,7 +85,7 @@ class ExperimentConfig:
             raise ConfigError(f"phase must be one of {PHASES}, got '{self.phase}'")
         if self.model not in MODEL_NAMES:
             raise ConfigError(f"model must be one of {MODEL_NAMES}, got '{self.model}'")
-        if self.model == "lstm" and self.phase in ("pretrain_mlm", "pretrain_then_finetune"):
+        if self.model == "lstm" and self.model_mode == "mlm":
             raise ConfigError("the lstm preset cannot pretrain with MLM")
         if self.transport not in ("channel", "tcp"):
             raise ConfigError(f"transport must be channel or tcp, got '{self.transport}'")
@@ -111,17 +111,26 @@ class ExperimentConfig:
     def model_config(self, vocab_size: int) -> ModelConfig:
         return preset(self.model, vocab_size=vocab_size, max_seq_len=self.max_seq_len)
 
+    @property
+    def model_mode(self) -> str:
+        """The head this config's model trains; a chained run starts with MLM pretraining."""
+        return "classify" if self.phase == "finetune_classify" else "mlm"
+
     def derived_run_id(self) -> str:
         if self.run_id:
             return self.run_id
         return f"{self.phase}-{self.mode}-{self.model}-i{self.seeds.init}"
 
-    def chained_phases(self) -> tuple["ExperimentConfig", "ExperimentConfig"]:
-        """The pretraining and fine-tuning phases of a pretrain_then_finetune run.
+    def phases(self) -> tuple["ExperimentConfig", ...]:
+        """The single-phase configs this config runs, in order.
 
-        An explicit run_id gets the phase name appended, so the two phases
-        write separate outputs.
+        A pretrain_then_finetune config runs MLM pretraining, then fine-tuning;
+        an explicit run_id gets the phase name appended, so the two phases
+        write separate outputs. Any other config is its own one phase.
         """
+        if self.phase != "pretrain_then_finetune":
+            return (self,)
+
         def phase(name: str, **changes) -> "ExperimentConfig":
             run_id = f"{self.run_id}-{name}" if self.run_id else None
             return dataclasses.replace(self, phase=name, run_id=run_id, **changes)
@@ -169,7 +178,7 @@ def _scalar(cls, key: str, hint: Any, raw: Any):
 
 def _build(cls, value: Any):
     """Recursively construct a (frozen) dataclass tree from plain JSON data."""
-    if value is None or not dataclasses.is_dataclass(cls):
+    if value is None:
         return value
     if not isinstance(value, dict):
         raise ConfigError(f"expected an object for {cls.__name__}, got {type(value).__name__}")
@@ -179,20 +188,12 @@ def _build(cls, value: Any):
     for key, raw in value.items():
         if key not in known:
             raise ConfigError(f"unknown config key '{key}' for {cls.__name__}")
-        target = _DATACLASS_FIELDS.get((cls, key))
-        if target is not None:
-            kwargs[key] = _build(target, raw)
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            kwargs[key] = _build(hint, raw)
         else:
-            kwargs[key] = _scalar(cls, key, hints[key], raw)
+            kwargs[key] = _scalar(cls, key, hint, raw)
     return cls(**kwargs)
-
-
-_DATACLASS_FIELDS = {
-    (ExperimentConfig, "partition"): PartitionSpec,
-    (ExperimentConfig, "seeds"): Seeds,
-    (ExperimentConfig, "data"): DataConfig,
-    (ExperimentConfig, "masking"): MaskingConfig,
-}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

@@ -27,18 +27,17 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 from ..blas import blas_threads, session_budget
 from ..data import Vocabulary, build_vocab, gen_synthetic_corpus, load_corpus, partition
 from ..data.corpus import CorpusParams, Record
 from ..models import build_model, init_model
 from ..params import ParameterSet
-from ..protocol.client import ClientTrainConfig, FlClient, LocalTrainer
+from ..protocol.client import FlClient, LocalTrainer
 from ..protocol.server import FlServer, ServerConfig
 from ..rng import Rng
 from ..tensor import UsageError
-from ..training import TrainSettings, VALIDATION_MASK_KEY, evaluate, prepare_eval_batches
+from ..training import VALIDATION_MASK_KEY, TrainPlan, evaluate, prepare_eval_batches
 from ..transport.codec import parameter_set_from_bytes, parameter_set_to_bytes
 from ..transport.tcp import TcpServer, connect
 from .config import ExperimentConfig, config_to_dict
@@ -109,40 +108,33 @@ def build_dataset(cfg: ExperimentConfig) -> DatasetBundle:
     return DatasetBundle(vocab=vocab, shards=shards, global_val=global_val)
 
 
-def _settings(cfg: ExperimentConfig) -> TrainSettings:
-    """Settings of `cfg`'s phase; a chained run starts with MLM pretraining."""
-    return TrainSettings(
-        phase="classify" if cfg.phase == "finetune_classify" else "mlm",
+def train_plan(
+    cfg: ExperimentConfig,
+    bundle: DatasetBundle,
+    shards: list[list[Record]] | None = None,
+) -> TrainPlan:
+    """`LocalTrainer` inputs for `cfg`'s phase; trainer k trains on the bundle's shard k by default."""
+    return TrainPlan(
+        model_config=cfg.model_config(bundle.vocab.size),
+        mode=cfg.model_mode,
+        vocab=bundle.vocab,
+        shards=bundle.shards if shards is None else shards,
         batch_size=cfg.batch_size,
         max_seq_len=cfg.max_seq_len,
         masking=cfg.masking,
         holdout_frac=cfg.holdout_frac,
-    )
-
-
-def train_config(
-    cfg: ExperimentConfig,
-    bundle: DatasetBundle,
-    shard_provider: Callable[[int], list[Record]] | None = None,
-) -> ClientTrainConfig:
-    """`LocalTrainer` inputs for `cfg`'s phase; trainer k trains on shard k by default."""
-    return ClientTrainConfig(
-        model_config=cfg.model_config(bundle.vocab.size),
-        vocab=bundle.vocab,
-        settings=_settings(cfg),
         batch_seed=cfg.seeds.batch,
-        shard_provider=shard_provider or (lambda k: bundle.shards[k]),
     )
 
 
-def _val_batches(cfg: ExperimentConfig, bundle: DatasetBundle, settings: TrainSettings):
-    mask_rng = Rng(cfg.seeds.batch).split(VALIDATION_MASK_KEY)
-    return prepare_eval_batches(bundle.global_val, bundle.vocab, settings, mask_rng)
+def _val_batches(bundle: DatasetBundle, plan: TrainPlan):
+    mask_rng = Rng(plan.batch_seed).split(VALIDATION_MASK_KEY)
+    return prepare_eval_batches(bundle.global_val, plan, mask_rng)
 
 
 def _initial_params(cfg: ExperimentConfig, bundle: DatasetBundle) -> ParameterSet:
     model_cfg = cfg.model_config(bundle.vocab.size)
-    return init_model(model_cfg, cfg.seeds.init, mode=_settings(cfg).phase).export_params()
+    return init_model(model_cfg, cfg.seeds.init, mode=cfg.model_mode).export_params()
 
 
 def _ms_since(t0: float) -> float:
@@ -159,22 +151,19 @@ def run_local(cfg: ExperimentConfig, bundle: DatasetBundle, inits: list[Paramete
     session, so a one-client federated run computes with the same BLAS
     thread count as the centralized run.
     """
-    if cfg.mode == "centralized":
-        config = train_config(cfg, bundle, lambda _: bundle.pooled)
-        scopes = ["global"]
-    else:
-        config = train_config(cfg, bundle)
-        scopes = [f"client_{k}" for k in range(len(bundle.shards))]
+    centralized = cfg.mode == "centralized"
+    plan = train_plan(cfg, bundle, [bundle.pooled] if centralized else None)
+    scopes = ["global"] if centralized else [f"client_{k}" for k in range(len(plan.shards))]
     if len(inits) == 1:
         inits = inits * len(scopes)
-    val_batches = _val_batches(cfg, bundle, config.settings)
+    val_batches = _val_batches(bundle, plan)
     row = partial(MetricsRecord, cfg.derived_run_id(), cfg.mode, cfg.model)
     records: list[MetricsRecord] = []
     finals: dict[str, ParameterSet] = {}
     _, budget = session_budget(1)  # one trainer at a time
     with blas_threads(budget):
         for k, (scope, init) in enumerate(zip(scopes, inits)):
-            trainer = LocalTrainer(config, k)
+            trainer = LocalTrainer(plan, k)
             params = init
             trainer.load(params)
             t0 = time.perf_counter()
@@ -212,9 +201,8 @@ def run_federated(
     n_clients = len(bundle.shards)
     workers, budget = session_budget(n_clients)
     with blas_threads(budget):
-        config = train_config(cfg, bundle)
-        model_cfg, model_mode = config.model_config, config.settings.phase
-        val_batches = _val_batches(cfg, bundle, config.settings)
+        plan = train_plan(cfg, bundle)
+        val_batches = _val_batches(bundle, plan)
         init = init_params or _initial_params(cfg, bundle)
 
         round_times: list[float] = []
@@ -222,7 +210,7 @@ def run_federated(
 
         def validate_fn(ps: ParameterSet) -> dict[str, float]:
             round_times.append(_ms_since(last_mark[0]))
-            model = build_model(model_cfg, model_mode, ps)
+            model = build_model(plan.model_config, plan.mode, ps)
             loss, top1 = evaluate(model, val_batches)
             last_mark[0] = time.perf_counter()
             return {"val_loss": loss, "val_top1_accuracy": top1}
@@ -243,12 +231,12 @@ def run_federated(
 
         row = partial(MetricsRecord, cfg.derived_run_id(), cfg.mode, cfg.model)
         t0 = time.perf_counter()
-        loss0, top10 = evaluate(build_model(model_cfg, model_mode, init), val_batches)
+        loss0, top10 = evaluate(build_model(plan.model_config, plan.mode, init), val_batches)
         records = [row(0, "global", "validation", loss0, top10, _ms_since(t0))]
         last_mark[0] = time.perf_counter()
 
         def make_client(i: int) -> FlClient:
-            return FlClient(name=f"client-{i}", auth_token=cfg.auth_token, config=config)
+            return FlClient(name=f"client-{i}", auth_token=cfg.auth_token, plan=plan)
 
         if cfg.transport == "channel":
             channel = ChannelServer([make_client(i) for i in range(n_clients)], workers=workers)
@@ -333,48 +321,35 @@ def merge_encoder(pretrained: ParameterSet, fresh: ParameterSet) -> ParameterSet
     return ParameterSet(items)
 
 
-def _run_phase(
-    cfg: ExperimentConfig,
-    bundle: DatasetBundle,
-    inits: list[ParameterSet] | None,
-    tcp_clients: str,
-) -> RunResult:
-    """One phase of `cfg`, started from `inits` or from a fresh init."""
-    inits = inits or [_initial_params(cfg, bundle)]
-    if cfg.mode != "federated":
-        return run_local(cfg, bundle, inits)
-    return run_federated(cfg, bundle, inits[0], tcp_clients=tcp_clients)
-
-
-def _run_finetune(
-    cfg: ExperimentConfig,
-    bundle: DatasetBundle,
-    pretrained: list[ParameterSet],
-    tcp_clients: str,
-) -> RunResult:
-    """Fine-tune fresh heads over each pretrained encoder."""
-    fresh = _initial_params(cfg, bundle)
-    return _run_phase(cfg, bundle, [merge_encoder(p, fresh) for p in pretrained], tcp_clients)
-
-
 def run_experiment(
     cfg: ExperimentConfig,
     bundle: DatasetBundle | None = None,
     tcp_clients: str = "thread",
 ) -> list[RunResult]:
-    """Execute the configured run; chained phases yield two results."""
-    bundle = bundle or build_dataset(cfg)
+    """Run each of `cfg.phases()` in order; returns one result per phase.
 
-    if cfg.phase == "pretrain_then_finetune":
-        pre_cfg, fine_cfg = cfg.chained_phases()
-        pre = _run_phase(pre_cfg, bundle, None, tcp_clients)
-        return [pre, _run_finetune(fine_cfg, bundle, list(pre.finals.values()), tcp_clients)]
-    if cfg.phase == "finetune_classify" and cfg.pretrained_params_path:
-        try:
-            pretrained = load_params(cfg.pretrained_params_path)
-        except FileNotFoundError:
-            raise UsageError(
-                f"pretraining snapshot '{cfg.pretrained_params_path}' not found"
-            ) from None
-        return [_run_finetune(cfg, bundle, [pretrained], tcp_clients)]
-    return [_run_phase(cfg, bundle, None, tcp_clients)]
+    A phase starts from fresh heads over each final parameter set of the
+    phase before it, else (fine-tuning) over the loaded
+    `pretrained_params_path`, else from a fresh init.
+    """
+    bundle = bundle or build_dataset(cfg)
+    results: list[RunResult] = []
+    for phase_cfg in cfg.phases():
+        if results:
+            encoders = list(results[-1].finals.values())
+        elif phase_cfg.phase == "finetune_classify" and phase_cfg.pretrained_params_path:
+            try:
+                encoders = [load_params(phase_cfg.pretrained_params_path)]
+            except FileNotFoundError:
+                raise UsageError(
+                    f"pretraining snapshot '{phase_cfg.pretrained_params_path}' not found"
+                ) from None
+        else:
+            encoders = []
+        fresh = _initial_params(phase_cfg, bundle)
+        inits = [merge_encoder(p, fresh) for p in encoders] or [fresh]
+        if phase_cfg.mode == "federated":
+            results.append(run_federated(phase_cfg, bundle, inits[0], tcp_clients=tcp_clients))
+        else:
+            results.append(run_local(phase_cfg, bundle, inits))
+    return results

@@ -64,6 +64,3 @@ class LstmClassifier(ModelBase):
         starts = np.cumsum(counts) - counts
         last = embedding_lookup(x, starts[lengths - 1] + np.argsort(order))
         return linear(last, p["cls.w"], p["cls.b"])
-
-    def classify_logits(self, token_ids: np.ndarray, lengths: np.ndarray) -> Tensor:
-        return self.forward(token_ids, lengths)

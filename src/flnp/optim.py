@@ -21,7 +21,7 @@ class Adam:
     completed steps.
     """
 
-    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-2) -> None:
+    def __init__(self, params: Mapping[str, Tensor], lr: float) -> None:
         if not lr > 0.0:  # NaN too
             raise ValueError(f"lr must be positive, got {lr}")
         self._slots = [

@@ -1,11 +1,12 @@
 """Client side of the round protocol, and the one local-training path.
 
-`LocalTrainer` is FedAvg's ClientUpdate on one shard: it holds out the
-trailing `holdout_frac` of the shard, owns the model, and trains each
-round with a fresh Adam from the
+`LocalTrainer` is FedAvg's ClientUpdate on one shard of a `TrainPlan`:
+trainer k holds out the trailing `holdout_frac` of `plan.shards[k]`, owns
+the model, and trains each round with a fresh Adam from the
 `Rng(batch_seed).split(trainer_id).split(round)` stream. Federated
-clients, the centralized baseline (trainer 0 on the pooled shards) and the
-standalone baseline (trainer k on shard k) all train through it.
+clients, the centralized baseline (trainer 0 of a plan whose one shard is
+the pooled data) and the standalone baseline (trainer k on shard k) all
+train through it.
 
 A client resolves its shard by the provisioned client id, so identity does
 not depend on connection order. Every received global model is verified
@@ -14,23 +15,14 @@ against the session key and the local manifest before any weights load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from ..data import Record, Vocabulary
 from ..models import build_model
-from ..models.config import ModelConfig
 from ..optim import Adam
 from ..params import ParameterSet
 from ..rng import Rng
 from ..tensor import UsageError
-from ..training import (
-    TrainSettings,
-    evaluate,
-    prepare_eval_batches,
-    split_holdout,
-    train_epochs,
-)
+from ..training import TrainPlan, evaluate, prepare_eval_batches, split_holdout, train_epochs
 from ..transport.codec import sign, verify_auth
 from .fedavg import ProtocolError
 from .messages import (
@@ -47,30 +39,20 @@ from .messages import (
 LOCAL_VAL_MASK_KEY = 0x4C56414C  # "LVAL"
 
 
-@dataclass(frozen=True)
-class ClientTrainConfig:
-    model_config: ModelConfig
-    vocab: Vocabulary
-    settings: TrainSettings  # settings.phase is also the model mode
-    batch_seed: int
-    shard_provider: Callable[[int], list[Record]]
-
-
 class LocalTrainer:
     """Local rounds of one trainer on the shard its id resolves to."""
 
-    def __init__(self, config: ClientTrainConfig, trainer_id: int) -> None:
-        self.config = config
+    def __init__(self, plan: TrainPlan, trainer_id: int) -> None:
+        self.plan = plan
         self.trainer_id = trainer_id
-        shard = config.shard_provider(trainer_id)
-        self.train_records, self.holdout = split_holdout(shard, config.settings.holdout_frac)
+        self.train_records, self.holdout = split_holdout(plan.shards[trainer_id], plan.holdout_frac)
         self.model = None
         self._optimizer: Optional[Adam] = None
 
     def load(self, params: ParameterSet) -> None:
         """Build the model on first use, then load into it; UsageError on a manifest mismatch."""
         if self.model is None:
-            self.model = build_model(self.config.model_config, self.config.settings.phase, params)
+            self.model = build_model(self.plan.model_config, self.plan.mode, params)
         else:
             self.model.load_params(params)
 
@@ -81,10 +63,9 @@ class LocalTrainer:
         # threshold, and raised the peak RSS of the `lstm_tcp` benchmark
         # workload (two client threads) from 155 MB to 177 MB.
         self._optimizer = Adam(self.model.params, lr=lr)
-        round_rng = Rng(self.config.batch_seed).split(self.trainer_id).split(round_no)
+        round_rng = Rng(self.plan.batch_seed).split(self.trainer_id).split(round_no)
         return train_epochs(
-            self.model, self._optimizer, self.train_records, self.config.vocab,
-            self.config.settings, round_rng, epochs,
+            self.model, self._optimizer, self.train_records, self.plan, round_rng, epochs
         )
 
     def export(self) -> ParameterSet:
@@ -93,10 +74,10 @@ class LocalTrainer:
 
 
 class FlClient:
-    def __init__(self, name: str, auth_token: str, config: ClientTrainConfig) -> None:
+    def __init__(self, name: str, auth_token: str, plan: TrainPlan) -> None:
         self.name = name
         self.auth_token = auth_token
-        self.config = config
+        self.plan = plan
         self.client_id: Optional[int] = None
         self.session_key: bytes = b""
         self.done = False
@@ -125,11 +106,9 @@ class FlClient:
     def _on_provisioned(self, msg: Provisioned) -> list[FlMessage]:
         self.client_id = msg.client_id
         self.session_key = msg.session_key
-        self._trainer = LocalTrainer(self.config, msg.client_id)
-        mask_rng = Rng(self.config.batch_seed).split(msg.client_id).split(LOCAL_VAL_MASK_KEY)
-        self._val_batches = prepare_eval_batches(
-            self._trainer.holdout, self.config.vocab, self.config.settings, mask_rng
-        )
+        self._trainer = LocalTrainer(self.plan, msg.client_id)
+        mask_rng = Rng(self.plan.batch_seed).split(msg.client_id).split(LOCAL_VAL_MASK_KEY)
+        self._val_batches = prepare_eval_batches(self._trainer.holdout, self.plan, mask_rng)
         return []
 
     def _on_global_model(self, msg: GlobalModel) -> list[FlMessage]:

@@ -1,5 +1,8 @@
 """Local-training and evaluation primitives.
 
+A `TrainPlan` holds what one phase's local training reads besides the
+round's epochs and learning rate: the model, the shards, the batch shape,
+masking, the holdout share and the batch seed.
 `flnp.protocol.client.LocalTrainer` is the one caller of `train_epochs`:
 the federated client, the centralized baseline and the standalone
 baseline all train through it with the same stream derivations, so a
@@ -23,6 +26,7 @@ import numpy as np
 from .data import Batch, MaskedBatch, MaskingConfig, Record, Vocabulary, make_batches, mask_batch
 from .models import LstmClassifier
 from .models.base import ModelBase
+from .models.config import ModelConfig
 from .optim import Adam
 from .rng import Rng
 from .tensor import IGNORE_LABEL, Tensor, backward, masked_cross_entropy, reshape
@@ -31,12 +35,18 @@ VALIDATION_MASK_KEY = 0x56414C  # "VAL"
 
 
 @dataclass(frozen=True)
-class TrainSettings:
-    phase: str  # "mlm" | "classify"
+class TrainPlan:
+    """One phase's local-training inputs; trainer k trains on `shards[k]`."""
+
+    model_config: ModelConfig
+    mode: str  # "mlm" | "classify"
+    vocab: Vocabulary
+    shards: list[list[Record]]
     batch_size: int
     max_seq_len: int
     masking: MaskingConfig
     holdout_frac: float
+    batch_seed: int
 
 
 def split_holdout(records: list[Record], frac: float) -> tuple[list[Record], list[Record]]:
@@ -66,18 +76,13 @@ def batch_loss(model: ModelBase, batch) -> tuple[Tensor, np.ndarray, np.ndarray]
     return loss, logits.data, batch.labels
 
 
-def prepare_eval_batches(
-    records: list[Record],
-    vocab: Vocabulary,
-    settings: TrainSettings,
-    mask_rng: Rng | None,
-) -> list:
+def prepare_eval_batches(records: list[Record], plan: TrainPlan, mask_rng: Rng | None) -> list:
     """Deterministic evaluation batches; pre-masked once for MLM."""
-    batches = make_batches(records, vocab, settings.batch_size, settings.max_seq_len, rng=None)
-    if settings.phase != "mlm":
+    batches = make_batches(records, plan.vocab, plan.batch_size, plan.max_seq_len, rng=None)
+    if plan.mode != "mlm":
         return batches
     assert mask_rng is not None
-    return [mask_batch(b, vocab, settings.masking, mask_rng.split(i)) for i, b in enumerate(batches)]
+    return [mask_batch(b, plan.vocab, plan.masking, mask_rng.split(i)) for i, b in enumerate(batches)]
 
 
 def count_correct(logits: np.ndarray, labels: np.ndarray) -> int:
@@ -120,8 +125,7 @@ def train_epochs(
     model: ModelBase,
     optimizer: Adam,
     train_records: list[Record],
-    vocab: Vocabulary,
-    settings: TrainSettings,
+    plan: TrainPlan,
     round_rng: Rng,
     epochs: int,
 ) -> tuple[float, float]:
@@ -132,13 +136,12 @@ def train_epochs(
     for epoch in range(epochs):
         epoch_rng = round_rng.split(epoch)
         batches = make_batches(
-            train_records, vocab, settings.batch_size, settings.max_seq_len,
-            rng=epoch_rng.split(0),
+            train_records, plan.vocab, plan.batch_size, plan.max_seq_len, rng=epoch_rng.split(0)
         )
         mask_rng = epoch_rng.split(1)
         for bi, batch in enumerate(batches):
-            if settings.phase == "mlm":
-                batch = mask_batch(batch, vocab, settings.masking, mask_rng.split(bi))
+            if plan.mode == "mlm":
+                batch = mask_batch(batch, plan.vocab, plan.masking, mask_rng.split(bi))
             loss, logits, labels = batch_loss(model, batch)
             backward(loss)
             optimizer.step()

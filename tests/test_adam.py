@@ -27,7 +27,7 @@ def test_zero_gradient_leaves_parameters_t_increments():
 
 def test_missing_gradient_skipped():
     w = Tensor(np.ones(2), requires_grad=True)
-    opt = Adam({"w": w})
+    opt = Adam({"w": w}, lr=1e-2)
     opt.step()
     assert opt.t == 1
     assert np.array_equal(w.data, np.ones(2))

@@ -19,7 +19,7 @@ from flnp.tensor import (
     sigmoid,
     tanh,
 )
-from flnp.training import TrainSettings, train_epochs
+from flnp.training import TrainPlan, train_epochs
 
 from test_models import _tape
 
@@ -138,13 +138,15 @@ def _train_peak_bytes(n_batches: int) -> int:
     words = [f"w{i}" for i in range(30)]
     records = [(0, [words[j] for j in rng.integers(0, 30, size=32)]) for _ in range(16 * n_batches)]
     vocab = build_vocab((" ".join(toks) for _, toks in records), 100)
-    settings = TrainSettings(phase="mlm", batch_size=16, max_seq_len=32, masking=MaskingConfig(),
-                             holdout_frac=0.2)
-    model = init_model(preset("bert_mini", vocab_size=vocab.size, max_seq_len=32), seed=3, mode="mlm")
+    model_cfg = preset("bert_mini", vocab_size=vocab.size, max_seq_len=32)
+    plan = TrainPlan(model_config=model_cfg, mode="mlm", vocab=vocab, shards=[records],
+                     batch_size=16, max_seq_len=32, masking=MaskingConfig(), holdout_frac=0.2,
+                     batch_seed=6)
+    model = init_model(model_cfg, seed=3, mode="mlm")
     optimizer = Adam(model.params, lr=1e-3)
     tracemalloc.start()
     try:
-        train_epochs(model, optimizer, records, vocab, settings, Rng(6), epochs=1)
+        train_epochs(model, optimizer, records, plan, Rng(6), epochs=1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

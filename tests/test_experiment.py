@@ -18,7 +18,7 @@ from flnp.experiment.runner import (
     params_checksum,
     run_experiment,
     save_params,
-    train_config,
+    train_plan,
 )
 from flnp.models import build_model
 from flnp.models.config import ConfigError
@@ -86,7 +86,9 @@ class TestDataset:
         b = build_dataset(small_cfg(seeds={"batch": 999}))
         assert a.shards == b.shards
         assert a.global_val == b.global_val
-        assert a.vocab.non_reserved_tokens() == b.vocab.non_reserved_tokens()
+        tokens = [tok for _, toks in a.pooled + a.global_val for tok in toks]
+        assert a.vocab.size == b.vocab.size
+        assert a.vocab.encode(tokens) == b.vocab.encode(tokens)
 
     def test_corpus_seed_changes_data(self):
         a = build_dataset(small_cfg())
@@ -182,9 +184,9 @@ class TestRuns:
         result = run_experiment(cfg, bundle)[0]
         path = str(tmp_path / "final.flnp")
         save_params(result.final_params, path)
-        config = train_config(cfg, bundle)
-        model = build_model(config.model_config, config.settings.phase, load_params(path))
-        batches = prepare_eval_batches(bundle.global_val, bundle.vocab, config.settings,
+        plan = train_plan(cfg, bundle)
+        model = build_model(plan.model_config, plan.mode, load_params(path))
+        batches = prepare_eval_batches(bundle.global_val, plan,
                                        Rng(cfg.seeds.batch).split(VALIDATION_MASK_KEY))
         final = [r for r in result.records if (r.scope, r.split) == ("global", "validation")][-1]
         assert final.round == cfg.rounds
@@ -318,10 +320,9 @@ class TestEvaluate:
     def model_and_batches(model_name, phase):
         cfg = small_cfg(mode="centralized", model=model_name, phase=phase)
         bundle = build_dataset(cfg)
-        config = train_config(cfg, bundle)
-        model = build_model(config.model_config, config.settings.phase,
-                            run_experiment(cfg, bundle)[0].final_params)
-        batches = prepare_eval_batches(bundle.global_val, bundle.vocab, config.settings,
+        plan = train_plan(cfg, bundle)
+        model = build_model(plan.model_config, plan.mode, run_experiment(cfg, bundle)[0].final_params)
+        batches = prepare_eval_batches(bundle.global_val, plan,
                                        Rng(cfg.seeds.batch).split(VALIDATION_MASK_KEY))
         return model, batches
 

@@ -9,6 +9,9 @@ it is installed here too: a rename or deletion that it still names breaks
 `bench/run.py --trace 1` and `--smoke`. The benchmark's own repeat
 (`bench/worker.py`) calls into flnp beyond the tracer, in its output checks
 and its configs, so one smoke repeat of each workload runs here as well.
+A refactor that calls around a wrapped name still passes those checks while
+the layer it moved reads 0, so the traced repeat also checks that each layer
+of `TRACED_LAYERS` saw work.
 """
 
 import json
@@ -63,6 +66,21 @@ def test_benchmark_tracer_finds_every_callable_it_wraps():
     assert proc.returncode == 0, proc.stderr
 
 
+# per-layer values of a traced mlm_mini_channel repeat that read 0 when the
+# program stops calling through the wrapped name
+TRACED_LAYERS = (
+    "training.train_epochs.self_ms",
+    "training.evaluate.self_ms",
+    "experiment.init_params.ms",
+    "experiment.validate.ms",
+    "models.build.ms",
+    "data.mask_batch.calls",
+    "data.mask.scored_frac",
+    "optim.step.calls",
+    "tensor.backward.calls",
+)
+
+
 @pytest.mark.parametrize("workload, flags", [
     ("mlm_mini_channel", ["--trace", "{tmp}/spans.jsonl"]),
     ("lstm_tcp", ["--check-channel"]),
@@ -78,3 +96,7 @@ def test_benchmark_smoke_repeat_passes_its_checks(tmp_path, workload, flags):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failures"] == []
+    if "--trace" in flags:
+        silent = {name: result["layers"][name] for name in TRACED_LAYERS
+                  if not result["layers"][name] > 0}
+        assert silent == {}, silent

@@ -14,11 +14,11 @@ from flnp.protocol import (
     Shutdown,
     aggregate,
 )
-from flnp.protocol.client import ClientTrainConfig, FlClient
+from flnp.protocol.client import FlClient
 from flnp.protocol.server import FlServer, ServerConfig
 from flnp.rng import Rng
 from flnp.tensor import UsageError
-from flnp.training import TrainSettings, count_correct
+from flnp.training import TrainPlan, count_correct
 from flnp.transport.codec import sign
 
 
@@ -221,13 +221,10 @@ def _client_fixture(n_records=30):
     vocab = build_vocab((" ".join(t) for _, t in corpus), 32)
     model_cfg = ModelConfig(kind="transformer", d_model=8, n_layers=1,
                             vocab_size=vocab.size, max_seq_len=8, n_heads=2)
-    settings = TrainSettings(phase="classify", batch_size=8, max_seq_len=8, masking=MaskingConfig(),
-                             holdout_frac=0.2)
-    cfg = ClientTrainConfig(
-        model_config=model_cfg, vocab=vocab, settings=settings,
-        batch_seed=11, shard_provider=lambda cid: corpus,
-    )
-    client = FlClient("c0", "secret", cfg)
+    plan = TrainPlan(model_config=model_cfg, mode="classify", vocab=vocab, shards=[corpus],
+                     batch_size=8, max_seq_len=8, masking=MaskingConfig(), holdout_frac=0.2,
+                     batch_seed=11)
+    client = FlClient("c0", "secret", plan)
     init = init_model(model_cfg, seed=2, mode="classify").export_params()
     return client, init
 

@@ -40,7 +40,9 @@ def test_rebuild_is_identical():
     lines = ["x y z y", "z z q"]
     a = build_vocab(lines, 20)
     b = build_vocab(lines, 20)
-    assert a.non_reserved_tokens() == b.non_reserved_tokens()
+    tokens = " ".join(lines).split()
+    assert a.size == b.size
+    assert a.encode(tokens) == b.encode(tokens)
 
 
 def test_empty_corpus_rejected():
