@@ -95,6 +95,9 @@ class ExperimentConfig:
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if not 0.0 <= self.holdout_frac < 1.0:
             raise ConfigError(f"holdout_frac must lie in [0, 1), got {self.holdout_frac}")
+        host, _, port = self.addr.rpartition(":")
+        if not (host and port.isascii() and port.isdigit() and int(port) <= 0xFFFF):
+            raise ConfigError(f"addr must be host:port with a port in [0, 65535], got '{self.addr}'")
         if (
             self.mode == "federated"
             and self.effective_clients() < 2
@@ -140,8 +143,6 @@ class ExperimentConfig:
 
     def host_port(self) -> tuple[str, int]:
         host, _, port = self.addr.rpartition(":")
-        if not host:
-            raise ConfigError(f"addr must look like host:port, got '{self.addr}'")
         return host, int(port)
 
 
@@ -178,8 +179,6 @@ def _scalar(cls, key: str, hint: Any, raw: Any):
 
 def _build(cls, value: Any):
     """Recursively construct a (frozen) dataclass tree from plain JSON data."""
-    if value is None:
-        return value
     if not isinstance(value, dict):
         raise ConfigError(f"expected an object for {cls.__name__}, got {type(value).__name__}")
     hints = get_type_hints(cls)

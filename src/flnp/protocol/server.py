@@ -6,20 +6,25 @@ mutation happens inside handle, so the one session loop,
 `flnp.experiment.federated.drive`, behaves identically whether the
 in-process channel or TCP reader threads feed it.
 
-Phases run awaiting_provision -> collecting -> done. A round's global
-model goes out in the same `handle` call that completes provisioning or
-aggregates the round before, so between calls the server is in one of
-those three phases. Aggregation runs over client-id-sorted updates, so
-results do not depend on arrival order, and its result is the one set
-the server validates, distributes and keeps as the final parameters.
-An update holding NaN or inf cannot be averaged safely, so it ends the
-run with a `non_finite_update` ProtocolError.
+Phases run awaiting_provision -> collecting -> done. A connection is
+provisioned at most once, with the server's one `RoundPlan`, and every
+global model carries that plan's epochs and learning rate. A round's
+global model goes out in the same `handle` call that completes
+provisioning or aggregates the round before, so between calls the server
+is in one of those three phases. Aggregation runs over client-id-sorted
+updates, so results do not depend on arrival order. The server then
+calls `on_round(round, params, updates)` once, with the aggregate and the
+round's updates in client-id order, and sends the metrics it returns as
+`RoundComplete`; the aggregate is the one set the server reports,
+distributes and keeps as the final parameters. An update holding NaN or
+inf cannot be averaged safely, so it ends the run with a
+`non_finite_update` ProtocolError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -42,15 +47,6 @@ from .messages import (
 Outgoing = list[tuple[int, FlMessage]]
 
 
-@dataclass(frozen=True)
-class ServerConfig:
-    n_clients: int
-    rounds: int
-    local_epochs: int
-    lr: float
-    auth_token: str
-
-
 @dataclass
 class _ClientSlot:
     client_id: int
@@ -62,21 +58,23 @@ class FlServer:
     def __init__(
         self,
         init_params: ParameterSet,
-        config: ServerConfig,
+        n_clients: int,
+        plan: RoundPlan,
+        auth_token: str,
         session_rng: Rng,
-        validate_fn: Optional[Callable[[ParameterSet], dict[str, float]]] = None,
+        on_round: Callable[[int, ParameterSet, list[LocalUpdate]], dict[str, float]],
     ) -> None:
-        self.config = config
+        self.n_clients = n_clients
+        self.plan = plan
         self.global_params = init_params
         self.phase = "awaiting_provision"
         self.round = 0
-        self.history: list[RoundComplete] = []
-        self.client_metrics: list[dict[int, dict[str, float]]] = []  # per round
+        self._auth_token = auth_token
         self._session_rng = session_rng
-        self._validate_fn = validate_fn
-        self._slots: dict[int, _ClientSlot] = {}  # conn -> slot
+        self._on_round = on_round
+        self._slots: dict[int, _ClientSlot] = {}  # conn -> slot, in client-id order
         self._names: set[str] = set()
-        self._pending: dict[int, LocalUpdate] = {}
+        self._pending: dict[int, LocalUpdate] = {}  # client id -> this round's update
 
     # -- driver surface ------------------------------------------------
 
@@ -101,44 +99,42 @@ class FlServer:
     def _handle_hello(self, conn: int, msg: Hello) -> Outgoing:
         if self.phase != "awaiting_provision":
             return [(conn, ErrorMsg("capacity", "provisioning is closed"))]
-        if msg.auth_token != self.config.auth_token:
+        if conn in self._slots:
+            cid = self._slots[conn].client_id
+            return [(conn, ErrorMsg("duplicate_client", f"connection {conn} is already client {cid}"))]
+        if msg.auth_token != self._auth_token:
             return [(conn, ErrorMsg("auth_failed", "bad provisioning token"))]
         if msg.client_name in self._names:
             return [(conn, ErrorMsg("duplicate_client", msg.client_name))]
-        if len(self._slots) >= self.config.n_clients:
-            return [(conn, ErrorMsg("capacity", f"{self.config.n_clients} clients already provisioned"))]
+        if len(self._slots) >= self.n_clients:
+            return [(conn, ErrorMsg("capacity", f"{self.n_clients} clients already provisioned"))]
 
         client_id = len(self._slots)
         key = int(self._session_rng.uint64()).to_bytes(8, "little")
         self._slots[conn] = _ClientSlot(client_id=client_id, name=msg.client_name, session_key=key)
         self._names.add(msg.client_name)
-        plan = RoundPlan(rounds=self.config.rounds, local_epochs=self.config.local_epochs, lr=self.config.lr)
-        out: Outgoing = [(conn, Provisioned(client_id=client_id, session_key=key, round_plan=plan))]
+        out: Outgoing = [(conn, Provisioned(client_id=client_id, session_key=key, round_plan=self.plan))]
 
-        if len(self._slots) == self.config.n_clients:
-            if self.config.rounds == 0:
-                self.phase = "done"
-                out += self._broadcast(Shutdown(reason="complete"))
-            else:
-                out += self._distribute_round(1)
+        if len(self._slots) == self.n_clients:
+            out += self._next_round()
         return out
 
     # -- round loop ------------------------------------------------------
 
-    def _distribute_round(self, round_no: int) -> Outgoing:
-        self.round = round_no
+    def _next_round(self) -> Outgoing:
+        """Send the next round's global model, or shut down after the last round."""
+        if self.round == self.plan.rounds:
+            self.phase = "done"
+            return self._broadcast(Shutdown(reason="complete"))
+        self.round += 1
         self._pending.clear()
-        out: Outgoing = []
-        for conn, slot in sorted(self._slots.items(), key=lambda kv: kv[1].client_id):
-            msg = GlobalModel(
-                round=round_no,
-                params=self.global_params,
-                local_epochs=self.config.local_epochs,
-                lr=self.config.lr,
-            )
-            out.append((conn, sign(msg, slot.session_key)))
         self.phase = "collecting"
-        return out
+        return self._broadcast(GlobalModel(
+            round=self.round,
+            params=self.global_params,
+            local_epochs=self.plan.local_epochs,
+            lr=self.plan.lr,
+        ))
 
     def _handle_update(self, conn: int, msg: LocalUpdate) -> Outgoing:
         slot = self._slots.get(conn)
@@ -162,27 +158,12 @@ class FlServer:
             )
 
         self._pending[slot.client_id] = msg
-        if len(self._pending) < self.config.n_clients:
+        if len(self._pending) < self.n_clients:
             return []
-        return self._finish_round()
-
-    def _finish_round(self) -> Outgoing:
-        updates = list(self._pending.values())
+        updates = [self._pending[cid] for cid in sorted(self._pending)]
         self.global_params = aggregate(updates)
-        self.client_metrics.append({u.client_id: dict(u.local_metrics) for u in updates})
-        metrics = self._validate_fn(self.global_params) if self._validate_fn is not None else {}
-        done = RoundComplete(round=self.round, global_metrics=metrics)
-        self.history.append(done)
-        out = self._broadcast(done)
-        if self.round < self.config.rounds:
-            out += self._distribute_round(self.round + 1)
-        else:
-            self.phase = "done"
-            out += self._broadcast(Shutdown(reason="complete"))
-        return out
+        metrics = self._on_round(self.round, self.global_params, updates)
+        return self._broadcast(RoundComplete(round=self.round, global_metrics=metrics)) + self._next_round()
 
     def _broadcast(self, msg: FlMessage) -> Outgoing:
-        return [
-            (conn, sign(msg, slot.session_key))
-            for conn, slot in sorted(self._slots.items(), key=lambda kv: kv[1].client_id)
-        ]
+        return [(conn, sign(msg, slot.session_key)) for conn, slot in self._slots.items()]

@@ -145,6 +145,31 @@ def test_out_of_range_setting_is_refused_before_training(tmp_path, capsys, setti
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
+@pytest.mark.parametrize("section, cls", [
+    ("partition", "PartitionSpec"), ("seeds", "Seeds"), ("data", "DataConfig"),
+    ("masking", "MaskingConfig"),
+])
+def test_null_config_section_is_refused(tmp_path, capsys, section, cls):
+    assert cli_main(["run", "--config", base_config(tmp_path), "--set", f"{section}=null"]) == 2
+    assert f"error: expected an object for {cls}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("addr", ["127.0.0.1:abc", "127.0.0.1:", "127.0.0.1:99999",
+                                  "127.0.0.1:-1", ":7878", "localhost"])
+def test_malformed_addr_is_refused_before_data_is_built(tmp_path, capsys, monkeypatch, addr):
+    def build_dataset(cfg):
+        raise AssertionError("data built for a config with a malformed addr")
+
+    monkeypatch.setattr("flnp.experiment.runner.build_dataset", build_dataset)
+    cfg = base_config(tmp_path, mode="federated", model="lstm")
+    assert cli_main(["run", "--config", cfg, "--transport", "tcp", "--addr", addr]) == 2
+    err = capsys.readouterr().err
+    assert f"error: addr must be host:port with a port in [0, 65535], got '{addr}'" in err
+    assert "Traceback" not in err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 @pytest.mark.parametrize("partition, error", [
     ({"n_clients": 4, "mode": "imbalanced"}, "8 ratios for 4 clients"),
     ({"n_clients": 4, "mode": "small"}, "8 ratios for 4 clients"),

@@ -4,8 +4,8 @@ import dataclasses
 import os
 import re
 
-from flnp.data import MaskingConfig
-from flnp.experiment.config import ExperimentConfig
+from flnp.data import MaskingConfig, PartitionSpec
+from flnp.experiment.config import DataConfig, ExperimentConfig, Seeds
 from flnp.models import PRESETS, lstm_manifest, preset, transformer_manifest
 from flnp.transport.codec import BODY_LAYOUT, MSG_CODES
 
@@ -47,7 +47,7 @@ def test_readme_names_every_config_field():
     start = readme.index("## Experiment configuration")
     section = readme[start:readme.index("\n## ", start + 1)]
     named = set(re.findall(r"`([a-z_]+)`", section))
-    for cls in (ExperimentConfig, MaskingConfig):
+    for cls in (ExperimentConfig, MaskingConfig, DataConfig, Seeds, PartitionSpec):
         missing = [f.name for f in dataclasses.fields(cls) if f.name not in named]
         assert not missing, f"README's Experiment configuration omits {cls.__name__} {missing}"
 

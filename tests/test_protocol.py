@@ -11,11 +11,13 @@ from flnp.protocol import (
     LocalUpdate,
     ProtocolError,
     Provisioned,
+    RoundComplete,
+    RoundPlan,
     Shutdown,
     aggregate,
 )
 from flnp.protocol.client import FlClient
-from flnp.protocol.server import FlServer, ServerConfig
+from flnp.protocol.server import FlServer
 from flnp.rng import Rng
 from flnp.tensor import UsageError
 from flnp.training import TrainPlan, count_correct
@@ -107,11 +109,10 @@ class TestTop1:
         assert count_correct(logits, labels) == 3
 
 
-def _server(n_clients=2, rounds=1, token="secret", validate=None):
-    init = _params([0.0, 0.0])
-    cfg = ServerConfig(n_clients=n_clients, rounds=rounds, local_epochs=1,
-                       lr=0.01, auth_token=token)
-    return FlServer(init, cfg, session_rng=Rng(1), validate_fn=validate)
+def _server(n_clients=2, rounds=1, token="secret", on_round=lambda rnd, params, updates: {}):
+    plan = RoundPlan(rounds=rounds, local_epochs=1, lr=0.01)
+    return FlServer(_params([0.0, 0.0]), n_clients, plan, token, session_rng=Rng(1),
+                    on_round=on_round)
 
 
 class TestProvision:
@@ -150,31 +151,62 @@ class TestProvision:
         assert out[0][1].code == "capacity"
 
     def test_zero_rounds_shuts_down_immediately(self):
-        server = _server(n_clients=1, rounds=0)
+        reports = []
+        server = _server(n_clients=1, rounds=0, on_round=lambda *args: reports.append(args) or {})
         out = server.handle(0, Hello(client_name="only", auth_token="secret"))
         kinds = [type(m).__name__ for _, m in out]
         assert kinds == ["Provisioned", "Shutdown"]
         assert server.phase == "done"
-        assert server.history == []
+        assert reports == []
+
+    def test_every_client_is_provisioned_with_the_servers_plan(self):
+        server = _server(n_clients=2, rounds=3)
+        out = server.handle(0, Hello(client_name="a", auth_token="secret"))
+        out += server.handle(1, Hello(client_name="b", auth_token="secret"))
+        plans = [m.round_plan for _, m in out if isinstance(m, Provisioned)]
+        assert plans == [server.plan, server.plan]
+        sent = [m for _, m in out if isinstance(m, GlobalModel)]
+        assert [(m.local_epochs, m.lr) for m in sent] == [(1, 0.01), (1, 0.01)]
+
+    def test_second_hello_on_a_provisioned_connection_refused(self):
+        server = _server(n_clients=2)
+        server.handle(0, Hello(client_name="a", auth_token="secret"))
+        out = server.handle(0, Hello(client_name="b", auth_token="secret"))
+        assert [m.code for _, m in out] == ["duplicate_client"]
+        assert server.phase == "awaiting_provision"
+        out = server.handle(1, Hello(client_name="c", auth_token="secret"))
+        assert [m.client_id for _, m in out if isinstance(m, Provisioned)] == [1]
+        assert {conn: slot.client_id for conn, slot in server._slots.items()} == {0: 0, 1: 1}
+        assert server._names == {"a", "c"}  # the refused "b" was not registered
+        assert server.phase == "collecting"
 
 
 def _session_key(server, conn):
     return server._slots[conn].session_key
 
 
+def _provisioned(n_clients, rounds, on_round):
+    server = _server(n_clients=n_clients, rounds=rounds, on_round=on_round)
+    for i in range(n_clients):
+        server.handle(i, Hello(client_name=f"c{i}", auth_token="secret"))
+    return server
+
+
+def _send_update(server, cid, values, rnd=1):
+    update = LocalUpdate(cid, rnd, _params(values), 1, local_metrics={"id": float(cid)})
+    return server.handle(cid, sign(update, _session_key(server, cid)))
+
+
 class TestRoundFlow:
     def test_round_completes_and_aggregates(self):
-        seen = []
-        server = _server(n_clients=2, rounds=1, validate=lambda ps: seen.append(1) or {"val_loss": 0.5})
-        server.handle(0, Hello(client_name="a", auth_token="secret"))
-        server.handle(1, Hello(client_name="b", auth_token="secret"))
-        out0 = server.handle(0, sign(LocalUpdate(0, 1, _params([2.0, 0.0]), 1), _session_key(server, 0)))
-        assert out0 == []
-        out1 = server.handle(1, sign(LocalUpdate(1, 1, _params([4.0, 2.0]), 1), _session_key(server, 1)))
+        reports = []
+        server = _provisioned(2, 1, lambda *args: reports.append(args) or {"val_loss": 0.5})
+        assert _send_update(server, 0, [2.0, 0.0]) == []
+        assert reports == []
+        out1 = _send_update(server, 1, [4.0, 2.0])
         assert server.phase == "done"
         assert server.global_params["w"].tolist() == [3.0, 1.0]
-        assert len(server.history) == 1
-        assert seen == [1]
+        assert len(reports) == 1
         assert any(isinstance(m, Shutdown) for _, m in out1)
 
     def test_bad_round_echo_rejected(self):
@@ -216,6 +248,39 @@ class TestRoundFlow:
         assert "round 1" in str(err.value)
 
 
+class TestOnRound:
+    def test_called_once_per_round_after_aggregation(self):
+        reports = []
+        server = _provisioned(2, 3, lambda rnd, params, updates: reports.append(
+            (rnd, params["w"].tolist(), server.global_params is params)) or {})
+        for rnd in (1, 2, 3):
+            _send_update(server, 0, [2.0 * rnd, 0.0], rnd)
+            assert len(reports) == rnd - 1
+            _send_update(server, 1, [4.0 * rnd, 2.0], rnd)
+            assert len(reports) == rnd
+        assert reports == [(1, [3.0, 1.0], True), (2, [6.0, 1.0], True), (3, [9.0, 1.0], True)]
+
+    def test_updates_come_in_client_id_order(self):
+        seen = []
+        server = _provisioned(3, 1, lambda rnd, params, updates: seen.append(
+            [(u.client_id, u.local_metrics["id"]) for u in updates]) or {})
+        for cid in (2, 1, 0):
+            _send_update(server, cid, [float(cid), 0.0])
+        assert seen == [[(0, 0.0), (1, 1.0), (2, 2.0)]]
+
+    def test_round_complete_carries_the_returned_metrics(self):
+        server = _provisioned(2, 2, lambda rnd, params, updates: {"val_loss": rnd / 4})
+        _send_update(server, 0, [1.0, 1.0])
+        out = _send_update(server, 1, [1.0, 1.0])
+        done = [(conn, m) for conn, m in out if isinstance(m, RoundComplete)]
+        assert [conn for conn, _ in done] == [0, 1]
+        assert all(m.round == 1 and m.global_metrics == {"val_loss": 0.25} for _, m in done)
+        _send_update(server, 0, [1.0, 1.0], 2)
+        out = _send_update(server, 1, [1.0, 1.0], 2)
+        metrics = [m.global_metrics for _, m in out if isinstance(m, RoundComplete)]
+        assert metrics == [{"val_loss": 0.5}] * 2
+
+
 def _client_fixture(n_records=30):
     corpus = [(i % 2, [f"tok{i % 7}", f"tok{(i + 1) % 7}", f"tok{(i + 2) % 7}"]) for i in range(n_records)]
     vocab = build_vocab((" ".join(t) for _, t in corpus), 32)
@@ -231,8 +296,6 @@ def _client_fixture(n_records=30):
 
 class TestClient:
     def _provision(self, client):
-        from flnp.protocol.messages import RoundPlan
-
         key = b"\x09" * 8
         client.handle(Provisioned(client_id=0, session_key=key,
                                   round_plan=RoundPlan(rounds=1, local_epochs=1, lr=0.01)))
