@@ -221,7 +221,7 @@ def run_federated(
         def on_round(rnd: int, params: ParameterSet, updates: list[LocalUpdate]) -> dict[str, float]:
             nonlocal round_start
             # Named, so the model is freed as on_round returns: freed as soon as evaluate returns,
-            # it shifts glibc's mmap threshold and raised bert_wire_tcp's peak RSS from 285 to 289 MB.
+            # it shifts glibc's mmap threshold and raises bert_wire_tcp's peak RSS from 265 to 269 MB.
             model = build_model(plan.model_config, plan.mode, params)
             loss, top1 = evaluate(model, val_batches)
             wall = _ms_since(round_start)

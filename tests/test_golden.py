@@ -35,29 +35,29 @@ CASES = {
 # case -> (final-params SHA-256, CSV data rows without wall_time_ms)
 GOLDEN = {
     "bert_mini_classify_centralized": (
-        "4577fbbca38dacffe230152b91abe9576861437ba873f9bc6dc7cbeadd444769",
+        "f04ed5afa6f7b01ace9c545e4e1c3b76460f9f3a7e6f82064f79b1116d638583",
         [
             "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,0,global,validation,0.449935,1",
             "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,1,global,train,0.877164,0.72093",
-            "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,1,global,validation,0.0752289,1",
-            "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,train,0.648054,0.674419",
-            "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,validation,0.0664689,1",
+            "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,1,global,validation,0.075228,1",
+            "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,train,0.648057,0.674419",
+            "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,validation,0.0664692,1",
         ],
     ),
     "bert_mini_mlm_federated_channel": (
-        "4d5ca8fdff26255db2285a7ac77e0dcfa2ea9680f004cefbfa7bbd7f779e41f3",
+        "d7905bbc82bc03f482a637d4add1891d0228961ca913730f38667b513b12c09e",
         [
             "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,0,global,validation,4.73272,0",
             "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,client_0,train,4.88781,0",
-            "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,client_0,validation,4.44083,0",
+            "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,client_0,validation,4.44084,0",
             "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,client_1,train,4.51117,0.0555556",
             "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,client_1,validation,4.0979,0",
             "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,global,validation,4.82714,0.166667",
-            "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,client_0,train,4.5635,0.0967742",
-            "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,client_0,validation,4.2873,0",
+            "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,client_0,train,4.56351,0.0967742",
+            "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,client_0,validation,4.28731,0",
             "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,client_1,train,4.08078,0.111111",
             "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,client_1,validation,4.20096,0.333333",
-            "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,global,validation,4.81032,0.166667",
+            "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,global,validation,4.81031,0.166667",
         ],
     ),
     "lstm_classify_federated_tcp": (
@@ -183,46 +183,46 @@ PHASE_GOLDEN = {
     "bert_mini_two_phase_federated_channel": [
         (
             {
-                "global": "4d5ca8fdff26255db2285a7ac77e0dcfa2ea9680f004cefbfa7bbd7f779e41f3",
+                "global": "d7905bbc82bc03f482a637d4add1891d0228961ca913730f38667b513b12c09e",
             },
             [
                 "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,0,global,validation,4.73272,0",
                 "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,client_0,train,4.88781,0",
-                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,client_0,validation,4.44083,0",
+                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,client_0,validation,4.44084,0",
                 "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,client_1,train,4.51117,0.0555556",
                 "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,client_1,validation,4.0979,0",
                 "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,1,global,validation,4.82714,0.166667",
-                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,client_0,train,4.5635,0.0967742",
-                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,client_0,validation,4.2873,0",
+                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,client_0,train,4.56351,0.0967742",
+                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,client_0,validation,4.28731,0",
                 "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,client_1,train,4.08078,0.111111",
                 "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,client_1,validation,4.20096,0.333333",
-                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,global,validation,4.81032,0.166667",
+                "pretrain_mlm-federated-bert_mini-i7,federated,bert_mini,2,global,validation,4.81031,0.166667",
             ],
         ),
         (
             {
-                "global": "e5f9ce895cfe85116d0a80e2fb98b184d8144dd02ca55440a0f7cd0c7a9699fe",
+                "global": "8db883ec3c0c3bc67d168e3e729f73810737980fed029e50e17cc9053110f704",
             },
             [
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,0,global,validation,1.6345,0",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,train,0.384263,0.772727",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,validation,0.00274701,1",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,train,0.779905,0.590909",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,validation,0.664689,0.8",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,global,validation,0.0097396,1",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,train,0.582578,0.863636",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,validation,0.072041,1",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,train,0.492745,0.863636",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,validation,1.70708,0.2",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,global,validation,0.0990529,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,0,global,validation,1.63458,0",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,train,0.384276,0.772727",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,validation,0.00274677,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,train,0.779933,0.590909",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,validation,0.664922,0.8",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,global,validation,0.00973447,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,train,0.582594,0.863636",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,validation,0.0720764,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,train,0.492722,0.863636",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,validation,1.70614,0.2",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,global,validation,0.0991543,1",
             ],
         ),
     ],
     "bert_mini_two_phase_standalone": [
         (
             {
-                "client_0": "1efb454d90bdcf0898a0dbdb5f6c725522a1a14058c03ce00cec1ffe6bfbb933",
-                "client_1": "7ed25cf2e2887a5b880d03cc68058236bf630577346df8ae13dfd7cc086df7c5",
+                "client_0": "d988db358c9c5d761fb3c970b1b0f1a522c41be00b2634574ee6d1dcef643dcb",
+                "client_1": "6dc54c22b18dd0d94c4ad849c71697ad1123a5376728e84a2387a7a80afd4ad5",
             },
             [
                 "pretrain_mlm-standalone-bert_mini-i7,standalone,bert_mini,0,client_0,validation,4.73272,0",
@@ -239,20 +239,20 @@ PHASE_GOLDEN = {
         ),
         (
             {
-                "client_0": "862a8615c41c265439a087e01af26b06ee48014fb06caa971e9345e68b484b61",
-                "client_1": "f548ce92e33505858793a70007cd81df515bc1a814d3504f1e336616c0a8c62e",
+                "client_0": "25994f8b342c28f4d188578021423ad18c4ef80aa4eab33f32a94bb91d8467b9",
+                "client_1": "78890a2d71b83fd7dcdbbfecf87b6760f2eaf6fc1eda803dc9d833c4b24dc3f1",
             },
             [
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_0,validation,1.62204,0",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_0,validation,1.62203,0",
                 "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_1,validation,1.62722,0",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,train,1.4196,0.5",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,validation,0.00958721,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,train,1.41912,0.5",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,validation,0.00959166,1",
                 "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,train,0.816808,0.590909",
                 "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,validation,0.0390591,1",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,train,0.592898,0.863636",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,validation,0.10304,1",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,train,0.997108,0.409091",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,validation,0.972941,0",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,train,0.592828,0.863636",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,validation,0.10309,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,train,0.997107,0.409091",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,validation,0.972942,0",
             ],
         ),
     ],
@@ -262,54 +262,54 @@ ARTIFACT_GOLDEN = {
     "centralized": [
         (
             {
-                "global": "2e2458a75f3522fa62cde6fa11be3e4eb58d1f7edfe18cabe71e49add651f261",
+                "global": "27489bf969e3f80855faad4f0d8752c2f37b26de55e83231a63251711fd1fb2e",
             },
             [
-                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,0,global,validation,1.6345,0",
-                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,1,global,train,0.528852,0.767442",
-                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,1,global,validation,0.0267613,1",
-                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,train,0.485471,0.860465",
-                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,validation,0.130878,1",
+                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,0,global,validation,1.63458,0",
+                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,1,global,train,0.528791,0.767442",
+                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,1,global,validation,0.0267708,1",
+                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,train,0.485323,0.860465",
+                "finetune_classify-centralized-bert_mini-i7,centralized,bert_mini,2,global,validation,0.130925,1",
             ],
         ),
     ],
     "standalone": [
         (
             {
-                "client_0": "259b45e61e0dbec72bd419ddd6ad3028e3b73f982aaf016fbfe95edbcc129f04",
-                "client_1": "b58f1dd0697f847acf95413087a8066c69193e7b808829b4cbc96d22133809e5",
+                "client_0": "12fd459a8cebd63e97ff27714a368c8ed8a0d059173e572d1e470f39f199c851",
+                "client_1": "84c48170d74a514394973c1d5aefe3c51342f0424d60c22a1690e0b69b774b81",
             },
             [
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_0,validation,1.6345,0",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_1,validation,1.6345,0",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,train,0.384263,0.772727",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,validation,0.0027469,1",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,train,0.779905,0.590909",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,validation,0.0438897,1",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,train,0.65955,0.863636",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,validation,0.0611087,1",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,train,0.606005,0.590909",
-                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,validation,0.0827351,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_0,validation,1.63458,0",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,0,client_1,validation,1.63458,0",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,train,0.384276,0.772727",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_0,validation,0.00274666,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,train,0.779933,0.590909",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,1,client_1,validation,0.0438261,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,train,0.659626,0.863636",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_0,validation,0.061128,1",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,train,0.605708,0.590909",
+                "finetune_classify-standalone-bert_mini-i7,standalone,bert_mini,2,client_1,validation,0.0827236,1",
             ],
         ),
     ],
     "federated": [
         (
             {
-                "global": "e5f9ce895cfe85116d0a80e2fb98b184d8144dd02ca55440a0f7cd0c7a9699fe",
+                "global": "8db883ec3c0c3bc67d168e3e729f73810737980fed029e50e17cc9053110f704",
             },
             [
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,0,global,validation,1.6345,0",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,train,0.384263,0.772727",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,validation,0.00274701,1",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,train,0.779905,0.590909",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,validation,0.664689,0.8",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,global,validation,0.0097396,1",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,train,0.582578,0.863636",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,validation,0.072041,1",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,train,0.492745,0.863636",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,validation,1.70708,0.2",
-                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,global,validation,0.0990529,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,0,global,validation,1.63458,0",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,train,0.384276,0.772727",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_0,validation,0.00274677,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,train,0.779933,0.590909",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,client_1,validation,0.664922,0.8",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,1,global,validation,0.00973447,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,train,0.582594,0.863636",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_0,validation,0.0720764,1",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,train,0.492722,0.863636",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,client_1,validation,1.70614,0.2",
+                "finetune_classify-federated-bert_mini-i7,federated,bert_mini,2,global,validation,0.0991543,1",
             ],
         ),
     ],

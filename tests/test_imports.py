@@ -58,6 +58,32 @@ def test_every_module_imports_first_in_a_fresh_interpreter():
     assert "flnp.transport.codec" in imported and "flnp.experiment.runner" in imported
 
 
+FLOAT32_RUN_WITHOUT_SCIPY = r"""
+import sys
+
+from flnp.experiment.config import config_from_dict
+from flnp.experiment.runner import run_experiment
+
+cfg = config_from_dict({
+    "mode": "federated", "phase": "pretrain_mlm", "model": "bert_mini", "transport": "channel",
+    "rounds": 1, "local_epochs": 1, "batch_size": 8, "max_seq_len": 16,
+    "partition": {"n_clients": 2, "mode": "balanced"},
+    "data": {"n_records": 40, "min_len": 6, "max_len": 12},
+})
+assert run_experiment(cfg)[0].records
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded[:5]
+"""
+
+
+def test_float32_federated_run_never_imports_scipy():
+    # scipy costs every process about 20 MB; only float64 compute (the gradient checks) needs it
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", FLOAT32_RUN_WITHOUT_SCIPY],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_benchmark_tracer_finds_every_callable_it_wraps():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([BENCH, SRC]))
     code = "import spans; t = spans.Tracer(); spans.install(t); t.uninstall()"

@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import erf, expit
 
+from flnp import tensor
 from flnp.tensor import (
     Packing,
     ShapeError,
@@ -87,6 +88,55 @@ class TestElementwise:
     def test_gelu_gradient_at_fixed_points(self):
         x = Tensor(np.array([-2.0, -0.5, 0.0, 0.5, 2.0]), requires_grad=True)
         assert_grads_match(lambda: reduce_sum(gelu(x)), {"x": x}, n_coords=5, rtol=1e-5)
+
+    @staticmethod
+    def _gelu_and_derivative(x: np.ndarray):
+        t = Tensor(x, requires_grad=True)
+        out = gelu(t)
+        backward(reduce_sum(out))
+        return out.data, t.grad
+
+    @staticmethod
+    def _float64_reference(x: np.ndarray):
+        x = x.astype(np.float64)
+        cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+        return x * cdf, cdf + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+    def test_float32_gelu_is_within_5e_7_of_a_float64_reference(self):
+        x = np.concatenate([np.linspace(-20.0, 20.0, 400_001).astype(np.float32),
+                            np.float32([0.0, -0.0])])
+        out, grad = self._gelu_and_derivative(x)
+        want, dwant = self._float64_reference(x)
+        assert out.dtype == grad.dtype == np.float32
+        assert np.max(np.abs(out - want)) <= 5e-7
+        assert np.max(np.abs(grad - dwant)) <= 2e-6
+        assert np.array_equal(np.signbit(out[-2:]), [False, True])
+
+    def test_float32_gelu_at_infinities_matches_the_reference(self):
+        # -inf * Phi(-inf) is -inf * 0: NaN in IEEE arithmetic, for the reference too
+        x = np.float32([np.inf, -np.inf])
+        with np.errstate(invalid="ignore"):
+            out, grad = self._gelu_and_derivative(x)
+            want, dwant = self._float64_reference(x)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(grad, dwant)
+        assert np.array_equal(tensor._normal_cdf(x)[0], [1.0, 0.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype, edge", [(np.float32, 20.0), (np.float64, 40.0)])
+    def test_gelu_of_large_finite_inputs_does_not_overflow(self, dtype, edge):
+        # from |x| = edge on, Phi is exactly 0 or 1 and so is the derivative
+        big = np.array([1e20, -1e20, 3e38, -3e38, edge, -edge, edge + 5.0], dtype=dtype)
+        phi = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0], dtype=dtype)
+        x = Tensor(big[:, None], requires_grad=True)
+        w = Tensor(np.ones((1, 1), dtype), requires_grad=True)
+        b = Tensor(np.zeros(1, dtype), requires_grad=True)
+        out = linear_gelu(x, w, b)
+        backward(reduce_sum(out))
+        assert np.array_equal(out.data[:, 0], big * phi)
+        assert np.array_equal(np.signbit(out.data[:, 0]), [False, True, False, True, False, True, False])
+        assert np.array_equal(x.grad[:, 0], phi)
+        assert np.array_equal(gelu(Tensor(big)).data, out.data[:, 0])
 
     def test_add_sub_mul_gradients(self):
         rng = np.random.default_rng(2)
@@ -410,6 +460,43 @@ class TestLinearGelu:
         p = _params(rng, w=(3, 4), b=(4,))
         expected = gelu(add(matmul(x, p["w"]), p["b"])).data
         assert np.array_equal(linear_gelu(x, p["w"], p["b"]).data, expected)
+
+    def test_float32_equals_gelu_of_linear(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(scale=3.0, size=(6, 3)).astype(np.float32))
+        w, b = (Tensor(rng.normal(size=s).astype(np.float32)) for s in ((3, 4), (4,)))
+        expected = gelu(add(matmul(x, w), b)).data
+        out = linear_gelu(x, w, b).data
+        assert out.dtype == np.float32 and np.array_equal(out, expected)
+
+    def test_records_no_backward_without_grad(self):
+        rng = np.random.default_rng(5)
+        x, w, b = (Tensor(rng.normal(size=s).astype(np.float32)) for s in ((4, 3), (3, 2), (2,)))
+        out = linear_gelu(x, w, b)
+        assert out._backward_fn is None and out._parents == () and not out.requires_grad
+
+    def test_backward_equals_the_recomputed_derivative_bit_for_bit(self):
+        # the derivative kept from the forward, against the backward that recomputed
+        # it from the same float32 pre-activation and cdf: d = (cdf + pre * pdf(pre)) * g
+        rng = np.random.default_rng(11)
+        x, w, b = (Tensor(rng.normal(scale=2.0, size=s).astype(np.float32), requires_grad=True)
+                   for s in ((7, 5), (5, 6), (6,)))
+        probe = Tensor(rng.normal(size=(7, 6)).astype(np.float32))
+        out = linear_gelu(x, w, b)
+        backward(reduce_sum(mul(out, probe)))
+        pre = tensor._affine(x, w, b)
+        cdf = tensor._normal_cdf(pre)[0]
+        assert np.array_equal(out.data, pre * cdf)
+        d = pre * pre
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= 1.0 / math.sqrt(2.0 * math.pi)
+        d *= pre
+        d += cdf
+        d *= probe.data
+        assert np.array_equal(x.grad, d @ w.data.T)
+        assert np.array_equal(w.grad, x.data.T @ d)
+        assert np.array_equal(b.grad, d.sum(axis=0))
 
     def test_gradient(self):
         rng = np.random.default_rng(6)
