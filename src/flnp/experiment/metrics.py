@@ -59,9 +59,3 @@ def parse_metrics(path: str) -> list[MetricsRecord]:
                 )
             )
     return records
-
-
-def strip_wall_time(path: str) -> list[list[str]]:
-    """Rows without the wall_time column, for determinism diffs."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return [row[:-1] for row in csv.reader(fh)]

@@ -4,9 +4,10 @@ Compute parity: every mode trains through `LocalTrainer`, the one
 local-training path. Federated clients drive it from the round protocol;
 `run_local` drives it directly, as trainer 0 on the pooled shards
 (centralized) or trainer k on shard k (standalone). Every mode runs
-`rounds` blocks of `local_epochs` epochs per trainer, and every block
-boundary passes the weights through a `ParameterSet`, which holds them at
-the 32-bit wire precision, exactly as federated parameters cross the wire. A
+`rounds` blocks of `local_epochs` epochs per trainer, each with a fresh
+Adam. A model holds its weights at the 32-bit wire precision, so a local
+trainer carries into its next block exactly the weights a federated
+client gets back from the wire, and one update averages to itself. A
 one-client federated run therefore reproduces the centralized run bit for
 bit under equal seeds.
 
@@ -171,20 +172,18 @@ def run_local(cfg: ExperimentConfig, bundle: DatasetBundle, inits: list[Paramete
     with blas_threads(budget):
         for k, (scope, init) in enumerate(zip(scopes, inits)):
             trainer = LocalTrainer(plan, k)
-            params = init
-            trainer.load(params)
+            trainer.load(init)
             t0 = time.perf_counter()
             loss, top1 = evaluate(trainer.model, val_batches)
             records.append(row(0, scope, "validation", loss, top1, _ms_since(t0)))
             for rnd in range(1, cfg.rounds + 1):
                 t0 = time.perf_counter()
                 train_loss, train_top1 = trainer.train_round(rnd, cfg.local_epochs, cfg.lr)
-                params = trainer.export()
                 val_loss, val_top1 = evaluate(trainer.model, val_batches)
                 elapsed = _ms_since(t0)
                 records.append(row(rnd, scope, "train", train_loss, train_top1, elapsed))
                 records.append(row(rnd, scope, "validation", val_loss, val_top1, elapsed))
-            finals[scope] = params
+            finals[scope] = trainer.export()
     return RunResult(run_id=cfg.derived_run_id(), records=records, finals=finals)
 
 

@@ -6,8 +6,9 @@ add + layer norm -> two-layer GELU feed-forward (inner width 4*d_model)
 Heads are floor(d_model / n_heads) wide; their concatenation (which is
 n_heads * d_head, not necessarily d_model) is projected back to d_model.
 
-Classification mean-pools hidden states over unpadded positions; the MLM
-head is an affine map to vocabulary logits, untied from the embedding.
+Classification mean-pools the hidden states of each sequence's real
+tokens; the MLM head is an affine map of every real token's hidden state
+to vocabulary logits, untied from the embedding.
 
 The encoder computes in float32, its parameters' precision, on packed
 rows: only the real tokens of the padded batch, gathered once from the
@@ -16,11 +17,12 @@ attention mask. Each sublayer is one tape node (`attention`, then
 `linear`, `add_layer_norm`), and every forward and backward GEMM of the
 projections and the feed-forward runs on the packed [N, d] rows. Only
 `attention` scatters q/k/v into the padded [B, H, T, d_head] layout for
-its score and context GEMMs. A final node scatters the hidden states
-back to [B, T, d_model] with exact zeros at padding. The attention
-weights of a padded query are uniform over the real keys of its row.
-With float64 parameters the packed model matches a per-op computation
-on the padded batch (`tests/transformer_oracle.py`).
+its score and context GEMMs. The encoder returns the packed rows, and
+both heads and the loss take them as they are: the MLM head is one GEMM
+over the N rows, and `mean_pool` averages each sequence's rows. The
+attention weights of a padded query are uniform over the real keys of
+its row. With float64 parameters the packed model matches a per-op
+computation on the padded batch (`tests/transformer_oracle.py`).
 """
 
 from __future__ import annotations
@@ -37,9 +39,7 @@ from ..tensor import (
     embedding_lookup,
     linear,
     linear_gelu,
-    mul,
-    reduce_sum,
-    scatter_rows,
+    mean_pool,
 )
 from .base import ModelBase, ParamSpec
 from .config import N_CLASSES, ModelConfig
@@ -81,7 +81,7 @@ def transformer_manifest(config: ModelConfig, mode: str) -> list[ParamSpec]:
 
 class TransformerModel(ModelBase):
     def forward(self, token_ids: np.ndarray, attention_mask: np.ndarray) -> Tensor:
-        """Hidden states [B, T, d_model], exactly 0 at padding."""
+        """Hidden states [N, d_model] of the N real tokens, in `Packing(attention_mask)`'s order."""
         cfg = self.config
         p = self.params
         ids = np.asarray(token_ids, dtype=np.int64)
@@ -110,20 +110,17 @@ class TransformerModel(ModelBase):
             inner = linear_gelu(h, p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"])
             f = linear(inner, p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"])
             h = add_layer_norm(f, h, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
-        return scatter_rows(h, packing)
+        return h
 
     def mlm_logits(self, hidden: Tensor) -> Tensor:
-        """Vocabulary logits [B, T, V]."""
+        """Vocabulary logits [N, V] of the packed hidden states."""
         if self.mode != "mlm":
             raise UsageError(f"model is in mode '{self.mode}', not 'mlm'")
         return linear(hidden, self.params["mlm.w"], self.params["mlm.b"])
 
     def classify_logits(self, hidden: Tensor, attention_mask: np.ndarray) -> Tensor:
-        """Class logits [B, N_CLASSES] from mask-weighted mean pooling."""
+        """Class logits [B, N_CLASSES] from the mean of each sequence's packed hidden states."""
         if self.mode != "classify":
             raise UsageError(f"model is in mode '{self.mode}', not 'classify'")
-        mask = np.asarray(attention_mask, dtype=hidden.data.dtype)
-        counts = np.maximum(mask.sum(axis=1), 1.0)
-        pooled = reduce_sum(mul(hidden, Tensor(mask[:, :, None])), axis=1)
-        pooled = mul(pooled, Tensor((1.0 / counts)[:, None]))
+        pooled = mean_pool(hidden, Packing(attention_mask))
         return linear(pooled, self.params["cls.w"], self.params["cls.b"])

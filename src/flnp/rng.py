@@ -41,6 +41,12 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _shape_count(size: int | tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The array shape a `size` argument asks for, and its number of draws."""
+    shape = (size,) if isinstance(size, int) else tuple(size)
+    return shape, int(np.prod(shape))
+
+
 class Rng:
     """One splittable stream. Not thread-safe; give each context its own."""
 
@@ -74,16 +80,14 @@ class Rng:
     def uint64(self, size: int | tuple[int, ...] | None = None):
         if size is None:
             return self._next()
-        shape = (size,) if isinstance(size, int) else tuple(size)
-        n = int(np.prod(shape)) if shape else 1
+        shape, n = _shape_count(size)
         return self._raw(n).reshape(shape)
 
     def random(self, size: int | tuple[int, ...] | None = None):
         """Float64 in [0, 1) with 53 random bits."""
         if size is None:
             return float(self._next() >> 11) * _INV_2_53
-        shape = (size,) if isinstance(size, int) else tuple(size)
-        n = int(np.prod(shape)) if shape else 1
+        shape, n = _shape_count(size)
         u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
         return u.reshape(shape)
 
@@ -92,8 +96,7 @@ class Rng:
 
     def normal(self, mean: float = 0.0, std: float = 1.0, size=None):
         """Gaussian samples via Box-Muller."""
-        shape = () if size is None else ((size,) if isinstance(size, int) else tuple(size))
-        n = int(np.prod(shape)) if shape else 1
+        shape, n = _shape_count(() if size is None else size)
         half = (n + 1) // 2
         # u1 in (0, 1] so log never sees zero
         u1 = ((self._raw(half) >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
@@ -118,8 +121,7 @@ class Rng:
                 draw = self._next()
                 if draw < limit:
                     return draw % bound
-        shape = (size,) if isinstance(size, int) else tuple(size)
-        n = int(np.prod(shape)) if shape else 1
+        shape, n = _shape_count(size)
         return self._integer_block(bound, n).reshape(shape)
 
     def _integer_block(self, bound: int, n: int) -> np.ndarray:

@@ -22,8 +22,8 @@ whose recurrence and GEMMs run on packed steps (the real steps of
 length-sorted rows, time-major, see :class:`Packing`); `linear`,
 `linear_gelu`, `add_layer_norm` and `attention` for the transformer,
 whose row-wise work and forward GEMMs run on packed rows (the real
-tokens of a padded batch), and `scatter_rows`, which puts packed rows
-back into the padded layout.
+tokens of a padded batch), and `mean_pool`, which averages each
+sequence's packed rows.
 """
 
 from __future__ import annotations
@@ -751,15 +751,20 @@ def attention(x, wq, bq, wk, bk, wv, bv, packing: Packing, heads: int):
     return _result(ctx, (x, wq, bq, wk, bk, wv, bv), bwd), probs
 
 
-def scatter_rows(x, packing: Packing) -> Tensor:
-    """Packed rows x [N, d] back to the padded [B, T, d]; zeros at padding."""
+def mean_pool(x, packing: Packing) -> Tensor:
+    """Mean of each sequence's packed rows: x [N, d] to [B, d], 0 for a sequence with no row.
+
+    The sums run in position order over the padded layout, zeros at padding;
+    `np.add.reduceat` over the packed rows adds in another order and rounds otherwise.
+    """
     x = as_tensor(x)
     if x.ndim != 2:
-        raise ShapeError(f"scatter_rows: rows must be [N, d], got {x.data.shape}")
-    out = packing.pad(x.data)
+        raise ShapeError(f"mean_pool: rows must be [N, d], got {x.data.shape}")
+    inv_count = (1.0 / np.maximum(packing.counts, 1).astype(x.data.dtype))[:, None]
+    out = packing.pad(x.data).sum(axis=1) * inv_count
 
     def bwd(g):
-        _accumulate(x, packing.pack(g))
+        _accumulate(x, (g * inv_count)[packing.batch_idx])
 
     return _result(out, (x,), bwd)
 

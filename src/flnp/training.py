@@ -29,7 +29,7 @@ from .models.base import ModelBase
 from .models.config import ModelConfig
 from .optim import Adam
 from .rng import Rng
-from .tensor import IGNORE_LABEL, Tensor, backward, masked_cross_entropy, reshape
+from .tensor import IGNORE_LABEL, Packing, Tensor, backward, masked_cross_entropy
 
 VALIDATION_MASK_KEY = 0x56414C  # "VAL"
 
@@ -62,11 +62,10 @@ def batch_loss(model: ModelBase, batch) -> tuple[Tensor, np.ndarray, np.ndarray]
     if isinstance(batch, MaskedBatch):
         hidden = model.forward(batch.input_ids, batch.attention_mask)
         logits = model.mlm_logits(hidden)
-        b, t, v = logits.shape
-        flat_labels = batch.labels.reshape(-1)
-        loss = masked_cross_entropy(reshape(logits, (b * t, v)), flat_labels)
-        scored = flat_labels != IGNORE_LABEL
-        return loss, logits.data.reshape(b * t, v)[scored], flat_labels[scored]
+        labels = Packing(batch.attention_mask).pack(batch.labels)
+        loss = masked_cross_entropy(logits, labels)
+        scored = labels != IGNORE_LABEL
+        return loss, logits.data[scored], labels[scored]
     if isinstance(model, LstmClassifier):
         logits = model.forward(batch.input_ids, batch.lengths)
     else:

@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flnp.data import MaskingConfig, build_vocab
+from flnp.data import Batch, MaskedBatch, MaskingConfig, build_vocab
 from flnp.models import init_model, preset
 from flnp.optim import Adam
 from flnp.rng import Rng
 from flnp.tensor import (
+    Packing,
     Tensor,
     UsageError,
     add,
@@ -15,11 +16,10 @@ from flnp.tensor import (
     masked_cross_entropy,
     mul,
     reduce_sum,
-    reshape,
     sigmoid,
     tanh,
 )
-from flnp.training import TrainPlan, train_epochs
+from flnp.training import TrainPlan, batch_loss, train_epochs
 
 from test_models import _tape
 
@@ -104,9 +104,8 @@ def test_determinism_bitwise():
 def _mlm_step_loss(model, rng):
     ids = rng.integers(3, 40, size=(4, 12))
     mask = (np.arange(12) < np.array([12, 1, 7, 4])[:, None]).astype(float)
-    labels = np.where((rng.random(mask.shape) < 0.3) & (mask > 0), ids, -1).reshape(-1)
-    logits = reshape(model.mlm_logits(model.forward(ids, mask)), (mask.size, 40))
-    return masked_cross_entropy(logits, labels)
+    labels = np.where((rng.random(mask.shape) < 0.3) & (mask > 0), ids, -1)
+    return masked_cross_entropy(model.mlm_logits(model.forward(ids, mask)), Packing(mask).pack(labels))
 
 
 def test_backward_consumes_the_tape_and_keeps_parameter_grads():
@@ -130,6 +129,27 @@ def test_second_backward_through_a_consumed_node_raises_and_changes_no_grad():
         backward(mul(loss, Tensor(np.float32(2.0))))  # a new root over the old tape
     for name, t in model.params.items():
         assert np.array_equal(t.grad, grads[name]), name
+
+
+# the one node kind per sublayer a transformer training step records; `add`
+# sums the token and position embeddings
+TRANSFORMER_STEP_KINDS = {"embedding_lookup", "add", "attention", "linear", "add_layer_norm",
+                          "linear_gelu", "masked_cross_entropy"}
+
+
+@pytest.mark.parametrize("mode, head_kinds", [("mlm", set()), ("classify", {"mean_pool"})])
+def test_a_transformer_training_step_records_only_fused_node_kinds(mode, head_kinds):
+    model = init_model(preset("bert_mini", vocab_size=40, max_seq_len=12), seed=3, mode=mode)
+    rng = np.random.default_rng(4)
+    ids = rng.integers(3, 40, size=(4, 12))
+    batch = Batch(input_ids=ids, lengths=np.array([12, 1, 7, 4]), labels=np.array([0, 1, 1, 0]))
+    if mode == "mlm":
+        mask = batch.attention_mask
+        labels = np.where((rng.random(mask.shape) < 0.3) & (mask > 0), ids, -1)
+        batch = MaskedBatch(input_ids=ids, labels=labels, attention_mask=mask)
+    loss, _, _ = batch_loss(model, batch)
+    kinds = {node._backward_fn.__qualname__.split(".")[0] for node in _tape(loss) if node._parents}
+    assert kinds == TRANSFORMER_STEP_KINDS | head_kinds
 
 
 def _train_peak_bytes(n_batches: int) -> int:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 from flnp.experiment.config import apply_overrides, config_from_dict, config_to_dict
 from flnp.experiment.federated import ChannelServer
-from flnp.experiment.metrics import MetricsRecord, emit_metrics, parse_metrics, strip_wall_time
+from flnp.experiment.metrics import MetricsRecord, emit_metrics, parse_metrics
 from flnp.experiment.runner import (
     build_dataset,
     load_params,
@@ -25,6 +26,12 @@ from flnp.models.config import ConfigError
 from flnp.protocol.fedavg import ProtocolError
 from flnp.rng import Rng
 from flnp.training import VALIDATION_MASK_KEY, evaluate, prepare_eval_batches
+
+
+def strip_wall_time(path: str) -> list[list[str]]:
+    """A metrics CSV's rows without the wall_time column, for determinism diffs."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [row[:-1] for row in csv.reader(fh)]
 
 
 def small_cfg(**kw):

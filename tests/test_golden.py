@@ -10,8 +10,10 @@ rounding on purpose must update the values here and say so in CHANGES.md.
 import pytest
 
 from flnp.experiment.config import config_from_dict
-from flnp.experiment.metrics import emit_metrics, strip_wall_time
+from flnp.experiment.metrics import emit_metrics
 from flnp.experiment.runner import params_checksum, run_experiment, save_params
+
+from test_experiment import strip_wall_time
 
 TINY_DATA = {"n_records": 60, "min_len": 6, "max_len": 12}
 

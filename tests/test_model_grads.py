@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from flnp.models import ModelConfig, init_model, preset
-from flnp.tensor import backward, masked_cross_entropy, reshape
+from flnp.tensor import Packing, backward, masked_cross_entropy
 
 from gradcheck import assert_grads_match, widen
 from lstm_oracle import unrolled_logits
-from transformer_oracle import per_op_forward
+from transformer_oracle import per_op_classify_logits, per_op_forward, per_op_mlm_logits
 
 
 def test_small_transformer_mlm_all_parameter_tensors():
@@ -22,11 +22,10 @@ def test_small_transformer_mlm_all_parameter_tensors():
     model = widen(init_model(cfg, seed=21, mode="mlm"))
     ids = np.array([[3, 4, 5, 0, 0], [3, 6, 7, 8, 0]])
     mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 0]], dtype=float)
-    labels = np.array([[-1, 9, -1, -1, -1], [-1, -1, 4, 10, -1]]).reshape(-1)
+    labels = Packing(mask).pack(np.array([[-1, 9, -1, -1, -1], [-1, -1, 4, 10, -1]]))
 
     def loss():
-        logits = model.mlm_logits(model.forward(ids, mask))
-        return masked_cross_entropy(reshape(logits, (10, cfg.vocab_size)), labels)
+        return masked_cross_entropy(model.mlm_logits(model.forward(ids, mask)), labels)
 
     assert_grads_match(loss, model.params, n_coords=6, rtol=1e-4, seed=1)
 
@@ -119,27 +118,35 @@ def test_fused_transformer_matches_per_op_oracle_at_preset_shapes(mode):
     mask = (np.arange(seq) < lengths[:, None]).astype(float)
     mask[1, [0, 6, 7]] = 0.0  # a row with holes in its mask
     if mode == "mlm":
-        labels = np.where((rng.random(mask.shape) < 0.4) & (mask > 0), ids, -1).reshape(-1)
+        labels = np.where((rng.random(mask.shape) < 0.4) & (mask > 0), ids, -1)
     else:
         labels = np.array([0, 1, 1, 0, 1])
 
-    def loss_and_grads(forward):
-        model = widen(init_model(cfg, seed=19, mode=mode))
-        hidden = forward(model)
+    def fused_loss(m):
+        hidden = m.forward(ids, mask)
         if mode == "mlm":
-            logits = reshape(model.mlm_logits(hidden), (mask.size, cfg.vocab_size))
-        else:
-            logits = model.classify_logits(hidden, mask)
-        loss = masked_cross_entropy(logits, labels)
+            return masked_cross_entropy(m.mlm_logits(hidden), Packing(mask).pack(labels))
+        return masked_cross_entropy(m.classify_logits(hidden, mask), labels)
+
+    def oracle_loss(m):
+        hidden = per_op_forward(m, ids, mask)
+        if mode == "mlm":
+            return masked_cross_entropy(per_op_mlm_logits(m, hidden), labels.reshape(-1))
+        return masked_cross_entropy(per_op_classify_logits(m, hidden, mask), labels)
+
+    def loss_and_grads(loss_fn):
+        model = widen(init_model(cfg, seed=19, mode=mode))
+        loss = loss_fn(model)
         backward(loss)
         return loss, {name: t.grad for name, t in model.params.items()}
 
-    fused, fused_grads = loss_and_grads(lambda m: m.forward(ids, mask))
-    oracle, oracle_grads = loss_and_grads(lambda m: per_op_forward(m, ids, mask))
+    fused, fused_grads = loss_and_grads(fused_loss)
+    oracle, oracle_grads = loss_and_grads(oracle_loss)
     assert fused.item() == oracle.item()
-    # 3 embedding nodes, 6 per layer, the scatter to [B, T, d], then head and loss
-    head = 3 if mode == "mlm" else 5
-    assert _tape_size(fused) == 3 + 6 * cfg.n_layers + 1 + head
+    # 3 embedding nodes and 6 per layer on packed rows, then the head and the loss:
+    # the MLM head's linear, or mean_pool and the classifier's linear
+    head = 2 if mode == "mlm" else 3
+    assert _tape_size(fused) == 3 + 6 * cfg.n_layers + head
     for name, want in oracle_grads.items():
         got = fused_grads[name]
         if name.endswith(".attn.bk"):

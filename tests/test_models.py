@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from flnp.data import MaskedBatch
 from flnp.models import (
     LstmClassifier,
     ModelConfig,
@@ -18,6 +19,7 @@ from flnp.optim import Adam
 from flnp.params import ParameterSet
 from flnp.tensor import (
     Packing,
+    Tensor,
     UsageError,
     add,
     attention,
@@ -26,6 +28,7 @@ from flnp.tensor import (
     masked_cross_entropy,
     reshape,
 )
+from flnp.training import batch_loss
 
 from gradcheck import widen
 from lstm_oracle import unrolled_logits
@@ -191,18 +194,19 @@ class TestTransformerForward:
         b = np.array([[3, 4, 5, 9, 12, 7]])  # garbage under the padding
         ha = model.forward(a, mask).data
         hb = model.forward(b, mask).data
-        assert np.array_equal(ha[:, :3], hb[:, :3])
+        assert np.array_equal(ha, hb)
         la = model.classify_logits(model.forward(a, mask), mask).data
         lb = model.classify_logits(model.forward(b, mask), mask).data
         assert np.array_equal(la, lb)
 
-    def test_hidden_states_at_padding_are_exactly_zero(self):
-        model = tiny_transformer()
+    def test_hidden_states_are_the_real_tokens_rows_in_packing_order(self):
+        model = widen(tiny_transformer())
         ids = np.array([[3, 4, 5, 6, 0, 0], [3, 0, 7, 8, 9, 10]])
         mask = np.array([[1, 1, 1, 1, 0, 0], [1, 0, 1, 1, 1, 1]], dtype=float)
         hidden = model.forward(ids, mask).data
-        assert np.all(hidden[mask == 0] == 0.0)
-        assert np.all(np.abs(hidden[mask == 1]).sum(axis=-1) > 0.0)
+        assert hidden.shape == (9, model.config.d_model)
+        alone = [model.forward(ids[i:i + 1], mask[i:i + 1]).data for i in range(2)]
+        assert np.abs(hidden - np.concatenate(alone)).max() < 1e-12
 
     def test_sequence_longer_than_limit_rejected(self):
         model = tiny_transformer(seq=4)
@@ -239,14 +243,14 @@ class TestTransformerForward:
         h2 = ln(h1 + (act @ p["enc.0.ffn.w2"] + p["enc.0.ffn.b2"]),
                 p["enc.0.ln2.g"], p["enc.0.ln2.b"])
 
-        out = model.forward(ids, mask).data[0]
+        out = model.forward(ids, mask).data
         assert np.abs(out - h2).max() < 1e-10
 
 
 class TestHeads:
     def test_zero_hidden_zero_bias_gives_uniform_rows(self):
         model = tiny_transformer()
-        from flnp.tensor import Tensor, softmax_rows
+        from flnp.tensor import softmax_rows
 
         hidden = Tensor(np.zeros((2, 3, model.config.d_model)))
         items = [(n, np.zeros_like(t.data) if n == "mlm.b" else t.data)
@@ -260,18 +264,34 @@ class TestHeads:
         ids = np.array([[3, 4, 5], [3, 6, 0]])
         mask = np.array([[1, 1, 1], [1, 1, 0]], dtype=float)
         logits = model.mlm_logits(model.forward(ids, mask))
-        assert logits.shape == (2, 3, model.config.vocab_size)
+        assert logits.shape == (5, model.config.vocab_size)
 
     def test_all_ignored_labels_zero_loss(self):
-        from flnp.tensor import masked_cross_entropy, reshape
-
         model = tiny_transformer()
         ids = np.array([[3, 4, 5]])
         mask = np.ones((1, 3))
         logits = model.mlm_logits(model.forward(ids, mask))
-        loss = masked_cross_entropy(reshape(logits, (3, model.config.vocab_size)),
-                                    np.array([-1, -1, -1]))
+        loss = masked_cross_entropy(logits, np.array([-1, -1, -1]))
         assert loss.item() == 0.0
+
+    def test_packed_mlm_loss_equals_the_padded_reshape_loss(self):
+        model = init_model(preset("bert_mini", vocab_size=40, max_seq_len=12), seed=3, mode="mlm")
+        rng = np.random.default_rng(8)
+        ids = rng.integers(3, 40, size=(4, 12))
+        mask = (np.arange(12) < np.array([12, 1, 7, 4])[:, None]).astype(float)
+        mask[0, [2, 5]] = 0.0  # holes
+        labels = np.where((rng.random(mask.shape) < 0.3) & (mask > 0), ids, -1)
+        batch = MaskedBatch(input_ids=ids, labels=labels, attention_mask=mask)
+        loss, scored_logits, scored_labels = batch_loss(model, batch)
+
+        # the same logits rows scattered to [B, T, V], flattened and scored with every label
+        packing = Packing(mask)
+        logits = model.mlm_logits(model.forward(ids, mask))
+        padded = reshape(Tensor(packing.pad(logits.data)), (mask.size, 40))
+        flat = labels.reshape(-1)
+        assert loss.item() == masked_cross_entropy(padded, flat).item()
+        assert np.array_equal(scored_logits, padded.data[flat != -1])
+        assert np.array_equal(scored_labels, flat[flat != -1])
 
     def test_pooling_single_valid_token(self):
         model = tiny_transformer(mode="classify")
@@ -281,7 +301,7 @@ class TestHeads:
         pooled_logits = model.classify_logits(hidden, mask).data
         w = model.params["cls.w"].data
         b = model.params["cls.b"].data
-        expected = hidden.data[0, 0] @ w + b
+        expected = hidden.data[0] @ w + b
         assert np.allclose(pooled_logits[0], expected, atol=1e-12)
 
     def test_duplicated_batch_rows_leave_logits_unchanged(self):
@@ -435,9 +455,9 @@ class TestComputeDtype:
         if kind == "lstm":
             loss = masked_cross_entropy(model.forward(ids, lengths), np.array([0, 1, 1, 0]))
         elif mode == "mlm":
-            logits = reshape(model.mlm_logits(model.forward(ids, mask)), (mask.size, 40))
+            logits = model.mlm_logits(model.forward(ids, mask))
             labels = np.where((rng.random(mask.shape) < 0.3) & (mask > 0), ids, -1)
-            loss = masked_cross_entropy(logits, labels.reshape(-1))
+            loss = masked_cross_entropy(logits, Packing(mask).pack(labels))
         else:
             loss = masked_cross_entropy(model.classify_logits(model.forward(ids, mask), mask),
                                         np.array([0, 1, 1, 0]))

@@ -23,12 +23,12 @@ from flnp.tensor import (
     lstm_layer,
     masked_cross_entropy,
     matmul,
+    mean_pool,
     mul,
     narrow,
     reduce_mean,
     reduce_sum,
     reshape,
-    scatter_rows,
     sigmoid,
     softmax_rows,
     sub,
@@ -609,13 +609,38 @@ class TestAttention:
                       w["wv"], w["bv"], Packing(PACK_MASK), 3)
 
 
-class TestScatterRows:
-    def test_zeros_at_padding_and_gradient(self):
+HOLED_MASK = np.vstack([PACK_MASK, np.zeros((1, 4))])  # and a sequence with no real token
+
+
+class TestMeanPool:
+    def test_gradient_on_a_mask_with_holes(self):
         rng = np.random.default_rng(6)
-        packing = Packing(PACK_MASK)
+        packing = Packing(HOLED_MASK)
         x = Tensor(rng.normal(size=(8, 2)), requires_grad=True)
-        out = scatter_rows(x, packing)
-        assert np.all(out.data[PACK_MASK == 0] == 0.0)
-        probe = Tensor(rng.normal(size=(3, 4, 2)))
-        assert_grads_match(lambda: reduce_sum(mul(scatter_rows(mul(x, x), packing), probe)),
+        probe = Tensor(rng.normal(size=(4, 2)))
+        assert_grads_match(lambda: reduce_sum(mul(mean_pool(mul(x, x), packing), probe)),
                            {"x": x}, n_coords=16, rtol=1e-6)
+        pooled = mean_pool(x, packing).data
+        assert np.allclose(pooled[2], x.data[5:8].mean(axis=0), rtol=1e-15)
+        assert np.all(pooled[3] == 0.0)  # a sequence with no real token
+        with pytest.raises(ShapeError):
+            mean_pool(Tensor(np.zeros((8, 2, 1))), packing)
+
+    def test_bit_equal_to_broadcast_pooling_over_the_padded_rows(self):
+        rng = np.random.default_rng(7)
+        packing = Packing(HOLED_MASK)
+        rows = rng.normal(size=(8, 5)).astype(np.float32)
+        probe = Tensor(rng.normal(size=(4, 5)).astype(np.float32))
+        x = Tensor(rows, requires_grad=True)
+        backward(reduce_sum(mul(mean_pool(x, packing), probe)))
+
+        # the scatter to [B, T, d], a mask multiply, a sum over T and a multiply by 1/count
+        padded = Tensor(packing.pad(rows), requires_grad=True)
+        mask = HOLED_MASK.astype(np.float32)
+        inv_count = 1.0 / np.maximum(mask.sum(axis=1), 1.0)
+        pooled = mul(reduce_sum(mul(padded, Tensor(mask[:, :, None])), axis=1),
+                     Tensor(inv_count[:, None]))
+        backward(reduce_sum(mul(pooled, probe)))
+
+        assert np.array_equal(mean_pool(x, packing).data, pooled.data)
+        assert np.array_equal(x.grad, packing.pack(padded.grad))

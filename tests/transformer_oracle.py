@@ -1,10 +1,12 @@
 """The transformer's forward pass built from per-op tensor nodes.
 
-An oracle for the fused, packed-row graph of `TransformerModel.forward`:
-the same layer equations over the padded [B, T, d] layout, one node per
-matmul, bias add, reshape, transpose, softmax, GELU, residual add and
-layer norm, with padded keys masked by an additive -1e30 score. Hidden
-states at padded positions are computed, not zeroed.
+An oracle for the fused, packed-row graph of `TransformerModel.forward`
+and its heads: the same layer equations over the padded [B, T, d]
+layout, one node per matmul, bias add, reshape, transpose, softmax,
+GELU, residual add and layer norm, with padded keys masked by an
+additive -1e30 score. Hidden states at padded positions are computed,
+not zeroed; the MLM head scores them too, and the classifier's pooling
+multiplies them by the 0/1 mask.
 """
 
 import math
@@ -19,6 +21,7 @@ from flnp.tensor import (
     layer_norm,
     matmul,
     mul,
+    reduce_sum,
     reshape,
     softmax_rows,
     transpose,
@@ -67,3 +70,20 @@ def per_op_forward(model, token_ids, attention_mask) -> Tensor:
     for i in range(model.config.n_layers):
         h = _layer(model, i, h, mask_bias, batch, seq, scale)
     return h
+
+
+def per_op_mlm_logits(model, hidden) -> Tensor:
+    """Vocabulary logits [B * T, V] of every position of the padded hidden states."""
+    p = model.params
+    batch, seq, _ = hidden.shape
+    logits = add(matmul(hidden, p["mlm.w"]), p["mlm.b"])
+    return reshape(logits, (batch * seq, model.config.vocab_size))
+
+
+def per_op_classify_logits(model, hidden, attention_mask) -> Tensor:
+    """Class logits [B, n_classes] from the mask-weighted mean of the padded hidden states."""
+    p = model.params
+    mask = np.asarray(attention_mask, dtype=hidden.data.dtype)
+    inv_count = 1.0 / np.maximum(mask.sum(axis=1), 1.0)
+    pooled = mul(reduce_sum(mul(hidden, Tensor(mask[:, :, None])), axis=1), Tensor(inv_count[:, None]))
+    return add(matmul(pooled, p["cls.w"]), p["cls.b"])
