@@ -3,7 +3,7 @@
 Subcommands:
     gen-data   write a synthetic labeled corpus to a file
     run        execute one configured experiment (channel, or TCP with
-               locally spawned client processes)
+               client threads in this process)
     serve      run the server role of a networked deployment
     client     run one client role against a remote server
     compare    run the 3 models x 3 modes classification grid
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
-import subprocess
 import sys
 
 from .blas import blas_threads, session_budget
@@ -118,7 +117,7 @@ def cmd_run(args) -> int:
         print(f"outputs already present ({existing[0]}); use --force to rerun")
         return EXIT_OK
 
-    _write_results(cfg.out_dir, run_experiment(cfg, tcp_clients="subprocess"))
+    _write_results(cfg.out_dir, run_experiment(cfg))
     return EXIT_OK
 
 
@@ -151,7 +150,7 @@ def cmd_serve(args) -> int:
         )
     cfg_tcp = dataclasses.replace(cfg, transport="tcp")
     os.makedirs(cfg_tcp.out_dir, exist_ok=True)
-    _write_results(cfg_tcp.out_dir, run_experiment(cfg_tcp, tcp_clients="external"))
+    _write_results(cfg_tcp.out_dir, run_experiment(cfg_tcp, remote_clients=True))
     return EXIT_OK
 
 
@@ -229,7 +228,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ProtocolError, OSError, RuntimeError, subprocess.TimeoutExpired) as exc:
+    except (ProtocolError, OSError, RuntimeError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

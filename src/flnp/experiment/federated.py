@@ -2,9 +2,11 @@
 
 `drive(server, transport)` is the one loop that feeds the server state
 machine: it takes the next inbound (conn, message) from the transport,
-hands it to `server.handle` and sends what comes back. `TcpServer` feeds
-it from socket reader threads, with clients as in-process threads or
-separate OS processes running `tcp_client_loop`. `ChannelServer` offers
+hands it to `server.handle` and sends what comes back. An `ErrorMsg`
+the server sends ends the run there, with a `ProtocolError` of its code,
+over either transport. `TcpServer` feeds `drive` from socket reader
+threads, with clients running `tcp_client_loop` as threads of the run
+or, under `flnp serve`, as `flnp client` processes. `ChannelServer` offers
 the same surface in process: it hands each sent message to a pool of
 worker threads, so clients train concurrently as they do over TCP, and
 `recv` returns the replies in the order their messages were sent. The
@@ -16,11 +18,14 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
+from contextlib import suppress
 
 from ..protocol.client import FlClient
 from ..protocol.fedavg import ProtocolError
+from ..protocol.messages import ErrorMsg
 from ..protocol.server import FlServer
 from ..rng import Rng
+from ..transport.codec import sign
 from ..transport.tcp import ConnectionClosed, TcpConnection
 
 
@@ -95,7 +100,8 @@ class ChannelServer:
 def drive(server: FlServer, transport) -> None:
     """Feed `transport`'s inbound messages to `server` until the run completes.
 
-    The caller opened `transport` and closes it.
+    An `ErrorMsg` the server produces is sent, and then raised as a
+    `ProtocolError` of its code. The caller opened `transport` and closes it.
     """
     while server.phase != "done":
         conn_id, msg = transport.recv()
@@ -107,15 +113,29 @@ def drive(server: FlServer, transport) -> None:
                 transport.send(dest, out)
             except (ConnectionClosed, OSError):
                 server.on_disconnect(dest)
+            if isinstance(out, ErrorMsg):
+                raise ProtocolError(out.code, out.detail)
 
 
 def tcp_client_loop(client: FlClient, conn: TcpConnection) -> None:
-    """Blocking client session: hello, then serve messages until shutdown."""
+    """Blocking client session: hello, then serve messages until shutdown.
+
+    A `ProtocolError` the client raises itself is sent to the server as a
+    signed `ErrorMsg` before it propagates; one the server reported is not
+    sent back.
+    """
     try:
         conn.send(client.hello())
         while not client.done:
             msg = conn.recv()
-            for reply in client.handle(msg):
+            try:
+                replies = client.handle(msg)
+            except ProtocolError as exc:
+                if not isinstance(msg, ErrorMsg):
+                    with suppress(OSError):  # the server may be gone already
+                        conn.send(sign(ErrorMsg(exc.code, exc.detail), client.session_key))
+                raise
+            for reply in replies:
                 conn.send(reply)
     finally:
         conn.close()

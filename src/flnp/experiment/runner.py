@@ -26,10 +26,6 @@ run so every round scores the same corrupted batches.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import subprocess
-import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -39,20 +35,23 @@ from ..blas import blas_threads, session_budget
 from ..data import Vocabulary, build_vocab, gen_synthetic_corpus, load_corpus, partition
 from ..data.corpus import CorpusParams, Record
 from ..models import build_model, init_model
+from ..models.config import ConfigError
 from ..params import ParameterSet
 from ..protocol.client import FlClient, LocalTrainer
+from ..protocol.fedavg import ProtocolError
 from ..protocol.messages import LocalUpdate, RoundPlan
 from ..protocol.server import FlServer
 from ..rng import Rng
 from ..tensor import UsageError
-from ..training import VALIDATION_MASK_KEY, TrainPlan, evaluate, prepare_eval_batches
+from ..training import VALIDATION_MASK_KEY, TrainPlan, evaluate, prepare_eval_batches, split_holdout
 from ..transport.codec import parameter_set_from_bytes, parameter_set_to_bytes
-from ..transport.tcp import TcpServer, connect
-from .config import ExperimentConfig, config_to_dict
+from ..transport.tcp import ConnectionClosed, TcpServer, connect
+from .config import ExperimentConfig
 from .federated import ChannelServer, drive, tcp_client_loop
 from .metrics import MetricsRecord
 
 SESSION_KEY_STREAM = 0x5345535  # session-key derivation from the init seed
+CLIENT_JOIN_S = 30.0  # how long a finished or failed TCP run waits for its client threads
 
 
 @dataclass(frozen=True)
@@ -191,20 +190,25 @@ def run_federated(
     cfg: ExperimentConfig,
     bundle: DatasetBundle,
     init_params: ParameterSet | None = None,
-    tcp_clients: str = "thread",  # thread | subprocess | external
+    remote_clients: bool = False,
 ) -> RunResult:
     """FedAvg rounds of `cfg`'s phase over the channel or TCP.
 
     Both deliveries run the same `drive` loop, and the whole session runs
     under one compute budget (`flnp.blas.session_budget`): the channel
-    trains `workers` clients at once, and every client, thread or process,
-    gets `budget` BLAS threads. Over TCP the clients run as threads, as
-    `flnp client` subprocesses reading this phase's config from
-    `out_dir/<run_id>-config.json`, or (external) as remote processes the
-    server waits for. Spawned client processes are killed and reaped if the
-    run fails.
+    trains `workers` clients at once, and every client gets `budget` BLAS
+    threads. Over TCP the clients run `tcp_client_loop` as threads of this
+    process, or, with `remote_clients`, as `flnp client` processes the
+    server waits for. A client thread ends quietly on a protocol or
+    connection fault, which `drive` reports, and the run waits a bounded
+    time for its client threads, whether it finished or failed.
     """
     n_clients = len(bundle.shards)
+    if not any(split_holdout(shard, cfg.holdout_frac)[0] for shard in bundle.shards):
+        raise ConfigError(
+            f"holdout_frac {cfg.holdout_frac} leaves no client a training record "
+            f"(shard sizes {[len(shard) for shard in bundle.shards]})"
+        )
     workers, budget = session_budget(n_clients)
     with blas_threads(budget):
         plan = train_plan(cfg, bundle)
@@ -257,52 +261,32 @@ def run_federated(
             tcp = TcpServer(host, port, expected=n_clients)
             tcp.start()
             threads: list[threading.Thread] = []
-            procs: list[subprocess.Popen] = []
             try:
-                if tcp_clients == "thread":
+                if remote_clients:
+                    print(f"waiting for {n_clients} clients on {host}:{tcp.port}", flush=True)
+                else:
                     for i in range(n_clients):
                         conn = connect(host, tcp.port)
-                        t = threading.Thread(target=tcp_client_loop, args=(make_client(i), conn),
-                                             daemon=True)
+                        t = threading.Thread(target=_client_thread, args=(make_client(i), conn),
+                                             name=f"flnp-client-{i}", daemon=True)
                         t.start()
                         threads.append(t)
-                elif tcp_clients == "subprocess":
-                    client_config = _write_config(cfg)
-                    procs = [
-                        subprocess.Popen(
-                            [sys.executable, "-m", "flnp", "client",
-                             "--config", client_config,
-                             "--addr", f"{host}:{tcp.port}",
-                             "--name", f"client-{i}"],
-                            env={**os.environ, "OPENBLAS_NUM_THREADS": str(budget)},
-                        )
-                        for i in range(n_clients)
-                    ]
-                else:
-                    print(f"waiting for {n_clients} clients on {host}:{tcp.port}", flush=True)
                 drive(server, tcp)
-                for t in threads:
-                    t.join(timeout=30)
-                for p in procs:
-                    if p.wait(timeout=120) != 0:
-                        raise RuntimeError(f"client process exited with {p.returncode}")
             finally:
                 tcp.close()
-                for p in procs:
-                    p.kill()  # no-op for a process already reaped
-                    p.wait()
+                for t in threads:
+                    t.join(timeout=CLIENT_JOIN_S)
 
     return RunResult(run_id=cfg.derived_run_id(), records=records,
                      finals={"global": server.global_params})
 
 
-def _write_config(cfg: ExperimentConfig) -> str:
-    """Write `cfg` for client processes to read; returns the path."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, f"{cfg.derived_run_id()}-config.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
-    return path
+def _client_thread(client: FlClient, conn) -> None:
+    """`tcp_client_loop` as a thread of the run: a fault ends it quietly, and `drive` reports it."""
+    try:
+        tcp_client_loop(client, conn)
+    except (ProtocolError, ConnectionClosed, OSError):
+        pass
 
 
 ENCODER_HEAD_PREFIXES = ("mlm.", "cls.")
@@ -322,7 +306,7 @@ def merge_encoder(pretrained: ParameterSet, fresh: ParameterSet) -> ParameterSet
 def run_experiment(
     cfg: ExperimentConfig,
     bundle: DatasetBundle | None = None,
-    tcp_clients: str = "thread",
+    remote_clients: bool = False,
 ) -> list[RunResult]:
     """Run each of `cfg.phases()` in order; returns one result per phase.
 
@@ -347,7 +331,7 @@ def run_experiment(
         fresh = _initial_params(phase_cfg, bundle)
         inits = [merge_encoder(p, fresh) for p in encoders] or [fresh]
         if phase_cfg.mode == "federated":
-            results.append(run_federated(phase_cfg, bundle, inits[0], tcp_clients=tcp_clients))
+            results.append(run_federated(phase_cfg, bundle, inits[0], remote_clients))
         else:
             results.append(run_local(phase_cfg, bundle, inits))
     return results

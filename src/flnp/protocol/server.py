@@ -73,7 +73,6 @@ class FlServer:
         self._session_rng = session_rng
         self._on_round = on_round
         self._slots: dict[int, _ClientSlot] = {}  # conn -> slot, in client-id order
-        self._names: set[str] = set()
         self._pending: dict[int, LocalUpdate] = {}  # client id -> this round's update
 
     # -- driver surface ------------------------------------------------
@@ -104,15 +103,12 @@ class FlServer:
             return [(conn, ErrorMsg("duplicate_client", f"connection {conn} is already client {cid}"))]
         if msg.auth_token != self._auth_token:
             return [(conn, ErrorMsg("auth_failed", "bad provisioning token"))]
-        if msg.client_name in self._names:
+        if any(slot.name == msg.client_name for slot in self._slots.values()):
             return [(conn, ErrorMsg("duplicate_client", msg.client_name))]
-        if len(self._slots) >= self.n_clients:
-            return [(conn, ErrorMsg("capacity", f"{self.n_clients} clients already provisioned"))]
 
         client_id = len(self._slots)
         key = int(self._session_rng.uint64()).to_bytes(8, "little")
         self._slots[conn] = _ClientSlot(client_id=client_id, name=msg.client_name, session_key=key)
-        self._names.add(msg.client_name)
         out: Outgoing = [(conn, Provisioned(client_id=client_id, session_key=key, round_plan=self.plan))]
 
         if len(self._slots) == self.n_clients:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -91,6 +92,46 @@ def test_nan_update_fails_the_run_with_exit_1(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "non_finite_update" in err and "client 1" in err, err
     assert "'cls.b'" in err and "round 1" in err, err
+
+
+@pytest.mark.parametrize("transport", ["channel", "tcp"])
+def test_wrong_key_fails_alike_over_channel_and_tcp(tmp_path, capfd, monkeypatch, transport):
+    import flnp.protocol.client
+    from flnp.protocol.messages import LocalUpdate
+
+    honest = flnp.protocol.client.sign
+
+    def sign(msg, key):
+        if isinstance(msg, LocalUpdate) and msg.client_id == 1:
+            key = bytes(len(key))
+        return honest(msg, key)
+
+    monkeypatch.setattr(flnp.protocol.client, "sign", sign)
+    # the interpreter's own hook, so an uncaught client-thread fault would print to stderr
+    monkeypatch.setattr(threading, "excepthook", threading.__excepthook__)
+    cfg = base_config(tmp_path, mode="federated", model="lstm", rounds=2,
+                      transport=transport, addr="127.0.0.1:0")
+    assert cli_main(["run", "--config", cfg]) == 1
+    err = capfd.readouterr().err
+    assert err == "runtime error: auth_failed: bad tag from client 1\n", err
+    assert not [t for t in threading.enumerate() if t.name.startswith("flnp-client")]
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_no_training_record_is_refused_before_training(tmp_path, capsys, monkeypatch):
+    from flnp.protocol.client import LocalTrainer
+
+    def train_round(*args):
+        raise AssertionError("a client trained")
+
+    monkeypatch.setattr(LocalTrainer, "train_round", train_round)
+    cfg = base_config(tmp_path, mode="federated", model="lstm", holdout_frac=0.9,
+                      partition={"n_clients": 8, "mode": "balanced"},
+                      data={"n_records": 20, "min_len": 6, "max_len": 10})
+    assert cli_main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "holdout_frac 0.9" in err and "shard sizes [" in err, err
+    assert not list((tmp_path / "out").glob("*.csv"))
 
 
 def test_malformed_json_exits_2_with_position(tmp_path, capsys):
@@ -300,27 +341,20 @@ def test_serve_refuses_two_phase_config_before_listening(tmp_path, capsys, monke
 
 
 def test_two_phase_tcp_run_matches_channel_run(tmp_path, capsys, monkeypatch):
-    # `run --transport tcp` spawns `flnp client` processes, one phase at a time
+    # `run --transport tcp` trains its clients as threads, one phase at a time, and spawns no process
+    def popen(*args, **kwargs):
+        raise AssertionError("run spawned a process")
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
     cfg = base_config(
         tmp_path, mode="federated", phase="pretrain_then_finetune", rounds=1,
         pretrain_rounds=1, max_seq_len=12, addr="127.0.0.1:0",
         data={"n_records": 40, "min_len": 6, "max_len": 10},
     )
-    monkeypatch.setenv("PYTHONPATH", os.path.join(os.path.dirname(__file__), "..", "src"))
     assert cli_main(["run", "--config", cfg, "--transport", "tcp"]) == 0
     over_tcp = re.findall(r"sha256 (\w+)", capsys.readouterr().out)
+    assert not list((tmp_path / "out").glob("*-config.json"))
 
     assert cli_main(["run", "--config", cfg, "--transport", "channel", "--out", str(tmp_path / "ch")]) == 0
     over_channel = re.findall(r"sha256 (\w+)", capsys.readouterr().out)
     assert len(over_tcp) == 2 and over_tcp == over_channel
-
-
-def test_client_wait_timeout_exits_1(tmp_path, capsys, monkeypatch):
-    import flnp.cli
-
-    def timed_out(*args, **kwargs):
-        raise subprocess.TimeoutExpired(["flnp", "client"], 120)
-
-    monkeypatch.setattr(flnp.cli, "run_experiment", timed_out)
-    assert cli_main(["run", "--config", base_config(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("runtime error:")

@@ -1,8 +1,6 @@
 import csv
 import json
 import math
-import os
-import subprocess
 import threading
 from functools import partial
 
@@ -264,18 +262,10 @@ class TestRuns:
         assert not [t for t in set(threading.enumerate()) - before
                     if t.name.startswith("flnp-channel")]
 
-    def test_failed_run_reaps_client_processes(self, tmp_path, monkeypatch):
+    def test_failed_tcp_run_leaves_no_client_thread(self, monkeypatch):
         from flnp.experiment import runner
 
-        cfg = small_cfg(rounds=2, transport="tcp", addr="127.0.0.1:0", out_dir=str(tmp_path))
-        monkeypatch.setenv("PYTHONPATH", os.path.join(os.path.dirname(__file__), "..", "src"))
-        started = []
-        popen = subprocess.Popen
-
-        def recording_popen(*args, **kwargs):
-            started.append(popen(*args, **kwargs))
-            return started[-1]
-
+        cfg = small_cfg(rounds=2, transport="tcp", addr="127.0.0.1:0")
         evaluate = runner.evaluate
         calls = []
 
@@ -285,12 +275,30 @@ class TestRuns:
                 raise RuntimeError("validation failed")
             return evaluate(model, batches)
 
-        monkeypatch.setattr(runner.subprocess, "Popen", recording_popen)
         monkeypatch.setattr(runner, "evaluate", evaluate_failing_round_1)
+        before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="validation failed"):
-            runner.run_federated(cfg, build_dataset(cfg), tcp_clients="subprocess")
-        assert len(started) == 2
-        assert all(p.returncode is not None for p in started)
+            runner.run_federated(cfg, build_dataset(cfg))
+        assert not [t for t in set(threading.enumerate()) - before if "client" in t.name]
+
+    @pytest.mark.parametrize("transport", ["channel", "tcp"])
+    def test_a_fault_the_client_raises_reaches_the_server_under_its_code(self, monkeypatch, transport):
+        from flnp.protocol.client import FlClient
+
+        provisioned = FlClient._on_provisioned
+
+        def wrong_key_for_client_1(self, msg):
+            out = provisioned(self, msg)
+            if self.client_id == 1:
+                self.session_key = bytes(len(self.session_key))
+            return out
+
+        monkeypatch.setattr(FlClient, "_on_provisioned", wrong_key_for_client_1)
+        cfg = small_cfg(model="lstm", phase="finetune_classify", rounds=1,
+                        transport=transport, addr="127.0.0.1:0")
+        with pytest.raises(ProtocolError, match="global model failed tag verification") as err:
+            run_experiment(cfg)
+        assert err.value.code == "auth_failed"
 
 
 class TestPretrainFinetune:

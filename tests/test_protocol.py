@@ -177,7 +177,7 @@ class TestProvision:
         out = server.handle(1, Hello(client_name="c", auth_token="secret"))
         assert [m.client_id for _, m in out if isinstance(m, Provisioned)] == [1]
         assert {conn: slot.client_id for conn, slot in server._slots.items()} == {0: 0, 1: 1}
-        assert server._names == {"a", "c"}  # the refused "b" was not registered
+        assert [slot.name for slot in server._slots.values()] == ["a", "c"]  # the refused "b" was not registered
         assert server.phase == "collecting"
 
 

@@ -162,8 +162,8 @@ class TestElementwise:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_number_operand_takes_the_tensor_dtype(self, dtype):
         x = Tensor(np.array([1.0, 2.0], dtype=dtype), requires_grad=True)
-        outs = {"-x": -x, "x * 2": x * 2, "2 - x": 2 - x, "x + 1": x + 1,
-                "mul(x, 0.5)": mul(x, 0.5), "reduce_mean(x)": reduce_mean(x)}
+        outs = {"mul(x, -1.0)": mul(x, -1.0), "mul(2, x)": mul(2, x), "sub(2, x)": sub(2, x),
+                "add(x, 1)": add(x, 1), "mul(x, 0.5)": mul(x, 0.5), "reduce_mean(x)": reduce_mean(x)}
         assert {name: out.data.dtype for name, out in outs.items()} == dict.fromkeys(outs, dtype)
         backward(reduce_sum(mul(sub(2, x), 3)))
         assert x.grad.dtype == dtype and x.grad.tolist() == [-3.0, -3.0]
