@@ -199,10 +199,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, data)
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return json.loads(json.dumps(dataclasses.asdict(cfg)))
-
-
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
     """Apply `dotted.path=value` assignments onto a plain config dict."""
     for item in overrides:

@@ -2,7 +2,10 @@
 
 `drive(server, transport)` is the one loop that feeds the server state
 machine: it takes the next inbound (conn, message) from the transport,
-hands it to `server.handle` and sends what comes back. An `ErrorMsg`
+hands it to `server.handle` and sends what comes back, then sends what
+`server.report()` returns. The next round's global model is therefore
+out before the server validates the round before it, and the clients
+work while it does. An `ErrorMsg`
 the server sends ends the run there, with a `ProtocolError` of its code,
 over either transport. `TcpServer` feeds `drive` from socket reader
 threads, with clients running `tcp_client_loop` as threads of the run
@@ -38,8 +41,9 @@ class ChannelServer:
     an exception raised by a client's `handle` surfaces there. With a drop
     policy every sent message consults `drop_rng` in `send`, and every reply
     in `recv`, in inbox order; a dropped message closes its link, so the
-    server sees a disconnect and aborts deterministically. `close` cancels
-    queued work and waits for running work.
+    server sees a disconnect and aborts deterministically. `flush` waits
+    for all sent work; `close` cancels queued work and waits for running
+    work.
     """
 
     def __init__(self, clients: list[FlClient], workers: int = 1,
@@ -92,6 +96,12 @@ class ChannelServer:
             return []  # closed while this message waited its turn
         return list(self._clients[conn].handle(msg))
 
+    def flush(self) -> None:
+        """Wait until each client has handled every message sent to it; errors surface here."""
+        for _conn, item in self._inbox:
+            if isinstance(item, Future):
+                item.result()
+
     def close(self) -> None:
         self._closing = True
         self._pool.shutdown(wait=True, cancel_futures=True)
@@ -100,21 +110,30 @@ class ChannelServer:
 def drive(server: FlServer, transport) -> None:
     """Feed `transport`'s inbound messages to `server` until the run completes.
 
-    An `ErrorMsg` the server produces is sent, and then raised as a
-    `ProtocolError` of its code. The caller opened `transport` and closes it.
+    Each message goes to `server.handle`, whose replies are sent before
+    `server.report()` runs and its messages are sent, so a round's
+    validation overlaps the clients' next round. An `ErrorMsg` the server
+    produces is sent, and then raised as a `ProtocolError` of its code. The
+    caller opened `transport` and closes it.
     """
     while server.phase != "done":
         conn_id, msg = transport.recv()
         if msg is None:
             server.on_disconnect(conn_id)
             continue
-        for dest, out in server.handle(conn_id, msg):
-            try:
-                transport.send(dest, out)
-            except (ConnectionClosed, OSError):
-                server.on_disconnect(dest)
-            if isinstance(out, ErrorMsg):
-                raise ProtocolError(out.code, out.detail)
+        _send(server, transport, server.handle(conn_id, msg))
+        _send(server, transport, server.report())
+
+
+def _send(server: FlServer, transport, outgoing) -> None:
+    """Send `outgoing`; a lost link is the server's disconnect, and an `ErrorMsg` ends the run."""
+    for dest, out in outgoing:
+        try:
+            transport.send(dest, out)
+        except (ConnectionClosed, OSError):
+            server.on_disconnect(dest)
+        if isinstance(out, ErrorMsg):
+            raise ProtocolError(out.code, out.detail)
 
 
 def tcp_client_loop(client: FlClient, conn: TcpConnection) -> None:

@@ -11,11 +11,15 @@ client gets back from the wire, and one update averages to itself. A
 one-client federated run therefore reproduces the centralized run bit for
 bit under equal seeds.
 
-A federated run writes its rows as each round finishes: the server hands
-the aggregated parameters and the round's updates to one `on_round`
-report, which validates the global model and appends the global row and
-each client's train and validation rows, all stamped with the round's
-wall time.
+A federated run writes its rows as each round is reported: the server
+hands the aggregated parameters and the round's updates to one
+`on_round` report, which validates the global model and appends the
+global row and each client's train and validation rows, all stamped with
+the round's wall time. Round 0 is reported the same way, with the
+initial parameters and no updates, so it writes the global row alone. The
+server reports a round after it has sent the next round's global model,
+so a round's wall time runs from the end of the report before it to the
+end of its own validation, which overlaps the clients' next round.
 
 Stream derivations (trainer_id is the client id; 0 for the centralized
 trainer): see `flnp.training`. The global validation set is carved off
@@ -216,15 +220,14 @@ def run_federated(
         init = init_params or _initial_params(cfg, bundle)
 
         row = partial(MetricsRecord, cfg.derived_run_id(), cfg.mode, cfg.model)
-        t0 = time.perf_counter()
-        loss0, top10 = evaluate(build_model(plan.model_config, plan.mode, init), val_batches)
-        records = [row(0, "global", "validation", loss0, top10, _ms_since(t0))]
+        records: list[MetricsRecord] = []
         round_start = time.perf_counter()
 
         def on_round(rnd: int, params: ParameterSet, updates: list[LocalUpdate]) -> dict[str, float]:
             nonlocal round_start
-            # Named, so the model is freed as on_round returns: freed as soon as evaluate returns,
-            # it shifts glibc's mmap threshold and raises bert_wire_tcp's peak RSS from 265 to 269 MB.
+            # Named, so the model is freed as on_round returns: while validation blocked the clients,
+            # freeing it as evaluate returned shifted glibc's mmap threshold and raised
+            # bert_wire_tcp's peak RSS from 265 to 269 MB (with validation overlapped, both read 183).
             model = build_model(plan.model_config, plan.mode, params)
             loss, top1 = evaluate(model, val_batches)
             wall = _ms_since(round_start)
@@ -254,6 +257,7 @@ def run_federated(
             channel = ChannelServer([make_client(i) for i in range(n_clients)], workers=workers)
             try:
                 drive(server, channel)
+                channel.flush()  # the last RoundComplete and Shutdown reach the clients, as over TCP
             finally:
                 channel.close()
         else:

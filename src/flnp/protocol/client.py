@@ -57,11 +57,17 @@ class LocalTrainer:
             self.model.load_params(params)
 
     def train_round(self, round_no: int, epochs: int, lr: float) -> tuple[float, float]:
-        """Train the loaded model; returns mean train loss and top-1 accuracy."""
-        # Every round gets a fresh Adam, held until the next round replaces
-        # it: freeing its state as the round ends shifts glibc's dynamic mmap
-        # threshold, and raised the peak RSS of the `lstm_tcp` benchmark
-        # workload (two client threads) from 155 MB to 177 MB.
+        """Train the loaded model; returns mean train loss and top-1 accuracy.
+
+        A round of zero epochs trains nothing and builds no optimizer, and
+        returns what `train_epochs` returns for zero epochs.
+        """
+        if epochs == 0:
+            return 0.0, 0.0
+        # Every training round gets a fresh Adam, held until the next round
+        # replaces it: freeing its state as the round ends shifts glibc's
+        # dynamic mmap threshold, and raised the peak RSS of the `lstm_tcp`
+        # benchmark workload (two client threads) from 155 MB to 177 MB.
         self._optimizer = Adam(self.model.params, lr=lr)
         round_rng = Rng(self.plan.batch_seed).split(self.trainer_id).split(round_no)
         return train_epochs(

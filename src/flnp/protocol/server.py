@@ -1,24 +1,28 @@
 """Server side of the round protocol as a transport-free state machine.
 
 `handle(conn, msg)` consumes one inbound message and returns the list of
-(conn, message) pairs to transmit; the caller owns delivery. All state
-mutation happens inside handle, so the one session loop,
-`flnp.experiment.federated.drive`, behaves identically whether the
-in-process channel or TCP reader threads feed it.
+(conn, message) pairs to transmit; `report()` then reports the round that
+call completed, if any, and returns what to transmit after those. The
+caller owns delivery. All state mutation happens inside these two calls,
+so the one session loop, `flnp.experiment.federated.drive`, behaves
+identically whether the in-process channel or TCP reader threads feed it.
 
 Phases run awaiting_provision -> collecting -> done. A connection is
 provisioned at most once, with the server's one `RoundPlan`, and every
-global model carries that plan's epochs and learning rate. A round's
-global model goes out in the same `handle` call that completes
-provisioning or aggregates the round before, so between calls the server
-is in one of those three phases. Aggregation runs over client-id-sorted
-updates, so results do not depend on arrival order. The server then
-calls `on_round(round, params, updates)` once, with the aggregate and the
-round's updates in client-id order, and sends the metrics it returns as
-`RoundComplete`; the aggregate is the one set the server reports,
-distributes and keeps as the final parameters. An update holding NaN or
-inf cannot be averaged safely, so it ends the run with a
-`non_finite_update` ProtocolError.
+global model carries that plan's epochs and learning rate. The `handle`
+call that completes provisioning sends round 1's global model, and the
+one that aggregates round r < R sends round r+1's, so the clients start a
+round before the one before it is reported. Aggregation runs over
+client-id-sorted updates, so results do not depend on arrival order.
+`report()` then calls `on_round(round, params, updates)` once, with the
+aggregate and the round's updates in client-id order, and sends the
+metrics it returns as `RoundComplete`, followed by `Shutdown` after the
+last round; the aggregate is the one set the server reports, distributes
+and keeps as the final parameters. Round 0 is reported the same way, as
+`on_round(0, init, [])` with no `RoundComplete`; a run of zero rounds
+sends its `Shutdown` with the provisioning. An update holding NaN or inf
+cannot be averaged safely, so it ends the run with a `non_finite_update`
+ProtocolError.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ class _ClientSlot:
 
 
 class FlServer:
+    """FedAvg server: `handle` each inbound message, deliver its replies, then `report()`."""
+
     def __init__(
         self,
         init_params: ParameterSet,
@@ -74,6 +80,7 @@ class FlServer:
         self._on_round = on_round
         self._slots: dict[int, _ClientSlot] = {}  # conn -> slot, in client-id order
         self._pending: dict[int, LocalUpdate] = {}  # client id -> this round's update
+        self._unreported: tuple[int, ParameterSet, list[LocalUpdate]] | None = None
 
     # -- driver surface ------------------------------------------------
 
@@ -85,6 +92,24 @@ class FlServer:
         if isinstance(msg, ErrorMsg):
             raise ProtocolError(msg.code, f"client error in round {self.round}: {msg.detail}")
         return [(conn, ErrorMsg("unexpected_message", type(msg).__name__))]
+
+    def report(self) -> Outgoing:
+        """Run `on_round` for the round the last `handle` call completed, if any.
+
+        Returns that round's `RoundComplete`, and `Shutdown` after the last
+        round; round 0 sends nothing.
+        """
+        if self._unreported is None:
+            return []
+        rnd, params, updates = self._unreported
+        self._unreported = None
+        metrics = self._on_round(rnd, params, updates)
+        if rnd == 0:
+            return []
+        out = self._broadcast(RoundComplete(round=rnd, global_metrics=metrics))
+        if rnd == self.plan.rounds:
+            out += self._next_round()
+        return out
 
     def on_disconnect(self, conn: int) -> None:
         if self.phase == "done":
@@ -112,6 +137,7 @@ class FlServer:
         out: Outgoing = [(conn, Provisioned(client_id=client_id, session_key=key, round_plan=self.plan))]
 
         if len(self._slots) == self.n_clients:
+            self._unreported = (0, self.global_params, [])
             out += self._next_round()
         return out
 
@@ -158,8 +184,10 @@ class FlServer:
             return []
         updates = [self._pending[cid] for cid in sorted(self._pending)]
         self.global_params = aggregate(updates)
-        metrics = self._on_round(self.round, self.global_params, updates)
-        return self._broadcast(RoundComplete(round=self.round, global_metrics=metrics)) + self._next_round()
+        self._unreported = (self.round, self.global_params, updates)
+        if self.round == self.plan.rounds:
+            return []  # report() sends the last RoundComplete, then Shutdown
+        return self._next_round()
 
     def _broadcast(self, msg: FlMessage) -> Outgoing:
         return [(conn, sign(msg, slot.session_key)) for conn, slot in self._slots.items()]

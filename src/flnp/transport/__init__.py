@@ -9,6 +9,7 @@ from .frame import (
 from .codec import (
     compute_auth_tag,
     decode_message,
+    encode_buffers,
     encode_message,
     sign,
     verify_auth,
@@ -24,6 +25,7 @@ __all__ = [
     "parse_frame",
     "compute_auth_tag",
     "decode_message",
+    "encode_buffers",
     "encode_message",
     "sign",
     "verify_auth",

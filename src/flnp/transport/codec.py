@@ -11,8 +11,9 @@ key followed by the body bytes.
 the encoder and the decoder both walk it. A body is encoded as a list of
 chunks: small fields are packed, and each tensor's values are its set's
 own float32 array, referenced rather than copied. Signing, verifying and
-framing all stream over those chunks, so no body is joined except once
-into the outgoing frame.
+framing all stream over those chunks, and `encode_buffers` hands the
+frame on as a list of buffers, so a TCP send joins nothing;
+`encode_message` is that list joined.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from ..protocol.messages import (
     Shutdown,
     with_tag,
 )
-from .frame import DecodeError, build_frame, parse_frame
+from .frame import DecodeError, frame_buffers, parse_frame
 
 MSG_CODES: dict[type, int] = {
     Hello: 1,
@@ -158,10 +159,19 @@ def _encode_body(msg: FlMessage) -> list:
     return chunks
 
 
+def encode_buffers(msg: FlMessage) -> list:
+    """The frame as a list of buffers: header, body chunks, auth tag, CRC trailer.
+
+    Tensor values are the message's own arrays, so the list must be used
+    before those arrays change.
+    """
+    tag = struct.pack("<I", msg.auth_tag & 0xFFFFFFFF)
+    return frame_buffers(MSG_CODES[type(msg)], *_encode_body(msg), tag)
+
+
 def encode_message(msg: FlMessage) -> bytes:
     """Full frame bytes; deterministic per message value."""
-    tag = struct.pack("<I", msg.auth_tag & 0xFFFFFFFF)
-    return build_frame(MSG_CODES[type(msg)], *_encode_body(msg), tag)
+    return b"".join(encode_buffers(msg))
 
 
 def decode_message(data) -> FlMessage:

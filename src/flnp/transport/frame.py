@@ -36,10 +36,11 @@ class DecodeError(Exception):
         self.detail = detail
 
 
-def build_frame(msg_type: int, *chunks) -> bytes:
-    """Frame whose payload is `chunks` (contiguous buffers) in order.
+def frame_buffers(msg_type: int, *chunks) -> list:
+    """Frame whose payload is `chunks` (contiguous buffers) in order, as a list of buffers.
 
-    The CRC streams over the chunks, and the frame is joined once.
+    The list is the header, the chunks themselves (not copies) and the CRC
+    trailer; the CRC streams over the chunks.
     """
     length = 0
     crc = 0
@@ -47,7 +48,12 @@ def build_frame(msg_type: int, *chunks) -> bytes:
         length += memoryview(chunk).nbytes
         crc = zlib.crc32(chunk, crc)
     header = _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, msg_type, length)
-    return b"".join((header, *chunks, struct.pack("<I", crc & 0xFFFFFFFF)))
+    return [header, *chunks, struct.pack("<I", crc & 0xFFFFFFFF)]
+
+
+def build_frame(msg_type: int, *chunks) -> bytes:
+    """`frame_buffers` joined into one bytes object."""
+    return b"".join(frame_buffers(msg_type, *chunks))
 
 
 def parse_header(data) -> tuple[int, int]:

@@ -1,8 +1,11 @@
 """Framed message transport over TCP sockets.
 
-Frames are read by fixed-size header first, then exactly the advertised
-payload plus the CRC trailer into one buffer sized from the header, so
-arbitrary write fragmentation on the stream is invisible to the decoder.
+A frame is written as its list of buffers (`encode_buffers`) with
+`sendmsg`, so a parameter tensor goes from its array to the socket and no
+send joins the frame into one copy. Frames are read by fixed-size header
+first, then exactly the advertised payload plus the CRC trailer into one
+buffer sized from the header, so arbitrary write fragmentation on the
+stream is invisible to the decoder.
 The server side runs one reader thread per accepted connection, all
 feeding a single inbox queue; the protocol state machine stays
 single-threaded.
@@ -14,10 +17,12 @@ import queue
 import socket
 import threading
 
-from .codec import decode_message, encode_message
+from .codec import decode_message, encode_buffers
+from .codec import encode_message  # noqa: F401  (bench/spans.py wraps it by this name)
 from .frame import HEADER_SIZE, TRAILER_SIZE, DecodeError, parse_header
 
 CONNECT_TIMEOUT_S = 30.0
+IOV_MAX = 1024  # buffers per sendmsg call; Linux's limit and a common one elsewhere
 
 
 class ConnectionClosed(RuntimeError):
@@ -34,8 +39,21 @@ def _recv_into(sock: socket.socket, view: memoryview, mid_frame: bool) -> None:
         got += n
 
 
+def send_buffers(sock: socket.socket, buffers) -> None:
+    """Write `buffers` in order with `sendmsg`, at most IOV_MAX per call, until all are sent."""
+    views = [view.cast("B") for view in map(memoryview, buffers) if view.nbytes]
+    i = 0
+    while i < len(views):
+        sent = sock.sendmsg(views[i : i + IOV_MAX])
+        while i < len(views) and sent >= len(views[i]):
+            sent -= len(views[i])
+            i += 1
+        if sent:  # a partial send ends inside views[i]
+            views[i] = views[i][sent:]
+
+
 def send_message(sock: socket.socket, msg) -> None:
-    sock.sendall(encode_message(msg))
+    send_buffers(sock, encode_buffers(msg))
 
 
 def recv_message(sock: socket.socket):

@@ -208,3 +208,19 @@ def test_close_cancels_queued_work_and_ends_the_pool():
     channel.close()  # waits for the running message, drops the two queued
     assert len(client.got) == 1
     assert not [t for t in set(threading.enumerate()) - before if t.name.startswith("flnp-channel")]
+
+
+def test_flush_waits_for_every_sent_message():
+    gate = threading.Event()
+    a, b = RecordingClient("a", gate=gate), RecordingClient("b", gate=gate)
+    channel = ChannelServer([a, b], workers=2)
+    try:
+        drain_hellos(channel, 2)
+        for i in range(3):
+            channel.send(0, Shutdown(reason=str(i)))
+            channel.send(1, Shutdown(reason=str(i)))
+        threading.Timer(0.05, gate.set).start()
+        channel.flush()
+        assert [msg.reason for msg in a.got] == [msg.reason for msg in b.got] == ["0", "1", "2"]
+    finally:
+        channel.close()

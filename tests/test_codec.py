@@ -25,6 +25,7 @@ from flnp.transport import (
     MAX_PAYLOAD,
     DecodeError,
     decode_message,
+    encode_buffers,
     encode_message,
     sign,
     verify_auth,
@@ -270,6 +271,12 @@ class TestWireIdentity:
     def test_signed_frames_match_recorded_hashes(self):
         frames = [encode_message(sign(m, WIRE_KEY)) for m in _wire_messages()]
         assert [hashlib.sha256(f).hexdigest() for f in frames] == WIRE_SHA256
+
+    def test_frame_buffers_join_to_the_encoded_frame(self):
+        messages = [sign(m, WIRE_KEY) for m in _wire_messages()] + _wire_messages()
+        assert {type(m) for m in messages} == set(MSG_CODES)
+        for msg in messages:
+            assert b"".join(encode_buffers(msg)) == encode_message(msg)
 
     def test_decoded_messages_reencode_and_verify(self):
         for msg in _wire_messages():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import threading
@@ -7,7 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from flnp.experiment.config import apply_overrides, config_from_dict, config_to_dict
+from flnp.experiment.config import ExperimentConfig, apply_overrides, config_from_dict
 from flnp.experiment.federated import ChannelServer
 from flnp.experiment.metrics import MetricsRecord, emit_metrics, parse_metrics
 from flnp.experiment.runner import (
@@ -24,6 +25,11 @@ from flnp.models.config import ConfigError
 from flnp.protocol.fedavg import ProtocolError
 from flnp.rng import Rng
 from flnp.training import VALIDATION_MASK_KEY, evaluate, prepare_eval_batches
+
+
+def config_to_dict(cfg: ExperimentConfig) -> dict:
+    """A config as the plain JSON data `config_from_dict` reads."""
+    return json.loads(json.dumps(dataclasses.asdict(cfg)))
 
 
 def strip_wall_time(path: str) -> list[list[str]]:
@@ -251,7 +257,7 @@ class TestRuns:
 
         def evaluate_failing_round_1(model, batches):
             calls.append(None)
-            if len(calls) == 2:  # the first call scores round 0, before any client starts
+            if len(calls) == 2:  # round 1's validation, while the clients work on round 2
                 raise RuntimeError("validation failed")
             return evaluate(model, batches)
 
@@ -271,7 +277,7 @@ class TestRuns:
 
         def evaluate_failing_round_1(model, batches):
             calls.append(None)
-            if len(calls) == 2:  # the first call scores round 0, before any client starts
+            if len(calls) == 2:  # round 1's validation, while the clients work on round 2
                 raise RuntimeError("validation failed")
             return evaluate(model, batches)
 
@@ -299,6 +305,69 @@ class TestRuns:
         with pytest.raises(ProtocolError, match="global model failed tag verification") as err:
             run_experiment(cfg)
         assert err.value.code == "auth_failed"
+
+
+class TestRoundOrder:
+    """The server reports round r while the clients work on round r+1."""
+
+    @staticmethod
+    def _lstm_cfg(transport, **kw):
+        return small_cfg(model="lstm", phase="finetune_classify", transport=transport,
+                         addr="127.0.0.1:0", **kw)
+
+    def test_clients_receive_the_same_sequence_over_channel_and_tcp(self, monkeypatch):
+        from flnp.protocol.client import FlClient
+
+        handle = FlClient.handle
+        seen: dict[str, list] = {}
+
+        def recording_handle(self, msg):
+            seen.setdefault(self.name, []).append((type(msg).__name__, getattr(msg, "round", None)))
+            return handle(self, msg)
+
+        monkeypatch.setattr(FlClient, "handle", recording_handle)
+        sequences = []
+        for transport in ("channel", "tcp"):
+            seen.clear()
+            run_experiment(self._lstm_cfg(transport, rounds=2))
+            sequences.append(dict(seen))
+        expected = [("Provisioned", None), ("GlobalModel", 1), ("GlobalModel", 2),
+                    ("RoundComplete", 1), ("RoundComplete", 2), ("Shutdown", None)]
+        assert sequences[0] == sequences[1] == {"client-0": expected, "client-1": expected}
+
+    @pytest.mark.parametrize("transport", ["channel", "tcp"])
+    def test_round_1_is_validated_while_the_clients_train_round_2(self, monkeypatch, transport):
+        from flnp.experiment import runner
+        from flnp.protocol.client import LocalTrainer
+
+        round_2_started = threading.Event()
+        train_round = LocalTrainer.train_round
+
+        def signalling_train_round(self, round_no, epochs, lr):
+            if round_no == 2:
+                round_2_started.set()
+            return train_round(self, round_no, epochs, lr)
+
+        evaluate = runner.evaluate
+        waited = []
+
+        def waiting_evaluate(model, batches):
+            waited.append(round_2_started.wait(timeout=20) if len(waited) == 1 else None)
+            return evaluate(model, batches)
+
+        monkeypatch.setattr(LocalTrainer, "train_round", signalling_train_round)
+        monkeypatch.setattr(runner, "evaluate", waiting_evaluate)
+        run_experiment(self._lstm_cfg(transport, rounds=2))
+        assert waited == [None, True, None]
+
+    def test_zero_rounds_write_the_round_0_global_row_alone(self, tmp_path):
+        rows = []
+        for transport in ("channel", "tcp"):
+            path = str(tmp_path / f"{transport}.csv")
+            emit_metrics(run_experiment(self._lstm_cfg(transport, rounds=0))[0].records, path)
+            rows.append(strip_wall_time(path))
+        assert rows[0] == rows[1]
+        assert [row[3:6] for row in rows[0][1:]] == [["0", "global", "validation"]]
 
 
 class TestPretrainFinetune:

@@ -16,7 +16,7 @@ from flnp.protocol import (
     Shutdown,
     aggregate,
 )
-from flnp.protocol.client import FlClient
+from flnp.protocol.client import FlClient, LocalTrainer
 from flnp.protocol.server import FlServer
 from flnp.rng import Rng
 from flnp.tensor import UsageError
@@ -203,7 +203,7 @@ class TestRoundFlow:
         server = _provisioned(2, 1, lambda *args: reports.append(args) or {"val_loss": 0.5})
         assert _send_update(server, 0, [2.0, 0.0]) == []
         assert reports == []
-        out1 = _send_update(server, 1, [4.0, 2.0])
+        out1 = _send_update(server, 1, [4.0, 2.0]) + server.report()
         assert server.phase == "done"
         assert server.global_params["w"].tolist() == [3.0, 1.0]
         assert len(reports) == 1
@@ -252,13 +252,18 @@ class TestOnRound:
     def test_called_once_per_round_after_aggregation(self):
         reports = []
         server = _provisioned(2, 3, lambda rnd, params, updates: reports.append(
-            (rnd, params["w"].tolist(), server.global_params is params)) or {})
+            (rnd, params["w"].tolist(), len(updates), server.global_params is params)) or {})
+        assert reports == []
+        assert server.report() == []  # round 0: the initial parameters, no RoundComplete
         for rnd in (1, 2, 3):
             _send_update(server, 0, [2.0 * rnd, 0.0], rnd)
-            assert len(reports) == rnd - 1
             _send_update(server, 1, [4.0 * rnd, 2.0], rnd)
-            assert len(reports) == rnd
-        assert reports == [(1, [3.0, 1.0], True), (2, [6.0, 1.0], True), (3, [9.0, 1.0], True)]
+            assert len(reports) == rnd  # aggregated, not yet reported
+            server.report()
+            assert len(reports) == rnd + 1
+        assert server.report() == []
+        assert reports == [(0, [0.0, 0.0], 0, True), (1, [3.0, 1.0], 2, True),
+                           (2, [6.0, 1.0], 2, True), (3, [9.0, 1.0], 2, True)]
 
     def test_updates_come_in_client_id_order(self):
         seen = []
@@ -266,19 +271,39 @@ class TestOnRound:
             [(u.client_id, u.local_metrics["id"]) for u in updates]) or {})
         for cid in (2, 1, 0):
             _send_update(server, cid, [float(cid), 0.0])
+        server.report()
         assert seen == [[(0, 0.0), (1, 1.0), (2, 2.0)]]
 
     def test_round_complete_carries_the_returned_metrics(self):
         server = _provisioned(2, 2, lambda rnd, params, updates: {"val_loss": rnd / 4})
+        server.report()
         _send_update(server, 0, [1.0, 1.0])
         out = _send_update(server, 1, [1.0, 1.0])
-        done = [(conn, m) for conn, m in out if isinstance(m, RoundComplete)]
+        assert [(conn, type(m), m.round) for conn, m in out] == [(0, GlobalModel, 2), (1, GlobalModel, 2)]
+        done = server.report()  # after the next round's global model went out
         assert [conn for conn, _ in done] == [0, 1]
+        assert all(isinstance(m, RoundComplete) for _, m in done)
         assert all(m.round == 1 and m.global_metrics == {"val_loss": 0.25} for _, m in done)
         _send_update(server, 0, [1.0, 1.0], 2)
-        out = _send_update(server, 1, [1.0, 1.0], 2)
+        assert _send_update(server, 1, [1.0, 1.0], 2) == []
+        assert server.phase == "collecting"
+        out = server.report()
+        assert [(conn, type(m)) for conn, m in out] == [
+            (0, RoundComplete), (1, RoundComplete), (0, Shutdown), (1, Shutdown)]
         metrics = [m.global_metrics for _, m in out if isinstance(m, RoundComplete)]
         assert metrics == [{"val_loss": 0.5}] * 2
+        assert server.phase == "done"
+
+    def test_a_zero_round_run_reports_round_0_and_shuts_down(self):
+        reports = []
+        server = _server(n_clients=2, rounds=0, on_round=lambda *args: reports.append(args) or {})
+        out = server.handle(0, Hello(client_name="a", auth_token="secret"))
+        out += server.handle(1, Hello(client_name="b", auth_token="secret"))
+        assert [type(m) for _, m in out] == [Provisioned, Provisioned, Shutdown, Shutdown]
+        assert server.report() == []
+        assert reports == [(0, server.global_params, [])]
+        assert server.report() == []
+        assert len(reports) == 1
 
 
 def _client_fixture(n_records=30):
@@ -341,3 +366,19 @@ class TestClient:
         with pytest.raises(ProtocolError) as err:
             client.handle(GlobalModel(round=1, params=init, local_epochs=1, lr=0.01))
         assert err.value.code == "auth_failed"
+
+
+class TestLocalTrainer:
+    def test_zero_epoch_round_builds_no_optimizer(self, monkeypatch):
+        import flnp.protocol.client as client_module
+
+        def no_adam(*args, **kwargs):
+            raise AssertionError("a zero-epoch round built an optimizer")
+
+        monkeypatch.setattr(client_module, "Adam", no_adam)
+        client, init = _client_fixture()
+        trainer = LocalTrainer(client.plan, 0)
+        trainer.load(init)
+        assert trainer.train_round(1, 0, 0.01) == (0.0, 0.0)
+        assert trainer._optimizer is None
+        assert trainer.export() == init

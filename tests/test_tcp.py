@@ -20,7 +20,8 @@ from flnp.transport import (
     verify_auth,
 )
 from flnp.transport.codec import MSG_CODES
-from flnp.transport.tcp import recv_message, send_message
+from flnp.transport.codec import encode_buffers
+from flnp.transport.tcp import IOV_MAX, recv_message, send_message
 
 
 def test_fragmented_writes_decode_identically():
@@ -111,6 +112,40 @@ def test_signed_model_round_trip_over_socketpair():
     assert encode_message(got) == encode_message(msg)
     a.close()
     b.close()
+
+
+class RecordingSocket(socket.socket):
+    """Records (buffers passed, bytes offered, bytes sent) for each `sendmsg` call."""
+
+    def sendmsg(self, buffers, *args):
+        buffers = list(buffers)
+        sent = super().sendmsg(buffers, *args)
+        self.calls.append((len(buffers), sum(memoryview(b).nbytes for b in buffers), sent))
+        return sent
+
+
+def test_partial_sends_of_more_than_iov_max_buffers_decode_equal():
+    rng = np.random.default_rng(3)
+    items = [(f"t{i}", rng.normal(size=(i % 7, 9))) for i in range(300)]
+    items += [("scalar", np.array(2.5)), ("empty", np.zeros((0, 3)))]
+    msg = sign(GlobalModel(round=1, params=ParameterSet(items), local_epochs=1, lr=0.1), b"k" * 8)
+    assert len(encode_buffers(msg)) > IOV_MAX
+    a, b = socket.socketpair()
+    sender = RecordingSocket(a.family, a.type, a.proto, fileno=a.detach())
+    sender.calls = []
+    sender.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    sender.settimeout(10.0)  # non-blocking underneath, so a full buffer cuts a send short
+    got = []
+    reader = threading.Thread(target=lambda: got.append(recv_message(b)))
+    reader.start()
+    send_message(sender, msg)
+    reader.join(timeout=10)
+    sender.close()
+    b.close()
+    assert got == [msg]
+    assert max(n for n, _, _ in sender.calls) <= IOV_MAX
+    assert any(sent < offered for _, offered, sent in sender.calls)
+    assert sum(sent for _, _, sent in sender.calls) == len(encode_message(msg))
 
 
 def test_disconnect_reported_in_inbox():
