@@ -121,7 +121,9 @@ def drive(server: FlServer, transport) -> None:
         if msg is None:
             server.on_disconnect(conn_id)
             continue
-        _send(server, transport, server.handle(conn_id, msg))
+        outgoing = server.handle(conn_id, msg)
+        del msg  # handled: an update's parameters must not live on through the report
+        _send(server, transport, outgoing)
         _send(server, transport, server.report())
 
 
@@ -141,20 +143,25 @@ def tcp_client_loop(client: FlClient, conn: TcpConnection) -> None:
 
     A `ProtocolError` the client raises itself is sent to the server as a
     signed `ErrorMsg` before it propagates; one the server reported is not
-    sent back.
+    sent back. Each message and its replies are let go of before the next
+    frame is read.
     """
     try:
         conn.send(client.hello())
         while not client.done:
-            msg = conn.recv()
-            try:
-                replies = client.handle(msg)
-            except ProtocolError as exc:
-                if not isinstance(msg, ErrorMsg):
-                    with suppress(OSError):  # the server may be gone already
-                        conn.send(sign(ErrorMsg(exc.code, exc.detail), client.session_key))
-                raise
-            for reply in replies:
-                conn.send(reply)
+            _serve(client, conn, conn.recv())
     finally:
         conn.close()
+
+
+def _serve(client: FlClient, conn: TcpConnection, msg) -> None:
+    """Hand `msg` to `client` and send its replies."""
+    try:
+        replies = client.handle(msg)
+    except ProtocolError as exc:
+        if not isinstance(msg, ErrorMsg):
+            with suppress(OSError):  # the server may be gone already
+                conn.send(sign(ErrorMsg(exc.code, exc.detail), client.session_key))
+        raise
+    for reply in replies:
+        conn.send(reply)

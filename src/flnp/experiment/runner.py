@@ -12,11 +12,11 @@ one-client federated run therefore reproduces the centralized run bit for
 bit under equal seeds.
 
 A federated run writes its rows as each round is reported: the server
-hands the aggregated parameters and the round's updates to one
+hands the aggregated parameters and each client's local metrics to one
 `on_round` report, which validates the global model and appends the
 global row and each client's train and validation rows, all stamped with
 the round's wall time. Round 0 is reported the same way, with the
-initial parameters and no updates, so it writes the global row alone. The
+initial parameters and no clients, so it writes the global row alone. The
 server reports a round after it has sent the next round's global model,
 so a round's wall time runs from the end of the report before it to the
 end of its own validation, which overlaps the clients' next round.
@@ -43,8 +43,8 @@ from ..models.config import ConfigError
 from ..params import ParameterSet
 from ..protocol.client import FlClient, LocalTrainer
 from ..protocol.fedavg import ProtocolError
-from ..protocol.messages import LocalUpdate, RoundPlan
-from ..protocol.server import FlServer
+from ..protocol.messages import RoundPlan
+from ..protocol.server import ClientMetrics, FlServer
 from ..rng import Rng
 from ..tensor import UsageError
 from ..training import VALIDATION_MASK_KEY, TrainPlan, evaluate, prepare_eval_batches, split_holdout
@@ -217,38 +217,33 @@ def run_federated(
     with blas_threads(budget):
         plan = train_plan(cfg, bundle)
         val_batches = _val_batches(bundle, plan)
-        init = init_params or _initial_params(cfg, bundle)
 
         row = partial(MetricsRecord, cfg.derived_run_id(), cfg.mode, cfg.model)
         records: list[MetricsRecord] = []
         round_start = time.perf_counter()
 
-        def on_round(rnd: int, params: ParameterSet, updates: list[LocalUpdate]) -> dict[str, float]:
+        def on_round(rnd: int, params: ParameterSet, metrics: ClientMetrics) -> dict[str, float]:
             nonlocal round_start
-            # Named, so the model is freed as on_round returns: while validation blocked the clients,
-            # freeing it as evaluate returned shifted glibc's mmap threshold and raised
-            # bert_wire_tcp's peak RSS from 265 to 269 MB (with validation overlapped, both read 183).
-            model = build_model(plan.model_config, plan.mode, params)
-            loss, top1 = evaluate(model, val_batches)
+            loss, top1 = evaluate(build_model(plan.model_config, plan.mode, params), val_batches)
             wall = _ms_since(round_start)
             records.append(row(rnd, "global", "validation", loss, top1, wall))
-            for u in updates:
-                m = u.local_metrics
-                records.append(row(rnd, f"client_{u.client_id}", "train",
+            for cid, m in metrics:
+                records.append(row(rnd, f"client_{cid}", "train",
                                    m["train_loss"], m["train_top1_accuracy"], wall))
-                records.append(row(rnd, f"client_{u.client_id}", "validation",
+                records.append(row(rnd, f"client_{cid}", "validation",
                                    m["val_loss"], m["val_top1_accuracy"], wall))
             round_start = time.perf_counter()
             return {"val_loss": loss, "val_top1_accuracy": top1}
 
         server = FlServer(
-            init_params=init,
+            init_params=init_params or _initial_params(cfg, bundle),
             n_clients=n_clients,
             plan=RoundPlan(rounds=cfg.rounds, local_epochs=cfg.local_epochs, lr=cfg.lr),
             auth_token=cfg.auth_token,
             session_rng=Rng(cfg.seeds.init).split(SESSION_KEY_STREAM),
             on_round=on_round,
         )
+        del init_params  # the server holds the initial set until round 1's aggregate replaces it
 
         def make_client(i: int) -> FlClient:
             return FlClient(name=f"client-{i}", auth_token=cfg.auth_token, plan=plan)
@@ -334,8 +329,10 @@ def run_experiment(
             encoders = []
         fresh = _initial_params(phase_cfg, bundle)
         inits = [merge_encoder(p, fresh) for p in encoders] or [fresh]
+        del fresh
         if phase_cfg.mode == "federated":
-            results.append(run_federated(phase_cfg, bundle, inits[0], remote_clients))
+            # the run gets the only reference, so its server can free the initial set
+            results.append(run_federated(phase_cfg, bundle, inits.pop(0), remote_clients))
         else:
             results.append(run_local(phase_cfg, bundle, inits))
     return results

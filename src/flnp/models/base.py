@@ -6,7 +6,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from ..params import ParameterSet
+from ..params import WIRE_DTYPE, ParameterSet
 from ..rng import Rng
 from ..tensor import Tensor, UsageError
 from .config import ConfigError, ModelConfig
@@ -39,24 +39,40 @@ class ModelBase:
     means exporting and re-loading its ParameterSet.
     """
 
-    def __init__(self, config: ModelConfig, mode: str, params: dict[str, Tensor]) -> None:
+    def __init__(self, config: ModelConfig, mode: str, ps: ParameterSet) -> None:
+        """Model on `ps`'s own arrays; `build_model` checks the manifest first."""
         self.config = config
         self.mode = mode
-        self.params = params
+        self.params = {name: Tensor(arr, requires_grad=True) for name, arr in ps.items()}
+        self._source: ParameterSet | None = ps  # the set whose arrays `params` still are
 
     def manifest(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
         _, specs = _model_class(self.config, self.mode)
         return tuple((name, shape) for name, shape, _ in specs)
 
     def export_params(self) -> ParameterSet:
-        """The weights as a wire-precision set."""
+        """The weights as a wire-precision set.
+
+        While every weight is still the array of the set the model was
+        built from or last loaded, that set is the export, with no copy.
+        Otherwise the model lets go of that set, which it no longer
+        computes on.
+        """
+        src = self._source
+        if src is not None and all(t.data is src[name] for name, t in self.params.items()):
+            return src
+        self._source = None
         return ParameterSet((name, t.data) for name, t in self.params.items())
 
     def load_params(self, ps: ParameterSet) -> None:
-        """Replace all weights with float32 copies; names and shapes must match the manifest."""
+        """Compute on the set's own read-only arrays; names and shapes must match the manifest.
+
+        Nothing writes into them: an optimizer step replaces each array.
+        """
         _check_manifest(ps, self.manifest())
-        for name in ps.names:
-            self.params[name].data = np.array(ps[name], copy=True)
+        for name, arr in ps.items():
+            self.params[name].data = arr
+        self._source = ps
 
 
 def _check_manifest(ps: ParameterSet, expected) -> None:
@@ -89,18 +105,22 @@ def _model_class(config: ModelConfig, mode: str):
     return TransformerModel, transformer_manifest(config, mode)
 
 
-def init_model(config: ModelConfig, seed: int, mode: str = "classify"):
-    """Fresh model with seed-deterministic weights drawn in manifest order,
-    rounded to a ParameterSet first: the model holds exactly the set it exports."""
+def init_params(config: ModelConfig, seed: int, mode: str = "classify") -> ParameterSet:
+    """Seed-deterministic initial weights, drawn in manifest order and rounded as drawn."""
     _, specs = _model_class(config, mode)
     rng = Rng(seed)
-    ps = ParameterSet((name, init_array((name, shape, kind), rng)) for name, shape, kind in specs)
-    return build_model(config, mode, ps)
+    # each draw is rounded before the next, so one float64 tensor is alive at a time
+    return ParameterSet((name, init_array((name, shape, kind), rng).astype(WIRE_DTYPE))
+                        for name, shape, kind in specs)
+
+
+def init_model(config: ModelConfig, seed: int, mode: str = "classify"):
+    """Fresh model on `init_params`: it holds, and exports, exactly that set."""
+    return build_model(config, mode, init_params(config, seed, mode))
 
 
 def build_model(config: ModelConfig, mode: str, ps: ParameterSet):
-    """Model holding a writable float32 copy of a ParameterSet (no random init)."""
+    """Model computing on a ParameterSet's own read-only arrays (no random init, no copy)."""
     cls, specs = _model_class(config, mode)
     _check_manifest(ps, [(name, shape) for name, shape, _ in specs])
-    params = {name: Tensor(np.array(arr, copy=True), requires_grad=True) for name, arr in ps.items()}
-    return cls(config, mode, params)
+    return cls(config, mode, ps)

@@ -5,38 +5,59 @@ input to aggregation. Name order is the model's canonical manifest order
 and defines the serialized layout.
 
 A set holds its wire values: each tensor is a read-only, C-order,
-little-endian float32 array, rounded once when the set is built. So a
-set's arrays are its encoding, and every copy of a set, on either side
-of the wire, holds the same values.
+little-endian float32 view into one buffer that the set owns, rounded
+once when the set is built. So a set's arrays are its encoding, and every
+copy of a set, on either side of the wire, holds the same values.
+
+The buffer is an anonymous memory map (`mapped_buffer`), not a heap
+block, so its pages go back to the operating system as soon as the last
+array viewing it is freed, whichever thread frees it. glibc keeps freed
+heap blocks of this size in per-thread arenas instead. Models compute on
+a set's arrays as they are, so a set is copied only when it is built.
+`tracemalloc` does not see these buffers.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import Iterable, Iterator
 
 import numpy as np
 
 WIRE_DTYPE = np.dtype("<f4")
 
+# Private anonymous pages, faulted in as the map is made where the
+# platform offers MAP_POPULATE, not one by one as they are first written.
+_MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+
+
+def mapped_buffer(nbytes: int) -> mmap.mmap:
+    """A zeroed, writable anonymous memory map of `nbytes` bytes (one byte if 0)."""
+    return mmap.mmap(-1, max(nbytes, 1), flags=_MAP_FLAGS)
+
 
 class ParameterSet:
-    """Ordered name -> float32 array snapshot. Arrays are read-only copies."""
+    """Ordered name -> float32 array snapshot: read-only views into one buffer of its own."""
 
-    __slots__ = ("_arrays",)
+    __slots__ = ("_arrays", "__weakref__")
 
     def __init__(self, items: Iterable[tuple[str, np.ndarray]]) -> None:
+        sources = [(name, np.asarray(arr)) for name, arr in items]
+        total = sum(arr.size for _, arr in sources)
+        flat = np.frombuffer(mapped_buffer(total * WIRE_DTYPE.itemsize), WIRE_DTYPE, count=total)
+        arrays: dict[str, np.ndarray] = {}
+        offset = 0
         # overflow to +-inf is the defined rounding of out-of-range values
         with np.errstate(over="ignore"):
-            copies = [(name, np.array(arr, dtype=WIRE_DTYPE, order="C", copy=True))
-                      for name, arr in items]
-        self._arrays = _frozen(copies)
-
-    @classmethod
-    def _adopt_wire(cls, items: Iterable[tuple[str, np.ndarray]]) -> "ParameterSet":
-        """Set holding C-order `<f4` arrays as they are, with no copy."""
-        ps = cls.__new__(cls)
-        ps._arrays = _frozen(items)
-        return ps
+            for name, arr in sources:
+                if name in arrays:
+                    raise ValueError(f"duplicate parameter name '{name}'")
+                view = flat[offset : offset + arr.size].reshape(arr.shape)
+                np.copyto(view, arr, casting="unsafe")
+                view.setflags(write=False)
+                arrays[name] = view
+                offset += arr.size
+        self._arrays = arrays
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -74,14 +95,3 @@ class ParameterSet:
         Kept only for callers outside the package that still name it.
         """
         return self
-
-
-def _frozen(items: Iterable[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Name -> array, each marked read-only; ValueError on a repeated name."""
-    arrays: dict[str, np.ndarray] = {}
-    for name, arr in items:
-        if name in arrays:
-            raise ValueError(f"duplicate parameter name '{name}'")
-        arr.setflags(write=False)
-        arrays[name] = arr
-    return arrays

@@ -47,7 +47,6 @@ class LocalTrainer:
         self.trainer_id = trainer_id
         self.train_records, self.holdout = split_holdout(plan.shards[trainer_id], plan.holdout_frac)
         self.model = None
-        self._optimizer: Optional[Adam] = None
 
     def load(self, params: ParameterSet) -> None:
         """Build the model on first use, then load into it; UsageError on a manifest mismatch."""
@@ -64,15 +63,9 @@ class LocalTrainer:
         """
         if epochs == 0:
             return 0.0, 0.0
-        # Every training round gets a fresh Adam, held until the next round
-        # replaces it: freeing its state as the round ends shifts glibc's
-        # dynamic mmap threshold, and raised the peak RSS of the `lstm_tcp`
-        # benchmark workload (two client threads) from 155 MB to 177 MB.
-        self._optimizer = Adam(self.model.params, lr=lr)
         round_rng = Rng(self.plan.batch_seed).split(self.trainer_id).split(round_no)
-        return train_epochs(
-            self.model, self._optimizer, self.train_records, self.plan, round_rng, epochs
-        )
+        optimizer = Adam(self.model.params, lr=lr)
+        return train_epochs(self.model, optimizer, self.train_records, self.plan, round_rng, epochs)
 
     def export(self) -> ParameterSet:
         """The model's parameters at wire precision."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..params import ParameterSet
+from ..params import WIRE_DTYPE, ParameterSet
 from ..tensor import UsageError
 from .messages import LocalUpdate
 
@@ -24,9 +24,9 @@ def aggregate(updates: list[LocalUpdate]) -> ParameterSet:
     Evaluated in client-id-sorted order as a baseline plus weighted
     deltas, w0 + sum_i (n_i / N) * (w_i - w0), which is algebraically the
     weighted mean but exact (bit-for-bit) whenever all updates agree,
-    and invariant to the order updates arrived in. The sum is taken in
-    float64 and rounded to wire precision once, when the result set is
-    built.
+    and invariant to the order updates arrived in. Each tensor's sum is
+    taken in float64 and rounded to wire precision once, as soon as it
+    is complete.
     """
     if not updates:
         raise UsageError("aggregate needs at least one update")
@@ -56,7 +56,9 @@ def aggregate(updates: list[LocalUpdate]) -> ParameterSet:
         acc = w0.copy()
         for params, share in shares:
             acc += share * (params[name].astype(np.float64) - w0)
-        return acc
+        # overflow to +-inf is the defined rounding of out-of-range values
+        with np.errstate(over="ignore"):
+            return acc.astype(WIRE_DTYPE)
 
     # one tensor's float64 sum is alive at a time
     return ParameterSet((name, averaged(name)) for name, _ in manifest)

@@ -13,16 +13,17 @@ global model carries that plan's epochs and learning rate. The `handle`
 call that completes provisioning sends round 1's global model, and the
 one that aggregates round r < R sends round r+1's, so the clients start a
 round before the one before it is reported. Aggregation runs over
-client-id-sorted updates, so results do not depend on arrival order.
-`report()` then calls `on_round(round, params, updates)` once, with the
-aggregate and the round's updates in client-id order, and sends the
-metrics it returns as `RoundComplete`, followed by `Shutdown` after the
-last round; the aggregate is the one set the server reports, distributes
-and keeps as the final parameters. Round 0 is reported the same way, as
-`on_round(0, init, [])` with no `RoundComplete`; a run of zero rounds
-sends its `Shutdown` with the provisioning. An update holding NaN or inf
-cannot be averaged safely, so it ends the run with a `non_finite_update`
-ProtocolError.
+client-id-sorted updates, so results do not depend on arrival order, and
+the server lets go of the updates as it aggregates them. `report()` then
+calls `on_round(round, params, client_metrics)` once, with the aggregate
+and each client's `(client_id, local_metrics)` in client-id order, and
+sends the metrics it returns as `RoundComplete`, followed by `Shutdown`
+after the last round; the aggregate is the one set the server reports,
+distributes and keeps as the final parameters. Round 0 is reported the
+same way, as `on_round(0, init, [])` with no `RoundComplete`; a run of
+zero rounds sends its `Shutdown` with the provisioning. An update holding
+NaN or inf cannot be averaged safely, so it ends the run with a
+`non_finite_update` ProtocolError.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .messages import (
 )
 
 Outgoing = list[tuple[int, FlMessage]]
+ClientMetrics = list[tuple[int, dict[str, float]]]  # (client_id, local_metrics), by client id
 
 
 @dataclass
@@ -68,7 +70,7 @@ class FlServer:
         plan: RoundPlan,
         auth_token: str,
         session_rng: Rng,
-        on_round: Callable[[int, ParameterSet, list[LocalUpdate]], dict[str, float]],
+        on_round: Callable[[int, ParameterSet, ClientMetrics], dict[str, float]],
     ) -> None:
         self.n_clients = n_clients
         self.plan = plan
@@ -80,7 +82,7 @@ class FlServer:
         self._on_round = on_round
         self._slots: dict[int, _ClientSlot] = {}  # conn -> slot, in client-id order
         self._pending: dict[int, LocalUpdate] = {}  # client id -> this round's update
-        self._unreported: tuple[int, ParameterSet, list[LocalUpdate]] | None = None
+        self._unreported: tuple[int, ParameterSet, ClientMetrics] | None = None
 
     # -- driver surface ------------------------------------------------
 
@@ -101,9 +103,9 @@ class FlServer:
         """
         if self._unreported is None:
             return []
-        rnd, params, updates = self._unreported
+        rnd, params, client_metrics = self._unreported
         self._unreported = None
-        metrics = self._on_round(rnd, params, updates)
+        metrics = self._on_round(rnd, params, client_metrics)
         if rnd == 0:
             return []
         out = self._broadcast(RoundComplete(round=rnd, global_metrics=metrics))
@@ -183,8 +185,10 @@ class FlServer:
         if len(self._pending) < self.n_clients:
             return []
         updates = [self._pending[cid] for cid in sorted(self._pending)]
+        self._pending.clear()
         self.global_params = aggregate(updates)
-        self._unreported = (self.round, self.global_params, updates)
+        self._unreported = (self.round, self.global_params,
+                            [(u.client_id, u.local_metrics) for u in updates])
         if self.round == self.plan.rounds:
             return []  # report() sends the last RoundComplete, then Shutdown
         return self._next_round()

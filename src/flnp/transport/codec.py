@@ -13,7 +13,8 @@ chunks: small fields are packed, and each tensor's values are its set's
 own float32 array, referenced rather than copied. Signing, verifying and
 framing all stream over those chunks, and `encode_buffers` hands the
 frame on as a list of buffers, so a TCP send joins nothing;
-`encode_message` is that list joined.
+`encode_message` is that list joined. Decoding copies each tensor once,
+into the parameter set it builds, and keeps nothing of the frame.
 """
 
 from __future__ import annotations
@@ -101,7 +102,12 @@ def _put(chunks: list, kind, value) -> None:
 
 
 class _Reader:
-    """Decodes `BODY_LAYOUT` encodings; tensors are views of the buffer, not copies."""
+    """Decodes `BODY_LAYOUT` encodings.
+
+    A tensor is read as a view of the buffer and copied once, into the
+    buffer of the parameter set it belongs to, so a decoded message holds
+    nothing of the buffer it came from.
+    """
 
     def __init__(self, data) -> None:
         self._data = memoryview(data)
@@ -138,7 +144,7 @@ class _Reader:
             values = np.frombuffer(self.take(4 * math.prod(shape)), dtype=WIRE_DTYPE)
             items.append((name, values.reshape(shape)))
         try:
-            return ParameterSet._adopt_wire(items)
+            return ParameterSet(items)
         except ValueError as exc:
             raise DecodeError("bad_payload", str(exc)) from None
 
@@ -177,8 +183,9 @@ def encode_message(msg: FlMessage) -> bytes:
 def decode_message(data) -> FlMessage:
     """Exact inverse of encode_message; raises DecodeError on any defect.
 
-    Decoded parameter sets view `data` rather than copy it, so `data`
-    must not be modified afterwards.
+    The message holds no reference to `data`: each decoded parameter set
+    owns a copy of its values, so `data` can be freed or reused as soon
+    as this returns.
     """
     code, payload = parse_frame(data)
     if len(payload) < 4:

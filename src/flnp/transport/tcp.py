@@ -4,8 +4,10 @@ A frame is written as its list of buffers (`encode_buffers`) with
 `sendmsg`, so a parameter tensor goes from its array to the socket and no
 send joins the frame into one copy. Frames are read by fixed-size header
 first, then exactly the advertised payload plus the CRC trailer into one
-buffer sized from the header, so arbitrary write fragmentation on the
-stream is invisible to the decoder.
+anonymous memory map sized from the header, so arbitrary write
+fragmentation on the stream is invisible to the decoder. The decoded
+message keeps nothing of the map, so the frame's pages go back to the
+operating system as soon as it is decoded.
 The server side runs one reader thread per accepted connection, all
 feeding a single inbox queue; the protocol state machine stays
 single-threaded.
@@ -17,6 +19,7 @@ import queue
 import socket
 import threading
 
+from ..params import mapped_buffer
 from .codec import decode_message, encode_buffers
 from .codec import encode_message  # noqa: F401  (bench/spans.py wraps it by this name)
 from .frame import HEADER_SIZE, TRAILER_SIZE, DecodeError, parse_header
@@ -60,7 +63,7 @@ def recv_message(sock: socket.socket):
     header = bytearray(HEADER_SIZE)
     _recv_into(sock, memoryview(header), mid_frame=False)
     _msg_type, length = parse_header(header)
-    frame = bytearray(HEADER_SIZE + length + TRAILER_SIZE)
+    frame = mapped_buffer(HEADER_SIZE + length + TRAILER_SIZE)
     frame[:HEADER_SIZE] = header
     _recv_into(sock, memoryview(frame)[HEADER_SIZE:], mid_frame=True)
     return decode_message(frame)
@@ -135,6 +138,7 @@ class TcpServer:
                     self.inbox.put((conn_id, None))
                 return
             self.inbox.put((conn_id, msg))
+            del msg  # queued: the next read must not keep it alive
 
     def recv(self) -> tuple[int, object]:
         """Next (conn_id, message), or (conn_id, None) for a lost connection."""

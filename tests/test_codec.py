@@ -351,3 +351,14 @@ class TestAuthOverParams:
         for msg in (signed, decoded):
             assert verify_auth(msg, WIRE_KEY)
             assert not verify_auth(replace(msg, params=other), WIRE_KEY)
+
+
+def test_a_decoded_set_owns_its_values():
+    ps = ParameterSet([("w", np.arange(6.0).reshape(2, 3)), ("b", np.ones(3))])
+    frame = bytearray(encode_message(GlobalModel(round=1, params=ps, local_epochs=1, lr=0.1)))
+    got = decode_message(frame).params
+    raw = np.frombuffer(frame, dtype=np.uint8)
+    assert not any(np.shares_memory(arr, raw) for _, arr in got.items())
+    del raw
+    frame[:] = bytes(len(frame))  # the frame may be reused as soon as it is decoded
+    assert got == ps

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import threading
+import weakref
 from functools import partial
 
 import numpy as np
@@ -359,6 +360,33 @@ class TestRoundOrder:
         monkeypatch.setattr(runner, "evaluate", waiting_evaluate)
         run_experiment(self._lstm_cfg(transport, rounds=2))
         assert waited == [None, True, None]
+
+    def test_a_tcp_client_holds_no_handled_message_while_it_reads_the_next(self, monkeypatch):
+        from flnp.protocol.messages import GlobalModel, LocalUpdate
+        from flnp.transport.tcp import TcpConnection
+
+        recv, send = TcpConnection.recv, TcpConnection.send
+        handled: dict[int, list] = {}  # connection -> weakrefs to its received and sent models
+        held = []
+
+        def tracking_recv(self):
+            refs = handled.setdefault(id(self), [])
+            held.extend(type(ref()).__name__ for ref in refs if ref() is not None)
+            msg = recv(self)
+            if isinstance(msg, GlobalModel):
+                refs.append(weakref.ref(msg))
+            return msg
+
+        def tracking_send(self, msg):
+            if isinstance(msg, LocalUpdate):
+                handled.setdefault(id(self), []).append(weakref.ref(msg))
+            send(self, msg)
+
+        monkeypatch.setattr(TcpConnection, "recv", tracking_recv)
+        monkeypatch.setattr(TcpConnection, "send", tracking_send)
+        run_experiment(self._lstm_cfg("tcp", rounds=2))
+        assert sorted(len(refs) for refs in handled.values()) == [4, 4]  # 2 models in, 2 updates out
+        assert held == []
 
     def test_zero_rounds_write_the_round_0_global_row_alone(self, tmp_path):
         rows = []

@@ -135,6 +135,26 @@ class TestSaveLoad:
         logits2 = clone.classify_logits(clone.forward(ids, mask), mask).data
         assert np.array_equal(logits, logits2)
 
+    def test_a_model_computes_on_the_sets_own_arrays(self):
+        built_from = tiny_transformer(mode="classify", seed=4).export_params()
+        model = build_model(tiny_transformer(mode="classify").config, "classify", built_from)
+        assert all(np.shares_memory(model.params[n].data, arr) for n, arr in built_from.items())
+        assert model.export_params() is built_from
+        loaded = tiny_transformer(mode="classify", seed=6).export_params()
+        model.load_params(loaded)
+        assert all(np.shares_memory(model.params[n].data, arr) for n, arr in loaded.items())
+        assert model.export_params() is loaded
+
+    def test_a_trained_model_exports_a_new_set(self):
+        loaded = tiny_transformer(mode="classify", seed=4).export_params()
+        model = build_model(tiny_transformer(mode="classify").config, "classify", loaded)
+        moved = model.params["cls.b"]
+        moved.data = moved.data + np.float32(1.0)  # as an optimizer step replaces an array
+        exported = model.export_params()
+        assert exported is not loaded
+        assert np.array_equal(exported["cls.b"], loaded["cls.b"] + np.float32(1.0))
+        assert all(np.array_equal(exported[n], loaded[n]) for n in loaded.names if n != "cls.b")
+
     def test_manifest_mismatch_rejected(self):
         model = tiny_transformer(mode="classify")
         wrong = ParameterSet([("nope", np.zeros(3))])

@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,21 @@ def test_arrays_hold_wire_values():
         assert arr.dtype == np.dtype("<f4") and arr.flags.c_contiguous
     assert ps["w"].tolist() == [np.inf, -np.inf, float(np.float32(1.0 / 3.0))]
     assert ps["t"].tolist() == [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]]
+
+
+def _owner(arr: np.ndarray):
+    """The object whose memory `arr` views, or `arr` itself if it owns its memory."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    base = arr.base
+    return arr if base is None else base.obj if isinstance(base, memoryview) else base
+
+
+def test_a_set_views_one_page_mapped_buffer_of_its_own():
+    src = np.arange(4.0)
+    ps = ParameterSet([("a", src.reshape(2, 2)), ("b", src[:3]), ("empty", src[:0])])
+    owners = {id(_owner(arr)) for _, arr in ps.items()}
+    assert len(owners) == 1
+    assert isinstance(_owner(ps["a"]), mmap.mmap)
+    assert not np.shares_memory(ps["a"], src)
+    assert all(arr.flags.c_contiguous and arr.flags.aligned for _, arr in ps.items())

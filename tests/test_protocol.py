@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -267,12 +269,12 @@ class TestOnRound:
 
     def test_updates_come_in_client_id_order(self):
         seen = []
-        server = _provisioned(3, 1, lambda rnd, params, updates: seen.append(
-            [(u.client_id, u.local_metrics["id"]) for u in updates]) or {})
+        server = _provisioned(3, 1, lambda rnd, params, client_metrics: seen.append(
+            client_metrics) or {})
         for cid in (2, 1, 0):
             _send_update(server, cid, [float(cid), 0.0])
         server.report()
-        assert seen == [[(0, 0.0), (1, 1.0), (2, 2.0)]]
+        assert seen == [[(0, {"id": 0.0}), (1, {"id": 1.0}), (2, {"id": 2.0})]]
 
     def test_round_complete_carries_the_returned_metrics(self):
         server = _provisioned(2, 2, lambda rnd, params, updates: {"val_loss": rnd / 4})
@@ -293,6 +295,23 @@ class TestOnRound:
         metrics = [m.global_metrics for _, m in out if isinstance(m, RoundComplete)]
         assert metrics == [{"val_loss": 0.5}] * 2
         assert server.phase == "done"
+
+    def test_no_update_outlives_the_aggregation_of_its_round(self):
+        reports = []
+        server = _provisioned(2, 2, lambda rnd, params, client_metrics: reports.append(
+            (rnd, client_metrics)) or {})
+        server.report()
+        refs = []
+        for cid in (1, 0):
+            update = sign(LocalUpdate(cid, 1, _params([float(cid), 1.0]), 1,
+                                      local_metrics={"id": float(cid)}), _session_key(server, cid))
+            refs.append(weakref.ref(update.params))
+            out = server.handle(cid, update)
+            del update
+        assert [(type(m), m.round) for _, m in out] == [(GlobalModel, 2), (GlobalModel, 2)]
+        assert [ref() for ref in refs] == [None, None]
+        server.report()
+        assert reports[-1] == (1, [(0, {"id": 0.0}), (1, {"id": 1.0})])
 
     def test_a_zero_round_run_reports_round_0_and_shuts_down(self):
         reports = []
@@ -380,5 +399,4 @@ class TestLocalTrainer:
         trainer = LocalTrainer(client.plan, 0)
         trainer.load(init)
         assert trainer.train_round(1, 0, 0.01) == (0.0, 0.0)
-        assert trainer._optimizer is None
         assert trainer.export() == init
