@@ -19,8 +19,9 @@ finish in, and a channel run equals a TCP run bit for bit.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import suppress
 
 from ..protocol.client import FlClient
@@ -41,9 +42,11 @@ class ChannelServer:
     an exception raised by a client's `handle` surfaces there. With a drop
     policy every sent message consults `drop_rng` in `send`, and every reply
     in `recv`, in inbox order; a dropped message closes its link, so the
-    server sees a disconnect and aborts deterministically. `flush` waits
-    for all sent work; `close` cancels queued work and waits for running
-    work.
+    server sees a disconnect and aborts deterministically. A client's
+    next message waits on an event its previous one sets when handled, so
+    no job holds another's replies, and they die once `recv` has passed
+    them on. `flush` waits for all sent work; `close` cancels queued work
+    and waits for running work.
     """
 
     def __init__(self, clients: list[FlClient], workers: int = 1,
@@ -54,7 +57,7 @@ class ChannelServer:
         self._closed: set[int] = set()
         self._closing = False
         self._pool = ThreadPoolExecutor(workers, thread_name_prefix="flnp-channel")
-        self._last: dict[int, Future] = {}  # each client's latest message
+        self._last: dict[int, threading.Event] = {}  # set once a client's latest message is handled
         # a message, or a Future of the replies to a sent one
         self._inbox: deque = deque((conn, client.hello()) for conn, client in enumerate(clients))
 
@@ -84,17 +87,22 @@ class ChannelServer:
         if conn in self._closed or self._dropped():
             self._closed.add(conn)
             raise ConnectionClosed(f"link {conn} is closed")
-        job = self._pool.submit(self._handle, conn, msg, self._last.get(conn))
-        self._last[conn] = job
+        done = threading.Event()
+        job = self._pool.submit(self._handle, conn, msg, self._last.get(conn), done)
+        self._last[conn] = done
         self._inbox.append((conn, job))
 
-    def _handle(self, conn: int, msg, previous: Future | None) -> list:
-        if previous is not None:
-            # submitted earlier, so already taken by a worker: this waits, never deadlocks
-            wait([previous])
-        if self._closing:
-            return []  # closed while this message waited its turn
-        return list(self._clients[conn].handle(msg))
+    def _handle(self, conn: int, msg, previous: threading.Event | None,
+                done: threading.Event) -> list:
+        try:
+            if previous is not None:
+                # submitted earlier, so already taken by a worker: this waits, never deadlocks
+                previous.wait()
+            if self._closing:
+                return []  # closed while this message waited its turn
+            return list(self._clients[conn].handle(msg))
+        finally:
+            done.set()
 
     def flush(self) -> None:
         """Wait until each client has handled every message sent to it; errors surface here."""
@@ -121,9 +129,10 @@ def drive(server: FlServer, transport) -> None:
         if msg is None:
             server.on_disconnect(conn_id)
             continue
-        outgoing = server.handle(conn_id, msg)
+        # no batch of sent messages outlives its send: a global model must not
+        # live on through the next aggregation
+        _send(server, transport, server.handle(conn_id, msg))
         del msg  # handled: an update's parameters must not live on through the report
-        _send(server, transport, outgoing)
         _send(server, transport, server.report())
 
 

@@ -30,6 +30,7 @@ run so every round scores the same corrupted batches.
 from __future__ import annotations
 
 import hashlib
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ from ..protocol.server import ClientMetrics, FlServer
 from ..rng import Rng
 from ..tensor import UsageError
 from ..training import VALIDATION_MASK_KEY, TrainPlan, evaluate, prepare_eval_batches, split_holdout
-from ..transport.codec import parameter_set_from_bytes, parameter_set_to_bytes
+from ..transport.codec import parameter_set_to_bytes, read_parameter_set
 from ..transport.tcp import ConnectionClosed, TcpServer, connect
 from .config import ExperimentConfig
 from .federated import ChannelServer, drive, tcp_client_loop
@@ -92,8 +93,9 @@ def save_params(ps: ParameterSet, path: str) -> None:
 
 
 def load_params(path: str) -> ParameterSet:
-    with open(path, "rb") as fh:
-        return parameter_set_from_bytes(fh.read())
+    """The set saved at `path`, read from the file straight into its own buffer."""
+    with open(path, "rb", buffering=0) as fh:
+        return read_parameter_set(partial(os.readv, fh.fileno()), os.fstat(fh.fileno()).st_size)
 
 
 def build_dataset(cfg: ExperimentConfig) -> DatasetBundle:

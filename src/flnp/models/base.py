@@ -6,7 +6,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from ..params import WIRE_DTYPE, ParameterSet
+from ..params import ParameterSet
 from ..rng import Rng
 from ..tensor import Tensor, UsageError
 from .config import ConfigError, ModelConfig
@@ -106,12 +106,19 @@ def _model_class(config: ModelConfig, mode: str):
 
 
 def init_params(config: ModelConfig, seed: int, mode: str = "classify") -> ParameterSet:
-    """Seed-deterministic initial weights, drawn in manifest order and rounded as drawn."""
+    """Seed-deterministic initial weights, drawn in manifest order.
+
+    Each draw is rounded straight into its slot of the set as it is made,
+    so one float64 tensor is alive at a time beside the set's buffer.
+    """
     _, specs = _model_class(config, mode)
+    kinds = {name: kind for name, _, kind in specs}
     rng = Rng(seed)
-    # each draw is rounded before the next, so one float64 tensor is alive at a time
-    return ParameterSet((name, init_array((name, shape, kind), rng).astype(WIRE_DTYPE))
-                        for name, shape, kind in specs)
+
+    def draw(name: str, out: np.ndarray) -> None:
+        np.copyto(out, init_array((name, out.shape, kinds[name]), rng), casting="unsafe")
+
+    return ParameterSet.written(((name, shape) for name, shape, _ in specs), draw)
 
 
 def init_model(config: ModelConfig, seed: int, mode: str = "classify"):

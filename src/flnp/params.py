@@ -15,12 +15,22 @@ array viewing it is freed, whichever thread frees it. glibc keeps freed
 heap blocks of this size in per-thread arenas instead. Models compute on
 a set's arrays as they are, so a set is copied only when it is built.
 `tracemalloc` does not see these buffers.
+
+Every set is laid out by one path: each tensor is written straight into
+its slot of the buffer as it is computed, copied or received, so
+building a set holds at most one of its tensors outside the buffer.
+`ParameterSet.written` does that for a known manifest (averaging,
+initialisation); `ParameterSet.laid_out` serves the decoder, which
+learns each name and shape as it reads them and sizes the buffer from
+an upper bound on the values it will receive.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -36,6 +46,10 @@ def mapped_buffer(nbytes: int) -> mmap.mmap:
     return mmap.mmap(-1, max(nbytes, 1), flags=_MAP_FLAGS)
 
 
+# (name, shape, write): `write(slot)` fills the tensor's writable float32 slot
+Entry = tuple[str, tuple[int, ...], Callable[[np.ndarray], None]]
+
+
 class ParameterSet:
     """Ordered name -> float32 array snapshot: read-only views into one buffer of its own."""
 
@@ -43,21 +57,30 @@ class ParameterSet:
 
     def __init__(self, items: Iterable[tuple[str, np.ndarray]]) -> None:
         sources = [(name, np.asarray(arr)) for name, arr in items]
-        total = sum(arr.size for _, arr in sources)
-        flat = np.frombuffer(mapped_buffer(total * WIRE_DTYPE.itemsize), WIRE_DTYPE, count=total)
-        arrays: dict[str, np.ndarray] = {}
-        offset = 0
-        # overflow to +-inf is the defined rounding of out-of-range values
-        with np.errstate(over="ignore"):
-            for name, arr in sources:
-                if name in arrays:
-                    raise ValueError(f"duplicate parameter name '{name}'")
-                view = flat[offset : offset + arr.size].reshape(arr.shape)
-                np.copyto(view, arr, casting="unsafe")
-                view.setflags(write=False)
-                arrays[name] = view
-                offset += arr.size
-        self._arrays = arrays
+        self._arrays = _layout(sum(arr.size for _, arr in sources),
+                               ((name, arr.shape, partial(np.copyto, src=arr, casting="unsafe"))
+                                for name, arr in sources))
+
+    @classmethod
+    def laid_out(cls, capacity: int, entries: Iterable[Entry]) -> "ParameterSet":
+        """The set of `entries`, each written into the next slot of a buffer of `capacity` values.
+
+        `entries` yields (name, shape, write) in manifest order, and each
+        `write(slot)` runs before the next entry is drawn. `capacity` is an
+        upper bound on the tensors' total size; a duplicate name, or a
+        tensor that does not fit, raises ValueError.
+        """
+        ps = cls.__new__(cls)
+        ps._arrays = _layout(capacity, entries)
+        return ps
+
+    @classmethod
+    def written(cls, manifest: Iterable[tuple[str, tuple[int, ...]]],
+                write: Callable[[str, np.ndarray], None]) -> "ParameterSet":
+        """The set of `manifest`'s (name, shape) pairs, `write(name, slot)` filling each slot in order."""
+        manifest = tuple(manifest)
+        return cls.laid_out(sum(math.prod(shape) for _, shape in manifest),
+                            ((name, shape, partial(write, name)) for name, shape in manifest))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -95,3 +118,24 @@ class ParameterSet:
         Kept only for callers outside the package that still name it.
         """
         return self
+
+
+def _layout(capacity: int, entries: Iterable[Entry]) -> dict[str, np.ndarray]:
+    """Read-only views into one new mapped buffer, each entry's tensor written into its slot."""
+    flat = np.frombuffer(mapped_buffer(capacity * WIRE_DTYPE.itemsize), WIRE_DTYPE, count=capacity)
+    arrays: dict[str, np.ndarray] = {}
+    used = 0
+    # overflow to +-inf is the defined rounding of out-of-range values
+    with np.errstate(over="ignore"):
+        for name, shape, write in entries:
+            if name in arrays:
+                raise ValueError(f"duplicate parameter name '{name}'")
+            size = math.prod(shape)
+            if used + size > capacity:
+                raise ValueError(f"'{name}' {shape} overruns the set's {capacity} values")
+            slot = flat[used : used + size].reshape(shape)
+            write(slot)
+            slot.setflags(write=False)
+            arrays[name] = slot
+            used += size
+    return arrays

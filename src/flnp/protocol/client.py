@@ -11,6 +11,9 @@ train through it.
 A client resolves its shard by the provisioned client id, so identity does
 not depend on connection order. Every received global model is verified
 against the session key and the local manifest before any weights load.
+A federated client holds no weights between rounds: it drops its model
+once the round's `LocalUpdate` is built, and each global model builds a
+new one. `run_local` keeps its trainer's model from round to round.
 """
 
 from __future__ import annotations
@@ -73,6 +76,8 @@ class LocalTrainer:
 
 
 class FlClient:
+    """One site: trains each received global model and answers it with a signed `LocalUpdate`."""
+
     def __init__(self, name: str, auth_token: str, plan: TrainPlan) -> None:
         self.name = name
         self.auth_token = auth_token
@@ -136,4 +141,5 @@ class FlClient:
             n_samples=len(trainer.train_records),
             local_metrics=metrics,
         )
+        trainer.model = None  # no weights are held between rounds: the next global model builds one
         return [sign(update, self.session_key)]

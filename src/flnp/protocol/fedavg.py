@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..params import WIRE_DTYPE, ParameterSet
+from ..params import ParameterSet
 from ..tensor import UsageError
 from .messages import LocalUpdate
 
@@ -51,15 +51,14 @@ def aggregate(updates: list[LocalUpdate]) -> ParameterSet:
     base = ordered[0].params
     shares = [(u.params, c / total) for u, c in zip(ordered[1:], counts[1:]) if c]
 
-    def averaged(name: str) -> np.ndarray:
+    def write_average(name: str, out: np.ndarray) -> None:
         w0 = base[name].astype(np.float64)
         acc = w0.copy()
         for params, share in shares:
-            acc += share * (params[name].astype(np.float64) - w0)
-        # overflow to +-inf is the defined rounding of out-of-range values
-        with np.errstate(over="ignore"):
-            return acc.astype(WIRE_DTYPE)
+            delta = params[name].astype(np.float64)
+            delta -= w0
+            delta *= share
+            acc += delta
+        np.copyto(out, acc, casting="unsafe")
 
-    # one tensor's float64 sum is alive at a time
-    return ParameterSet((name, averaged(name)) for name, _ in manifest)
-
+    return ParameterSet.written(manifest, write_average)

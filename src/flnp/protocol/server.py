@@ -14,7 +14,9 @@ call that completes provisioning sends round 1's global model, and the
 one that aggregates round r < R sends round r+1's, so the clients start a
 round before the one before it is reported. Aggregation runs over
 client-id-sorted updates, so results do not depend on arrival order, and
-the server lets go of the updates as it aggregates them. `report()` then
+the server lets go of the updates as it aggregates them. While it
+averages round r it keeps only the manifest of round r-1's model, not
+the model itself, which FedAvg does not read. `report()` then
 calls `on_round(round, params, client_metrics)` once, with the aggregate
 and each client's `(client_id, local_metrics)` in client-id order, and
 sends the metrics it returns as `RoundComplete`, followed by `Shutdown`
@@ -75,6 +77,7 @@ class FlServer:
         self.n_clients = n_clients
         self.plan = plan
         self.global_params = init_params
+        self._manifest = init_params.manifest()
         self.phase = "awaiting_provision"
         self.round = 0
         self._auth_token = auth_token
@@ -172,7 +175,7 @@ class FlServer:
             return [(conn, ErrorMsg("round_mismatch", f"expected {self.round}, got {msg.round}"))]
         if msg.client_id != slot.client_id:
             return [(conn, ErrorMsg("client_id_mismatch", f"{msg.client_id} != {slot.client_id}"))]
-        if msg.params.manifest() != self.global_params.manifest():
+        if msg.params.manifest() != self._manifest:
             return [(conn, ErrorMsg("manifest_mismatch", f"client {slot.client_id}"))]
         bad = next((name for name, arr in msg.params.items() if not np.isfinite(arr).all()), None)
         if bad is not None:
@@ -186,6 +189,7 @@ class FlServer:
             return []
         updates = [self._pending[cid] for cid in sorted(self._pending)]
         self._pending.clear()
+        self.global_params = None  # round r-1's model may go before round r's is built
         self.global_params = aggregate(updates)
         self._unreported = (self.round, self.global_params,
                             [(u.client_id, u.local_metrics) for u in updates])

@@ -13,13 +13,14 @@ chunks: small fields are packed, and each tensor's values are its set's
 own float32 array, referenced rather than copied. Signing, verifying and
 framing all stream over those chunks, and `encode_buffers` hands the
 frame on as a list of buffers, so a TCP send joins nothing;
-`encode_message` is that list joined. Decoding copies each tensor once,
-into the parameter set it builds, and keeps nothing of the frame.
+`encode_message` is that list joined. Decoding walks the same layout
+with one `_Reader` over any byte source, a buffer, a socket or a file: it
+writes each tensor's values once, straight into the parameter set it
+builds, and streams the frame's CRC over the bytes as they arrive.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 
@@ -38,7 +39,7 @@ from ..protocol.messages import (
     Shutdown,
     with_tag,
 )
-from .frame import DecodeError, frame_buffers, parse_frame
+from .frame import HEADER_SIZE, TRAILER_SIZE, DecodeError, frame_buffers, parse_frame, parse_header
 
 MSG_CODES: dict[type, int] = {
     Hello: 1,
@@ -101,24 +102,93 @@ def _put(chunks: list, kind, value) -> None:
             _put(chunks, sub, getattr(value, name))
 
 
-class _Reader:
-    """Decodes `BODY_LAYOUT` encodings.
+# Room for the longest small field (a string of 0xFFFF bytes), and for
+# enough of a stream that a frame takes few reads: each read passes the
+# interpreter lock to and from the threads that compute. The stage is a
+# heap block, not a map: making and dropping a map releases the lock too.
+STAGE_BYTES = 0x100000
 
-    A tensor is read as a view of the buffer and copied once, into the
-    buffer of the parameter set it belongs to, so a decoded message holds
-    nothing of the buffer it came from.
+
+class _Reader:
+    """Decodes `BODY_LAYOUT` encodings from the next `size` bytes of a byte source.
+
+    The source is a buffer, or a `read_into(views)` that reads at least
+    one byte of a stream (a socket or a file) into a sequence of views,
+    filling them in order, and returns the count. A buffer is staged
+    whole. A stream's small fields go through one staging buffer that
+    never reads past the `size` bytes; each tensor's values go straight
+    into their slot of the parameter set being built, whose buffer is
+    sized from the bytes left, and the read that completes a tensor
+    brings what follows it into the stage. `crc` runs over the first
+    `checked` bytes as they are decoded. No field may run past `limit`.
     """
 
-    def __init__(self, data) -> None:
-        self._data = memoryview(data)
-        self._pos = 0
+    def __init__(self, source, size: int, checked: int = 0) -> None:
+        self._size = self.limit = size
+        self._checked = checked
+        self.crc = 0
+        self._start = self._pos = 0  # source offset of the stage; bytes of it consumed
+        if callable(source):
+            self._read_into = source
+            self._stage = memoryview(bytearray(min(size, STAGE_BYTES)))
+            self._end = 0  # bytes staged
+        else:
+            self._stage = memoryview(source).cast("B")
+            self._end = len(self._stage)
+
+    @property
+    def offset(self) -> int:
+        """Bytes consumed."""
+        return self._start + self._pos
+
+    def _fill(self, *views: memoryview) -> int:
+        got = self._read_into(views)
+        if not got:
+            raise DecodeError("truncated", "the source ended early")
+        return got
+
+    def _claim(self, n: int) -> int:
+        """The offset of the next `n` bytes, which must lie within `limit`."""
+        if self.offset + n > self.limit:
+            raise DecodeError("bad_payload", "field runs past the end of the body")
+        return self.offset
+
+    def _consumed(self, view: memoryview, at: int) -> None:
+        self.crc = zlib.crc32(view[: max(0, self._checked - at)], self.crc)
 
     def take(self, n: int) -> memoryview:
-        if self._pos + n > len(self._data):
-            raise DecodeError("bad_payload", "field runs past the end of the body")
-        out = self._data[self._pos : self._pos + n]
+        """The next `n` bytes, valid until the next read."""
+        at = self._claim(n)
+        if self._end - self._pos < n:
+            kept = self._end - self._pos
+            self._stage[:kept] = self._stage[self._pos : self._end]
+            self._start, self._pos, self._end = self.offset, 0, kept
+            room = min(len(self._stage), self._size - self._start)
+            while self._end < n:
+                self._end += self._fill(self._stage[self._end : room])
         self._pos += n
+        out = self._stage[self._pos - n : self._pos]
+        self._consumed(out, at)
         return out
+
+    def skip_to(self, offset: int) -> None:
+        while self.offset < offset:
+            self.take(min(len(self._stage), offset - self.offset))
+
+    def _values_into(self, slot: np.ndarray) -> None:
+        """Fill `slot` with the next tensor's values: what is staged, then the rest from the source."""
+        view = memoryview(slot.reshape(-1).view(np.uint8))
+        at = self._claim(len(view))
+        got = min(len(view), self._end - self._pos)
+        view[:got] = self._stage[self._pos : self._pos + got]
+        self._pos += got
+        if got < len(view):
+            self._start, self._pos = self.offset + len(view) - got, 0
+            room = min(len(self._stage), self._size - self._start)
+            while got < len(view):
+                got += self._fill(view[got:], self._stage[:room])
+            self._end = got - len(view)  # what followed the tensor
+        self._consumed(view, at)
 
     def read(self, kind):
         if kind in _FIXED:
@@ -137,21 +207,20 @@ class _Reader:
         return kind(**{name: self.read(sub) for name, sub in BODY_LAYOUT[kind]})
 
     def _params(self) -> ParameterSet:
-        items: list[tuple[str, np.ndarray]] = []
-        for _ in range(self.read("u32")):
-            name = self.read("str")
-            shape = tuple(self.read("u32") for _ in range(self.read("u8")))
-            values = np.frombuffer(self.take(4 * math.prod(shape)), dtype=WIRE_DTYPE)
-            items.append((name, values.reshape(shape)))
+        count = self.read("u32")
+        entries = ((self.read("str"), self._shape(), self._values_into) for _ in range(count))
         try:
-            return ParameterSet(items)
+            return ParameterSet.laid_out((self.limit - self.offset) // WIRE_DTYPE.itemsize, entries)
         except ValueError as exc:
             raise DecodeError("bad_payload", str(exc)) from None
 
+    def _shape(self) -> tuple[int, ...]:
+        return tuple(self.read("u32") for _ in range(self.read("u8")))
+
     def read_all(self, kind, what: str):
-        """`kind` decoded from the whole buffer, with no bytes left over."""
+        """`kind` decoded from the bytes up to `limit`, with none left over."""
         value = self.read(kind)
-        if self._pos != len(self._data):
+        if self.offset != self.limit:
             raise DecodeError("bad_payload", f"unconsumed bytes after the {what}")
         return value
 
@@ -180,21 +249,47 @@ def encode_message(msg: FlMessage) -> bytes:
     return b"".join(encode_buffers(msg))
 
 
-def decode_message(data) -> FlMessage:
+def decode_message(data, read_into=None) -> FlMessage:
     """Exact inverse of encode_message; raises DecodeError on any defect.
 
-    The message holds no reference to `data`: each decoded parameter set
-    owns a copy of its values, so `data` can be freed or reused as soon
-    as this returns.
+    `data` is a whole frame, or, with `read_into` (a `_Reader` stream),
+    just its header, the rest to be read from that stream. The payload is
+    read once, and its CRC is checked before a message is returned or a
+    defect in its body is raised, so a corrupted payload always fails with
+    `checksum_mismatch`. The message holds no reference to `data`: each
+    parameter set is written into a buffer of its own as it is read.
     """
-    code, payload = parse_frame(data)
-    if len(payload) < 4:
+    if read_into is None:
+        code, length = parse_frame(data)
+        source = memoryview(data)[HEADER_SIZE:]
+    else:
+        code, length = parse_header(data)
+        source = read_into
+    reader = _Reader(source, length + TRAILER_SIZE, checked=length)
+    try:
+        msg, failure = _read_payload(reader, code, length), None
+    except DecodeError as exc:
+        msg, failure = None, exc
+    reader.limit = length + TRAILER_SIZE
+    reader.skip_to(length)
+    if reader.read("u32") != reader.crc & 0xFFFFFFFF:
+        raise DecodeError("checksum_mismatch")
+    if failure is not None:
+        raise failure
+    return msg
+
+
+def _read_payload(reader: _Reader, code: int, length: int) -> FlMessage:
+    """The message of type `code` from a `length`-byte payload: its body, then its auth tag."""
+    if length < 4:
         raise DecodeError("bad_payload", "payload too short for the auth tag")
     msg_type = _CODE_TO_TYPE.get(code)
     if msg_type is None:
         raise DecodeError("unknown_type", str(code))
-    msg = _Reader(payload[:-4]).read_all(msg_type, "message body")
-    (tag,) = struct.unpack_from("<I", payload, len(payload) - 4)
+    reader.limit = length - 4
+    msg = reader.read_all(msg_type, "message body")
+    reader.limit = length
+    tag = reader.read("u32")
     return with_tag(msg, tag) if tag else msg
 
 
@@ -206,7 +301,12 @@ def parameter_set_to_bytes(ps: ParameterSet) -> bytes:
 
 
 def parameter_set_from_bytes(data) -> ParameterSet:
-    return _Reader(data).read_all("params", "parameter set")
+    return read_parameter_set(data, memoryview(data).nbytes)
+
+
+def read_parameter_set(source, size: int) -> ParameterSet:
+    """The parameter set encoded in the next `size` bytes of a `_Reader` source."""
+    return _Reader(source, size).read_all("params", "parameter set")
 
 
 def compute_auth_tag(session_key: bytes, msg: FlMessage) -> int:

@@ -10,7 +10,8 @@ Layout (all integers little-endian):
     crc     u32      CRC-32 of the payload
 
 Decoding is total: every byte string yields a parsed frame or a
-DecodeError with a stable `code`, never an unchecked exception.
+DecodeError with a stable `code`, never an unchecked exception. The
+codec checks the CRC as it reads the payload, from a buffer or a stream.
 """
 
 from __future__ import annotations
@@ -68,8 +69,12 @@ def parse_header(data) -> tuple[int, int]:
     return msg_type, length
 
 
-def parse_frame(data) -> tuple[int, memoryview]:
-    """Parse one complete frame; returns (msg_type, payload view into `data`)."""
+def parse_frame(data) -> tuple[int, int]:
+    """Check the header and the size of one complete frame; returns (msg_type, length).
+
+    The payload's CRC is left to the decoder, which streams it over the
+    payload as it reads it.
+    """
     if len(data) < HEADER_SIZE:
         raise DecodeError("truncated", f"{len(data)} bytes is below the {HEADER_SIZE}-byte header")
     msg_type, length = parse_header(data)
@@ -78,8 +83,4 @@ def parse_frame(data) -> tuple[int, memoryview]:
         raise DecodeError("truncated", f"need {total} bytes, have {len(data)}")
     if len(data) > total:
         raise DecodeError("trailing_data", f"{len(data) - total} bytes past the frame end")
-    payload = memoryview(data)[HEADER_SIZE : HEADER_SIZE + length]
-    (crc,) = struct.unpack_from("<I", data, HEADER_SIZE + length)
-    if crc != (zlib.crc32(payload) & 0xFFFFFFFF):
-        raise DecodeError("checksum_mismatch")
-    return msg_type, payload
+    return msg_type, length

@@ -2,12 +2,13 @@
 
 A frame is written as its list of buffers (`encode_buffers`) with
 `sendmsg`, so a parameter tensor goes from its array to the socket and no
-send joins the frame into one copy. Frames are read by fixed-size header
-first, then exactly the advertised payload plus the CRC trailer into one
-anonymous memory map sized from the header, so arbitrary write
-fragmentation on the stream is invisible to the decoder. The decoded
-message keeps nothing of the map, so the frame's pages go back to the
-operating system as soon as it is decoded.
+send joins the frame into one copy. A frame is read by its fixed-size
+header first; the rest goes through `decode_message` as it is received:
+small fields through one staging buffer that never reads past the
+frame's end, and each tensor's values straight from the socket into its
+slot of the parameter set being built, with the CRC streamed over every
+byte. No frame is held whole, so arbitrary write fragmentation on the
+stream is invisible to the decoder and a received set is written once.
 The server side runs one reader thread per accepted connection, all
 feeding a single inbox queue; the protocol state machine stays
 single-threaded.
@@ -18,11 +19,11 @@ from __future__ import annotations
 import queue
 import socket
 import threading
+from functools import partial
 
-from ..params import mapped_buffer
 from .codec import decode_message, encode_buffers
 from .codec import encode_message  # noqa: F401  (bench/spans.py wraps it by this name)
-from .frame import HEADER_SIZE, TRAILER_SIZE, DecodeError, parse_header
+from .frame import HEADER_SIZE, DecodeError
 
 CONNECT_TIMEOUT_S = 30.0
 IOV_MAX = 1024  # buffers per sendmsg call; Linux's limit and a common one elsewhere
@@ -32,14 +33,12 @@ class ConnectionClosed(RuntimeError):
     pass
 
 
-def _recv_into(sock: socket.socket, view: memoryview, mid_frame: bool) -> None:
-    """Fill `view` from the socket."""
-    got = 0
-    while got < len(view):
-        n = sock.recv_into(view[got:])
-        if not n:
-            raise ConnectionClosed("peer closed mid-frame" if got or mid_frame else "peer closed")
-        got += n
+def _recv_some(sock: socket.socket, views) -> int:
+    """Receive bytes of a started frame into `views`, in order."""
+    got = sock.recvmsg_into(views)[0]
+    if not got:
+        raise ConnectionClosed("peer closed mid-frame")
+    return got
 
 
 def send_buffers(sock: socket.socket, buffers) -> None:
@@ -60,13 +59,14 @@ def send_message(sock: socket.socket, msg) -> None:
 
 
 def recv_message(sock: socket.socket):
-    header = bytearray(HEADER_SIZE)
-    _recv_into(sock, memoryview(header), mid_frame=False)
-    _msg_type, length = parse_header(header)
-    frame = mapped_buffer(HEADER_SIZE + length + TRAILER_SIZE)
-    frame[:HEADER_SIZE] = header
-    _recv_into(sock, memoryview(frame)[HEADER_SIZE:], mid_frame=True)
-    return decode_message(frame)
+    """The next message: its header read whole, the rest decoded as it is received."""
+    header = memoryview(bytearray(HEADER_SIZE))
+    got = sock.recv_into(header)
+    if not got:
+        raise ConnectionClosed("peer closed")
+    while got < HEADER_SIZE:
+        got += _recv_some(sock, [header[got:]])
+    return decode_message(header, partial(_recv_some, sock))
 
 
 class TcpConnection:

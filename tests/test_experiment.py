@@ -27,6 +27,8 @@ from flnp.protocol.fedavg import ProtocolError
 from flnp.rng import Rng
 from flnp.training import VALIDATION_MASK_KEY, evaluate, prepare_eval_batches
 
+from test_params import bert_set, set_bytes, traced_peak
+
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """A config as the plain JSON data `config_from_dict` reads."""
@@ -203,6 +205,14 @@ class TestRuns:
         final = [r for r in result.records if (r.scope, r.split) == ("global", "validation")][-1]
         assert final.round == cfg.rounds
         assert evaluate(model, batches)[0] == final.loss
+
+    def test_a_saved_set_loads_equal_holding_under_a_quarter_of_it(self, tmp_path):
+        ps = bert_set(4)
+        path = str(tmp_path / "bert.flnp")
+        save_params(ps, path)
+        loaded, peak = traced_peak(lambda: load_params(path))
+        assert loaded == ps
+        assert peak < set_bytes(ps) / 4
 
     def test_standalone_single_client_full_data_equals_centralized(self):
         base = dict(rounds=2, partition={"n_clients": 1, "mode": "balanced"},
@@ -387,6 +397,39 @@ class TestRoundOrder:
         run_experiment(self._lstm_cfg("tcp", rounds=2))
         assert sorted(len(refs) for refs in handled.values()) == [4, 4]  # 2 models in, 2 updates out
         assert held == []
+
+    @pytest.mark.parametrize("transport", ["channel", "tcp"])
+    def test_no_update_set_is_alive_at_any_server_validation(self, monkeypatch, transport):
+        from flnp.experiment import runner
+        from flnp.protocol.client import LocalTrainer
+
+        export, train_round, evaluate = LocalTrainer.export, LocalTrainer.train_round, runner.evaluate
+        exported = []  # weakrefs to every update's set
+        alive = []  # how many of them live at each server validation
+        round_1_validated = threading.Event()
+
+        def recording_export(self):
+            ps = export(self)
+            exported.append(weakref.ref(ps))
+            return ps
+
+        def held_train_round(self, round_no, epochs, lr):
+            if round_no == 2:  # round 1's validation runs while the clients are in round 2
+                round_1_validated.wait(timeout=20)
+            return train_round(self, round_no, epochs, lr)
+
+        def counting_evaluate(model, batches):
+            alive.append(sum(ref() is not None for ref in exported))
+            if len(alive) == 2:
+                round_1_validated.set()
+            return evaluate(model, batches)
+
+        monkeypatch.setattr(LocalTrainer, "export", recording_export)
+        monkeypatch.setattr(LocalTrainer, "train_round", held_train_round)
+        monkeypatch.setattr(runner, "evaluate", counting_evaluate)
+        run_experiment(small_cfg(rounds=3, transport=transport, addr="127.0.0.1:0"))
+        assert len(exported) == 6
+        assert alive == [0, 0, 0, 0]
 
     def test_zero_rounds_write_the_round_0_global_row_alone(self, tmp_path):
         rows = []

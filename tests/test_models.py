@@ -32,6 +32,7 @@ from flnp.training import batch_loss
 
 from gradcheck import widen
 from lstm_oracle import unrolled_logits
+from test_params import set_bytes, traced_peak
 
 
 def tiny_transformer(mode="mlm", vocab=13, layers=2, d=8, heads=2, seq=6, seed=5):
@@ -491,3 +492,15 @@ class TestComputeDtype:
             assert node.grad is None or node.grad.dtype == np.float32, node
         for _, tensor, m, v in opt._slots:
             assert tensor.data.dtype == m.dtype == v.dtype == np.float32
+
+
+def test_bert_init_holds_under_a_quarter_of_its_set_outside_the_set():
+    from flnp.models.base import init_array, init_params
+    from flnp.rng import Rng
+
+    cfg = preset("bert", 130, 64)
+    ps, peak = traced_peak(lambda: init_params(cfg, 9, "mlm"))
+    assert peak < set_bytes(ps) / 4
+    rng = Rng(9)  # the same draws, each made whole and rounded
+    assert ps == ParameterSet((name, init_array((name, shape, kind), rng).astype(np.float32))
+                              for name, shape, kind in transformer_manifest(cfg, "mlm"))

@@ -1,4 +1,5 @@
 import mmap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,3 +76,50 @@ def test_a_set_views_one_page_mapped_buffer_of_its_own():
     assert isinstance(_owner(ps["a"]), mmap.mmap)
     assert not np.shares_memory(ps["a"], src)
     assert all(arr.flags.c_contiguous and arr.flags.aligned for _, arr in ps.items())
+
+
+def bert_set(seed: int) -> ParameterSet:
+    """The bert preset's MLM set at the vocabulary of the bert_wire_tcp workload: 9.6 MB."""
+    from flnp.models.base import init_params
+    from flnp.models.config import preset
+
+    return init_params(preset("bert", 130, 64), seed, "mlm")
+
+
+def set_bytes(ps: ParameterSet) -> int:
+    return sum(arr.nbytes for _, arr in ps.items())
+
+
+def traced_peak(fn):
+    """`fn()` and the peak of the heap it traced on top of what was already allocated."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        return fn(), tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_written_rounds_each_tensor_into_its_slot_in_manifest_order():
+    order = []
+
+    def write(name, out):
+        order.append(name)
+        out[...] = np.full(out.shape, 0.1)
+
+    ps = ParameterSet.written([("a", (2, 3)), ("s", ()), ("e", (0, 4))], write)
+    assert order == ["a", "s", "e"]
+    assert ps == ParameterSet([("a", np.full((2, 3), 0.1)), ("s", np.array(0.1)), ("e", np.zeros((0, 4)))])
+    assert len({id(_owner(arr)) for _, arr in ps.items()}) == 1
+    assert not ps["a"].flags.writeable
+
+
+def test_laid_out_refuses_a_tensor_past_its_capacity_and_a_duplicate_name():
+    def entries(*names):
+        return ((name, (2,), lambda out: None) for name in names)
+
+    assert ParameterSet.laid_out(5, entries("a", "b")).names == ("a", "b")
+    with pytest.raises(ValueError, match="overruns"):
+        ParameterSet.laid_out(3, entries("a", "b"))
+    with pytest.raises(ValueError, match="duplicate"):
+        ParameterSet.laid_out(8, entries("a", "a"))

@@ -25,6 +25,8 @@ from flnp.tensor import UsageError
 from flnp.training import TrainPlan, count_correct
 from flnp.transport.codec import sign
 
+from test_params import bert_set, set_bytes, traced_peak
+
 
 def _params(values) -> ParameterSet:
     return ParameterSet([("w", np.asarray(values, dtype=np.float64))])
@@ -98,6 +100,18 @@ class TestAggregate:
         with pytest.raises(ProtocolError) as err:
             aggregate([_update(0, [1.0], 1, rnd=1), _update(1, [1.0], 1, rnd=2)])
         assert err.value.code == "round_mismatch"
+
+
+    def test_averaging_two_bert_sized_updates_holds_under_a_quarter_of_a_set(self):
+        a, b = bert_set(1), bert_set(2)
+        updates = [LocalUpdate(client_id=1, round=1, params=b, n_samples=5),
+                   LocalUpdate(client_id=0, round=1, params=a, n_samples=3)]
+        averaged, peak = traced_peak(lambda: aggregate(updates))
+        assert peak < set_bytes(a) / 4
+        name = "enc.3.ffn.w1"
+        w0 = a[name].astype(np.float64)
+        expected = (w0 + 0.625 * (b[name].astype(np.float64) - w0)).astype(np.float32)
+        assert np.array_equal(averaged[name], expected)
 
 
 class TestTop1:
@@ -313,6 +327,26 @@ class TestOnRound:
         server.report()
         assert reports[-1] == (1, [(0, {"id": 0.0}), (1, {"id": 1.0})])
 
+    def test_the_previous_global_set_is_dead_when_aggregate_starts(self, monkeypatch):
+        import flnp.protocol.server as server_module
+
+        alive_at_start = []
+
+        def checking_aggregate(updates):
+            alive_at_start.append(previous() is not None)
+            return aggregate(updates)
+
+        monkeypatch.setattr(server_module, "aggregate", checking_aggregate)
+        server = _provisioned(2, 2, lambda *args: {})
+        server.report()
+        for rnd in (1, 2):
+            previous = weakref.ref(server.global_params)
+            for cid in (0, 1):
+                _send_update(server, cid, [float(cid), 1.0], rnd)
+            server.report()
+        assert alive_at_start == [False, False]
+        assert server.phase == "done"
+
     def test_a_zero_round_run_reports_round_0_and_shuts_down(self):
         reports = []
         server = _server(n_clients=2, rounds=0, on_round=lambda *args: reports.append(args) or {})
@@ -378,6 +412,17 @@ class TestClient:
         out = client.handle(sign(GlobalModel(round=1, params=bad, local_epochs=1, lr=0.01), key))
         assert isinstance(out[0], ErrorMsg)
         assert out[0].code == "manifest_mismatch"
+
+    def test_holds_no_model_after_answering_a_global_model(self):
+        client, init = _client_fixture()
+        key = self._provision(client)
+        first = client.handle(sign(GlobalModel(round=1, params=init, local_epochs=1, lr=0.01), key))
+        assert isinstance(first[0], LocalUpdate)
+        assert client._trainer.model is None
+        second = client.handle(sign(GlobalModel(round=2, params=first[0].params,
+                                                local_epochs=1, lr=0.01), key))
+        assert isinstance(second[0], LocalUpdate)
+        assert client._trainer.model is None
 
     def test_unsigned_global_model_rejected(self):
         client, init = _client_fixture()
