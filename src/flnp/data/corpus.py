@@ -72,8 +72,10 @@ def planted_label(tokens: list[str]) -> int:
     return int(TRIGGER_DRUG in tokens and TRIGGER_LAB in tokens)
 
 
+# Cumulative weights are lists of Python floats, so a scalar weighted
+# choice bisects without boxing a numpy scalar at each comparison.
 # event kinds: 0 drug pair, 1 lab pair, 2 symptom, 3 marker lab
-_KIND_CUM = np.cumsum([0.35, 0.30, 0.25, 0.10])
+_KIND_CUM = np.cumsum([0.35, 0.30, 0.25, 0.10]).tolist()
 
 
 class _Grammar:
@@ -85,11 +87,11 @@ class _Grammar:
         self.levels = [f"val_{lvl}" for lvl in _LEVELS]
         self.symptoms = [f"sym_{i:02d}" for i in range(_N_SYMPTOMS)]
         self.marker_labs = [f"lab_marker_{lvl}" for lvl in _LEVELS]
-        self.drug_cum = np.cumsum([1.0 / (i + 2) for i in range(_N_DRUGS)])
-        self.lab_cum = np.cumsum([1.0 / (i + 2) for i in range(_N_LABS)])
-        self.sym_cum = np.cumsum([1.0 / (i + 2) for i in range(_N_SYMPTOMS)])
-        self.marker_cum = np.cumsum(np.asarray(_MARKER_WEIGHTS))
-        self.marker_lab_cum = np.cumsum([0.3, 0.3, 0.4])
+        self.drug_cum = np.cumsum([1.0 / (i + 2) for i in range(_N_DRUGS)]).tolist()
+        self.lab_cum = np.cumsum([1.0 / (i + 2) for i in range(_N_LABS)]).tolist()
+        self.sym_cum = np.cumsum([1.0 / (i + 2) for i in range(_N_SYMPTOMS)]).tolist()
+        self.marker_cum = np.cumsum(_MARKER_WEIGHTS).tolist()
+        self.marker_lab_cum = np.cumsum([0.3, 0.3, 0.4]).tolist()
 
     def paired_value(self, head_index: int, rng: Rng, values: list[str]) -> str:
         if rng.random() < _PAIR_AGREEMENT:

@@ -5,6 +5,9 @@ The generator is a counter-mode SplitMix64: output k of stream s is
 finalizer. Because outputs are a pure function of (root, counter), blocks
 of values vectorize with numpy uint64 arithmetic, and ``split(key)``
 derives an independent child stream without consuming from the parent.
+Scalar draws are served from a lookahead block of the stream's next
+outputs, computed in one numpy pass like any array draw: each value and
+the counter it consumes are the same as if it were drawn alone.
 Substreams keyed by client id / round / epoch give every component of a
 simulation its own replayable randomness.
 
@@ -25,6 +28,7 @@ _SEED_SALT = 0x6A09E667F3BCC909
 _SPLIT_SALT = 0xD1B54A32D192ED03
 
 _INV_2_53 = float(2.0**-53)
+_LOOKAHEAD = 64  # outputs computed per refill of the scalar lookahead
 
 
 def _mix(z: int) -> int:
@@ -50,11 +54,12 @@ def _shape_count(size: int | tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 class Rng:
     """One splittable stream. Not thread-safe; give each context its own."""
 
-    __slots__ = ("_root", "_count")
+    __slots__ = ("_root", "_count", "_ahead")
 
     def __init__(self, seed: int) -> None:
         self._root = _mix((int(seed) & _M64) ^ _SEED_SALT)
-        self._count = 0
+        self._count = 0  # outputs consumed
+        self._ahead: list[int] = []  # outputs after `_count`, last one next
 
     def child_seed(self, key: int) -> int:
         """Seed of the child stream for `key`; pure in (root, key)."""
@@ -64,18 +69,26 @@ class Rng:
         """Independent child stream; does not advance this stream."""
         return Rng(self.child_seed(key))
 
-    def _next(self) -> int:
-        """Next output as a Python int; the same value `_raw(1)` gives."""
-        self._count += 1
-        return _mix(self._root + self._count * _GOLDEN)
-
-    def _raw(self, n: int) -> np.ndarray:
-        """Next n outputs as uint64."""
+    def _outputs(self, n: int) -> np.ndarray:
+        """Outputs for counters `_count` + 1 .. `_count` + n as uint64; consumes none."""
         start = self._count + 1
-        self._count += n
         idx = np.arange(start, start + n, dtype=np.uint64) * np.uint64(_GOLDEN)
         idx += np.uint64(self._root)
         return _mix_array(idx)
+
+    def _next(self) -> int:
+        """Next output as a Python int; the same value `_raw(1)` gives."""
+        if not self._ahead:
+            self._ahead = self._outputs(_LOOKAHEAD)[::-1].tolist()
+        self._count += 1
+        return self._ahead.pop()
+
+    def _raw(self, n: int) -> np.ndarray:
+        """Next n outputs as uint64."""
+        self._ahead.clear()  # they belong to the counters this draw takes
+        out = self._outputs(n)
+        self._count += n
+        return out
 
     def uint64(self, size: int | tuple[int, ...] | None = None):
         if size is None:
@@ -113,8 +126,8 @@ class Rng:
 
     def integers(self, bound: int, size=None):
         """Unbiased integers in [0, bound) via rejection sampling."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        if not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must lie in [1, 2**64], got {bound}")
         if size is None:
             limit = (1 << 64) - (1 << 64) % bound  # draws at or above are rejected
             while True:
@@ -147,8 +160,13 @@ class Rng:
     def shuffled(self, items: list) -> list:
         return [items[i] for i in self.permutation(len(items))]
 
-    def weighted_choice(self, cumulative: np.ndarray, size=None):
-        """Indices sampled by a precomputed cumulative weight vector."""
+    def weighted_choice(self, cumulative, size=None):
+        """Indices sampled by precomputed cumulative weights.
+
+        `cumulative` is any non-decreasing sequence; a list of floats and
+        an array of the same doubles give the same index. A list makes the
+        scalar path fastest: its bisect compares Python floats.
+        """
         u = self.random(size) * cumulative[-1]
         if size is None:
             return bisect.bisect_right(cumulative, u)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from flnp.data import CorpusParams, gen_synthetic_corpus, load_corpus, planted_label, save_corpus
@@ -13,6 +15,22 @@ def test_fixed_seed_identical_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     save_corpus(gen_synthetic_corpus(43, 200), str(b))
     assert a.read_bytes() != b.read_bytes()
+
+
+# SHA-256 of save_corpus output, recorded from an earlier version of the
+# generator: a faster Rng or grammar must leave every corpus byte alone.
+PINNED_CORPORA = [
+    (42, 200, CorpusParams(), "8343881f6462e4020c3b829a8d919c8b2937ecc891bcdb91786685f881bcdf21"),
+    (7, 300, CorpusParams(min_len=8, max_len=16, label_noise=0.0),
+     "149b93d7d49d7be4521e3412b684e73ab3b1b64f90f401d70a4ad774c0020eaa"),
+]
+
+
+@pytest.mark.parametrize("seed, n, params, sha", PINNED_CORPORA)
+def test_corpus_bytes_are_pinned(tmp_path, seed, n, params, sha):
+    path = tmp_path / "corpus.txt"
+    save_corpus(gen_synthetic_corpus(seed, n, params), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
 def test_noise_free_labels_match_the_rule_exactly():

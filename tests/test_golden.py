@@ -12,6 +12,8 @@ import pytest
 from flnp.experiment.config import config_from_dict
 from flnp.experiment.metrics import emit_metrics
 from flnp.experiment.runner import params_checksum, run_experiment, save_params
+from flnp.models.base import init_params
+from flnp.models.config import preset
 
 from test_experiment import strip_wall_time
 
@@ -332,3 +334,18 @@ def test_golden_finetune_from_artifact(mode, tmp_path):
     results = run_experiment(tiny_config(ARTIFACT_CASE, mode=mode, pretrained_params_path=str(artifact)))
     assert phase_goldens(results, tmp_path) == ARTIFACT_GOLDEN[mode]
 
+
+
+# (preset, mode) -> SHA-256 of init_params(preset(name, 40, 16), 3, mode),
+# recorded like the run goldens: initial weights come from Rng array draws.
+INIT_GOLDEN = {
+    ("bert", "mlm"): "8da33beb251f485058d451c4b41c3bd093f92a7b3456d0fa265ee719c9461d5f",
+    ("bert_mini", "mlm"): "7d6f159510fa89132fa1b298a13cbf608e33d5352fb8a2a6e1a0d7801df72ccf",
+    ("lstm", "classify"): "6bf2b927c6b23198bf67c92dd5513260b4980f4c3b81b928fd874bdad507f641",
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(INIT_GOLDEN))
+def test_golden_init_params(name, mode):
+    checksum = params_checksum(init_params(preset(name, 40, 16), 3, mode))
+    assert checksum == INIT_GOLDEN[name, mode]

@@ -1,7 +1,12 @@
+import bisect
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from flnp.rng import Rng
+from flnp.rng import _GOLDEN, Rng, _mix
 
 
 def test_same_seed_same_stream():
@@ -90,6 +95,21 @@ def test_integers_rejects_bad_bound():
         Rng(0).integers(0)
 
 
+def test_integers_refuses_bounds_above_2_64():
+    with pytest.raises(ValueError):
+        Rng(1).integers(2**64 + 1, size=3)
+    # The scalar path once rejected every draw of such a bound and never
+    # returned, so it runs in a process of its own under a timeout.
+    code = ("from flnp.rng import Rng\n"
+            "try:\n    Rng(1).integers(2**64 + 1)\n"
+            "except ValueError:\n    print('refused')\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.stdout.strip() == "refused", proc.stderr
+    assert Rng(1).integers(2**64) == Rng(1).uint64()
+
+
 def test_permutation_is_a_permutation():
     perm = Rng(21).permutation(100)
     assert sorted(perm) == list(range(100))
@@ -106,3 +126,84 @@ def test_weighted_choice_prefers_heavy_entries():
     picks = Rng(8).weighted_choice(cum, size=2_000)
     assert (picks == 0).mean() > 0.8
     assert picks.max() <= 2
+
+
+def _reference(root: int, k: int) -> int:
+    """Output at counter k, straight from the counter-mode definition."""
+    return _mix((root + k * _GOLDEN) % 2**64)
+
+
+def _reference_integers(root: int, k: int, bound: int, n: int) -> tuple[list[int], int]:
+    """`integers(bound, size=n)` by its block rule: draw as many as are still
+    missing, keep those below the limit, repeat."""
+    limit = 2**64 - 2**64 % bound
+    out: list[int] = []
+    while len(out) < n:
+        block = [_reference(root, k + 1 + i) for i in range(n - len(out))]
+        k += len(block)
+        out += [d % bound for d in block if d < limit]
+    return out, k
+
+
+def _reference_scalar(root: int, k: int, kind: str, arg) -> tuple[object, int]:
+    """(value, counter after it) of one scalar draw that follows counter k."""
+    if kind == "integers":
+        limit = 2**64 - 2**64 % arg
+        while True:
+            k += 1
+            draw = _reference(root, k)
+            if draw < limit:
+                return draw % arg, k
+    k += 1
+    draw = _reference(root, k)
+    u = (draw >> 11) * 2.0**-53
+    if kind == "uint64":
+        return draw, k
+    if kind == "random":
+        return u, k
+    return bisect.bisect_right(arg, u * arg[-1]), k
+
+
+SCALAR_KINDS = [("uint64", None), ("random", None), ("integers", 7),
+                ("integers", 2**63 + 1),  # rejects about half of all draws
+                ("weighted_choice", np.cumsum([0.5, 0.2, 0.3]).tolist()),
+                ("weighted_choice", np.cumsum([0.5, 0.2, 0.3]))]  # an array: the same indices
+
+# name -> (array draw, counters it consumes after counter k; a split consumes none)
+ARRAY_DRAWS = {
+    "random": (lambda r: r.random(5), lambda root, k: k + 5),
+    "uniform": (lambda r: r.uniform(-1.0, 1.0, (2, 3)), lambda root, k: k + 6),
+    "normal": (lambda r: r.normal(0.0, 1.0, 3), lambda root, k: k + 4),
+    "integers": (lambda r: r.integers(2**63 + 1, size=9),
+                 lambda root, k: _reference_integers(root, k, 2**63 + 1, 9)[1]),
+    "permutation": (lambda r: r.permutation(6), lambda root, k: k + 6),
+    "shuffled": (lambda r: r.shuffled(list("abcd")), lambda root, k: k + 4),
+    "split": (lambda r: r.split(5), lambda root, k: k),
+}
+
+
+@pytest.mark.parametrize("run", [63, 64, 65, 130])
+def test_scalar_lookahead_matches_the_counter_reference(run):
+    """Scalar draws equal the counter-mode definition across lookahead refills,
+    array draws and splits, and `_count` is the number of outputs consumed."""
+    for kind, arg in SCALAR_KINDS:
+        for between, (draw, consumed) in ARRAY_DRAWS.items():
+            rng = Rng(2024)
+            root, k = rng._root, 0
+            for step in range(2 * run):
+                if step == run:
+                    result = draw(rng)
+                    if between == "random":
+                        want = [(_reference(root, k + 1 + i) >> 11) * 2.0**-53 for i in range(5)]
+                        assert result.tolist() == want
+                    elif between == "integers":
+                        assert result.tolist() == _reference_integers(root, k, 2**63 + 1, 9)[0]
+                    elif between == "split":
+                        assert result.uint64() == _reference(result._root, 1)
+                    k = consumed(root, k)
+                    assert rng._count == k, (kind, between)
+                got = getattr(rng, kind)() if arg is None else getattr(rng, kind)(arg)
+                want, k = _reference_scalar(root, k, kind, arg)
+                assert type(got) is type(want)
+                assert got == want, (kind, arg, between, step)
+                assert rng._count == k
