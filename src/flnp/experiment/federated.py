@@ -30,6 +30,7 @@ from ..protocol.messages import ErrorMsg
 from ..protocol.server import FlServer
 from ..rng import Rng
 from ..transport.codec import sign
+from ..transport.frame import DecodeError
 from ..transport.tcp import ConnectionClosed, TcpConnection
 
 
@@ -152,19 +153,24 @@ def tcp_client_loop(client: FlClient, conn: TcpConnection) -> None:
 
     A `ProtocolError` the client raises itself is sent to the server as a
     signed `ErrorMsg` before it propagates; one the server reported is not
-    sent back. Each message and its replies are let go of before the next
-    frame is read.
+    sent back. A frame from the server that does not decode raises
+    `ProtocolError` with the decode code. Each message and its replies are
+    let go of before the next frame is read.
     """
     try:
         conn.send(client.hello())
         while not client.done:
-            _serve(client, conn, conn.recv())
+            _serve(client, conn)
     finally:
         conn.close()
 
 
-def _serve(client: FlClient, conn: TcpConnection, msg) -> None:
-    """Hand `msg` to `client` and send its replies."""
+def _serve(client: FlClient, conn: TcpConnection) -> None:
+    """Hand the next message to `client` and send its replies."""
+    try:
+        msg = conn.recv()
+    except DecodeError as exc:
+        raise ProtocolError(exc.code, f"malformed frame from the server ({exc})") from None
     try:
         replies = client.handle(msg)
     except ProtocolError as exc:

@@ -50,6 +50,7 @@ from ..rng import Rng
 from ..tensor import UsageError
 from ..training import VALIDATION_MASK_KEY, TrainPlan, evaluate, prepare_eval_batches, split_holdout
 from ..transport.codec import parameter_set_to_bytes, read_parameter_set
+from ..transport.frame import DecodeError
 from ..transport.tcp import ConnectionClosed, TcpServer, connect
 from .config import ExperimentConfig
 from .federated import ChannelServer, drive, tcp_client_loop
@@ -95,7 +96,7 @@ def save_params(ps: ParameterSet, path: str) -> None:
 def load_params(path: str) -> ParameterSet:
     """The set saved at `path`, read from the file straight into its own buffer."""
     with open(path, "rb", buffering=0) as fh:
-        return read_parameter_set(partial(os.readv, fh.fileno()), os.fstat(fh.fileno()).st_size)
+        return read_parameter_set(fh.readinto, os.fstat(fh.fileno()).st_size)
 
 
 def build_dataset(cfg: ExperimentConfig) -> DatasetBundle:
@@ -321,12 +322,13 @@ def run_experiment(
         if results:
             encoders = list(results[-1].finals.values())
         elif phase_cfg.phase == "finetune_classify" and phase_cfg.pretrained_params_path:
+            path = phase_cfg.pretrained_params_path
             try:
-                encoders = [load_params(phase_cfg.pretrained_params_path)]
+                encoders = [load_params(path)]
             except FileNotFoundError:
-                raise UsageError(
-                    f"pretraining snapshot '{phase_cfg.pretrained_params_path}' not found"
-                ) from None
+                raise UsageError(f"pretraining snapshot '{path}' not found") from None
+            except DecodeError as exc:
+                raise UsageError(f"pretraining snapshot '{path}' is corrupt: {exc.code}") from None
         else:
             encoders = []
         fresh = _initial_params(phase_cfg, bundle)

@@ -21,8 +21,8 @@ its slot of the buffer as it is computed, copied or received, so
 building a set holds at most one of its tensors outside the buffer.
 `ParameterSet.written` does that for a known manifest (averaging,
 initialisation); `ParameterSet.laid_out` serves the decoder, which
-learns each name and shape as it reads them and sizes the buffer from
-an upper bound on the values it will receive.
+learns each name and shape as it reads them and lays the set out in the
+buffer the encoded set was read into.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ WIRE_DTYPE = np.dtype("<f4")
 _MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
 
 
-def mapped_buffer(nbytes: int) -> mmap.mmap:
-    """A zeroed, writable anonymous memory map of `nbytes` bytes (one byte if 0)."""
-    return mmap.mmap(-1, max(nbytes, 1), flags=_MAP_FLAGS)
+def mapped_buffer(nbytes: int) -> memoryview:
+    """A view of exactly `nbytes` zeroed, writable bytes of an anonymous memory map."""
+    return memoryview(mmap.mmap(-1, max(nbytes, 1), flags=_MAP_FLAGS))[:nbytes]
 
 
 # (name, shape, write): `write(slot)` fills the tensor's writable float32 slot
@@ -57,21 +57,22 @@ class ParameterSet:
 
     def __init__(self, items: Iterable[tuple[str, np.ndarray]]) -> None:
         sources = [(name, np.asarray(arr)) for name, arr in items]
-        self._arrays = _layout(sum(arr.size for _, arr in sources),
+        size = sum(arr.size for _, arr in sources) * WIRE_DTYPE.itemsize
+        self._arrays = _layout(mapped_buffer(size),
                                ((name, arr.shape, partial(np.copyto, src=arr, casting="unsafe"))
                                 for name, arr in sources))
 
     @classmethod
-    def laid_out(cls, capacity: int, entries: Iterable[Entry]) -> "ParameterSet":
-        """The set of `entries`, each written into the next slot of a buffer of `capacity` values.
+    def laid_out(cls, buffer, entries: Iterable[Entry]) -> "ParameterSet":
+        """The set of `entries`, each written into the next slot of `buffer`, which it keeps.
 
         `entries` yields (name, shape, write) in manifest order, and each
-        `write(slot)` runs before the next entry is drawn. `capacity` is an
-        upper bound on the tensors' total size; a duplicate name, or a
-        tensor that does not fit, raises ValueError.
+        `write(slot)` runs before the next entry is drawn. A duplicate
+        name, or a tensor past the `len(buffer) // 4` float32 values of
+        the buffer, raises ValueError.
         """
         ps = cls.__new__(cls)
-        ps._arrays = _layout(capacity, entries)
+        ps._arrays = _layout(buffer, entries)
         return ps
 
     @classmethod
@@ -79,7 +80,8 @@ class ParameterSet:
                 write: Callable[[str, np.ndarray], None]) -> "ParameterSet":
         """The set of `manifest`'s (name, shape) pairs, `write(name, slot)` filling each slot in order."""
         manifest = tuple(manifest)
-        return cls.laid_out(sum(math.prod(shape) for _, shape in manifest),
+        size = sum(math.prod(shape) for _, shape in manifest) * WIRE_DTYPE.itemsize
+        return cls.laid_out(mapped_buffer(size),
                             ((name, shape, partial(write, name)) for name, shape in manifest))
 
     @property
@@ -120,9 +122,10 @@ class ParameterSet:
         return self
 
 
-def _layout(capacity: int, entries: Iterable[Entry]) -> dict[str, np.ndarray]:
-    """Read-only views into one new mapped buffer, each entry's tensor written into its slot."""
-    flat = np.frombuffer(mapped_buffer(capacity * WIRE_DTYPE.itemsize), WIRE_DTYPE, count=capacity)
+def _layout(buffer, entries: Iterable[Entry]) -> dict[str, np.ndarray]:
+    """Read-only float32 views into `buffer`, each entry's tensor written into its slot."""
+    capacity = len(buffer) // WIRE_DTYPE.itemsize
+    flat = np.frombuffer(buffer, WIRE_DTYPE, count=capacity)
     arrays: dict[str, np.ndarray] = {}
     used = 0
     # overflow to +-inf is the defined rounding of out-of-range values

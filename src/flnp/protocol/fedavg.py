@@ -50,12 +50,15 @@ def aggregate(updates: list[LocalUpdate]) -> ParameterSet:
 
     base = ordered[0].params
     shares = [(u.params, c / total) for u, c in zip(ordered[1:], counts[1:]) if c]
+    # w0, the sum and a delta for every tensor: fresh temporaries can fault in every page
+    scratch = np.empty((3, max((arr.size for _, arr in base.items()), default=0)))
 
     def write_average(name: str, out: np.ndarray) -> None:
-        w0 = base[name].astype(np.float64)
-        acc = w0.copy()
+        w0, acc, delta = (row[: out.size].reshape(out.shape) for row in scratch)
+        np.copyto(w0, base[name])
+        np.copyto(acc, w0)
         for params, share in shares:
-            delta = params[name].astype(np.float64)
+            np.copyto(delta, params[name])
             delta -= w0
             delta *= share
             acc += delta

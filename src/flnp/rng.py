@@ -139,15 +139,17 @@ class Rng:
 
     def _integer_block(self, bound: int, n: int) -> np.ndarray:
         rem = (1 << 64) % bound
-        out = np.empty(n, dtype=np.int64)
+        # int64 holds every draw below 2**63; a larger bound's draws need uint64
+        out = np.empty(n, dtype=np.int64 if bound <= 1 << 63 else np.uint64)
         filled = 0
         while filled < n:
             draw = self._raw(n - filled)
             if rem:
                 draw = draw[draw < np.uint64((1 << 64) - rem)]
-            accepted = (draw % np.uint64(bound)).astype(np.int64)
-            out[filled : filled + accepted.size] = accepted
-            filled += accepted.size
+            if bound < 1 << 64:  # else every draw is its own remainder
+                draw = draw % np.uint64(bound)
+            out[filled : filled + draw.size] = draw
+            filled += draw.size
         return out
 
     def permutation(self, n: int) -> np.ndarray:

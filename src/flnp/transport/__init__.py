@@ -4,7 +4,6 @@ from .frame import (
     FRAME_VERSION,
     MAX_PAYLOAD,
     build_frame,
-    parse_frame,
 )
 from .codec import (
     compute_auth_tag,
@@ -22,7 +21,6 @@ __all__ = [
     "FRAME_VERSION",
     "MAX_PAYLOAD",
     "build_frame",
-    "parse_frame",
     "compute_auth_tag",
     "decode_message",
     "encode_buffers",

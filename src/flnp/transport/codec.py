@@ -13,20 +13,22 @@ chunks: small fields are packed, and each tensor's values are its set's
 own float32 array, referenced rather than copied. Signing, verifying and
 framing all stream over those chunks, and `encode_buffers` hands the
 frame on as a list of buffers, so a TCP send joins nothing;
-`encode_message` is that list joined. Decoding walks the same layout
-with one `_Reader` over any byte source, a buffer, a socket or a file: it
-writes each tensor's values once, straight into the parameter set it
-builds, and streams the frame's CRC over the bytes as they arrive.
+`encode_message` is that list joined. Decoding reads a payload whole
+from its source (a socket, a file or bytes) into one buffer, checks its
+CRC, and walks the same layout with a cursor over it; a parameter set
+keeps that buffer, each tensor's values moved down to their slot.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 import zlib
+from typing import Callable
 
 import numpy as np
 
-from ..params import WIRE_DTYPE, ParameterSet
+from ..params import ParameterSet, mapped_buffer
 from ..protocol.messages import (
     ErrorMsg,
     FlMessage,
@@ -39,7 +41,7 @@ from ..protocol.messages import (
     Shutdown,
     with_tag,
 )
-from .frame import HEADER_SIZE, TRAILER_SIZE, DecodeError, frame_buffers, parse_frame, parse_header
+from .frame import HEADER_SIZE, TRAILER_SIZE, DecodeError, fill, frame_buffers, parse_header
 
 MSG_CODES: dict[type, int] = {
     Hello: 1,
@@ -72,6 +74,10 @@ BODY_LAYOUT: dict[type, tuple[tuple[str, object], ...]] = {
     RoundPlan: (("rounds", "u32"), ("local_epochs", "u32"), ("lr", "f64")),
 }
 
+# message types whose payload buffer becomes the buffer of the set they carry
+_CARRIES_SET = {msg_type for msg_type, layout in BODY_LAYOUT.items()
+                if any(kind == "params" for _, kind in layout)}
+
 _FIXED = {name: struct.Struct("<" + c) for name, c in
           (("u8", "B"), ("u16", "H"), ("u32", "I"), ("u64", "Q"), ("f64", "d"))}
 
@@ -102,93 +108,27 @@ def _put(chunks: list, kind, value) -> None:
             _put(chunks, sub, getattr(value, name))
 
 
-# Room for the longest small field (a string of 0xFFFF bytes), and for
-# enough of a stream that a frame takes few reads: each read passes the
-# interpreter lock to and from the threads that compute. The stage is a
-# heap block, not a map: making and dropping a map releases the lock too.
-STAGE_BYTES = 0x100000
-
-
 class _Reader:
-    """Decodes `BODY_LAYOUT` encodings from the next `size` bytes of a byte source.
+    """A cursor that decodes `BODY_LAYOUT` encodings from a buffer.
 
-    The source is a buffer, or a `read_into(views)` that reads at least
-    one byte of a stream (a socket or a file) into a sequence of views,
-    filling them in order, and returns the count. A buffer is staged
-    whole. A stream's small fields go through one staging buffer that
-    never reads past the `size` bytes; each tensor's values go straight
-    into their slot of the parameter set being built, whose buffer is
-    sized from the bytes left, and the read that completes a tensor
-    brings what follows it into the stage. `crc` runs over the first
-    `checked` bytes as they are decoded. No field may run past `limit`.
+    A tensor's values are moved down to their float32 slot of the same
+    buffer, which the decoded parameter set keeps: slot i starts at or
+    before its wire bytes and ends before tensor i+1's name, so the move
+    overwrites nothing not yet read.
     """
 
-    def __init__(self, source, size: int, checked: int = 0) -> None:
-        self._size = self.limit = size
-        self._checked = checked
-        self.crc = 0
-        self._start = self._pos = 0  # source offset of the stage; bytes of it consumed
-        if callable(source):
-            self._read_into = source
-            self._stage = memoryview(bytearray(min(size, STAGE_BYTES)))
-            self._end = 0  # bytes staged
-        else:
-            self._stage = memoryview(source).cast("B")
-            self._end = len(self._stage)
-
-    @property
-    def offset(self) -> int:
-        """Bytes consumed."""
-        return self._start + self._pos
-
-    def _fill(self, *views: memoryview) -> int:
-        got = self._read_into(views)
-        if not got:
-            raise DecodeError("truncated", "the source ended early")
-        return got
-
-    def _claim(self, n: int) -> int:
-        """The offset of the next `n` bytes, which must lie within `limit`."""
-        if self.offset + n > self.limit:
-            raise DecodeError("bad_payload", "field runs past the end of the body")
-        return self.offset
-
-    def _consumed(self, view: memoryview, at: int) -> None:
-        self.crc = zlib.crc32(view[: max(0, self._checked - at)], self.crc)
+    def __init__(self, buffer) -> None:
+        self._buffer = memoryview(buffer)
+        self._pos = 0
 
     def take(self, n: int) -> memoryview:
-        """The next `n` bytes, valid until the next read."""
-        at = self._claim(n)
-        if self._end - self._pos < n:
-            kept = self._end - self._pos
-            self._stage[:kept] = self._stage[self._pos : self._end]
-            self._start, self._pos, self._end = self.offset, 0, kept
-            room = min(len(self._stage), self._size - self._start)
-            while self._end < n:
-                self._end += self._fill(self._stage[self._end : room])
+        if self._pos + n > len(self._buffer):
+            raise DecodeError("bad_payload", "field runs past the end of the body")
         self._pos += n
-        out = self._stage[self._pos - n : self._pos]
-        self._consumed(out, at)
-        return out
-
-    def skip_to(self, offset: int) -> None:
-        while self.offset < offset:
-            self.take(min(len(self._stage), offset - self.offset))
+        return self._buffer[self._pos - n : self._pos]
 
     def _values_into(self, slot: np.ndarray) -> None:
-        """Fill `slot` with the next tensor's values: what is staged, then the rest from the source."""
-        view = memoryview(slot.reshape(-1).view(np.uint8))
-        at = self._claim(len(view))
-        got = min(len(view), self._end - self._pos)
-        view[:got] = self._stage[self._pos : self._pos + got]
-        self._pos += got
-        if got < len(view):
-            self._start, self._pos = self.offset + len(view) - got, 0
-            room = min(len(self._stage), self._size - self._start)
-            while got < len(view):
-                got += self._fill(view[got:], self._stage[:room])
-            self._end = got - len(view)  # what followed the tensor
-        self._consumed(view, at)
+        memoryview(slot.reshape(-1).view(np.uint8))[:] = self.take(slot.nbytes)
 
     def read(self, kind):
         if kind in _FIXED:
@@ -210,7 +150,7 @@ class _Reader:
         count = self.read("u32")
         entries = ((self.read("str"), self._shape(), self._values_into) for _ in range(count))
         try:
-            return ParameterSet.laid_out((self.limit - self.offset) // WIRE_DTYPE.itemsize, entries)
+            return ParameterSet.laid_out(self._buffer, entries)
         except ValueError as exc:
             raise DecodeError("bad_payload", str(exc)) from None
 
@@ -218,9 +158,9 @@ class _Reader:
         return tuple(self.read("u32") for _ in range(self.read("u8")))
 
     def read_all(self, kind, what: str):
-        """`kind` decoded from the bytes up to `limit`, with none left over."""
+        """`kind` decoded from the whole buffer, with no bytes left over."""
         value = self.read(kind)
-        if self.offset != self.limit:
+        if self._pos != len(self._buffer):
             raise DecodeError("bad_payload", f"unconsumed bytes after the {what}")
         return value
 
@@ -252,44 +192,33 @@ def encode_message(msg: FlMessage) -> bytes:
 def decode_message(data, read_into=None) -> FlMessage:
     """Exact inverse of encode_message; raises DecodeError on any defect.
 
-    `data` is a whole frame, or, with `read_into` (a `_Reader` stream),
-    just its header, the rest to be read from that stream. The payload is
-    read once, and its CRC is checked before a message is returned or a
-    defect in its body is raised, so a corrupted payload always fails with
-    `checksum_mismatch`. The message holds no reference to `data`: each
-    parameter set is written into a buffer of its own as it is read.
+    `data` is one whole frame, or, with `read_into` (see `fill`), just its
+    header. The payload is read whole into one buffer, mapped if it
+    carries a parameter set, which keeps it, and its CRC is checked before
+    any field is decoded: a corrupted payload fails with
+    `checksum_mismatch`, and a refused frame has been read to its end.
     """
-    if read_into is None:
-        code, length = parse_frame(data)
-        source = memoryview(data)[HEADER_SIZE:]
-    else:
-        code, length = parse_header(data)
-        source = read_into
-    reader = _Reader(source, length + TRAILER_SIZE, checked=length)
-    try:
-        msg, failure = _read_payload(reader, code, length), None
-    except DecodeError as exc:
-        msg, failure = None, exc
-    reader.limit = length + TRAILER_SIZE
-    reader.skip_to(length)
-    if reader.read("u32") != reader.crc & 0xFFFFFFFF:
+    if read_into is None:  # its size is checked before anything is read
+        frame = memoryview(data).cast("B")
+        size = HEADER_SIZE + parse_header(frame)[1] + TRAILER_SIZE
+        if len(frame) != size:
+            code = "truncated" if len(frame) < size else "trailing_data"
+            raise DecodeError(code, f"{len(frame)} bytes for a frame of {size}")
+        data, read_into = frame, io.BytesIO(frame[HEADER_SIZE:]).readinto
+    code, length = parse_header(data)
+    msg_type = _CODE_TO_TYPE.get(code)
+    payload = mapped_buffer(length) if msg_type in _CARRIES_SET else bytearray(length)
+    fill(read_into, payload)
+    trailer = bytearray(TRAILER_SIZE)
+    fill(read_into, trailer)
+    if int.from_bytes(trailer, "little") != zlib.crc32(payload):
         raise DecodeError("checksum_mismatch")
-    if failure is not None:
-        raise failure
-    return msg
-
-
-def _read_payload(reader: _Reader, code: int, length: int) -> FlMessage:
-    """The message of type `code` from a `length`-byte payload: its body, then its auth tag."""
     if length < 4:
         raise DecodeError("bad_payload", "payload too short for the auth tag")
-    msg_type = _CODE_TO_TYPE.get(code)
     if msg_type is None:
         raise DecodeError("unknown_type", str(code))
-    reader.limit = length - 4
-    msg = reader.read_all(msg_type, "message body")
-    reader.limit = length
-    tag = reader.read("u32")
+    msg = _Reader(memoryview(payload)[:-4]).read_all(msg_type, "message body")
+    tag = int.from_bytes(payload[-4:], "little")
     return with_tag(msg, tag) if tag else msg
 
 
@@ -301,12 +230,14 @@ def parameter_set_to_bytes(ps: ParameterSet) -> bytes:
 
 
 def parameter_set_from_bytes(data) -> ParameterSet:
-    return read_parameter_set(data, memoryview(data).nbytes)
+    return read_parameter_set(io.BytesIO(data).readinto, memoryview(data).nbytes)
 
 
-def read_parameter_set(source, size: int) -> ParameterSet:
-    """The parameter set encoded in the next `size` bytes of a `_Reader` source."""
-    return _Reader(source, size).read_all("params", "parameter set")
+def read_parameter_set(read_into: Callable[[memoryview], int], size: int) -> ParameterSet:
+    """The parameter set encoded in the next `size` bytes that `read_into` reads (see `fill`)."""
+    buffer = mapped_buffer(size)
+    fill(read_into, buffer)
+    return _Reader(buffer).read_all("params", "parameter set")
 
 
 def compute_auth_tag(session_key: bytes, msg: FlMessage) -> int:

@@ -11,13 +11,15 @@ Layout (all integers little-endian):
 
 Decoding is total: every byte string yields a parsed frame or a
 DecodeError with a stable `code`, never an unchecked exception. The
-codec checks the CRC as it reads the payload, from a buffer or a stream.
+codec reads a payload whole, with `fill`, and checks its CRC before it
+decodes a field.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from typing import Callable
 
 FRAME_MAGIC = b"FLNP"
 FRAME_VERSION = 1
@@ -59,6 +61,8 @@ def build_frame(msg_type: int, *chunks) -> bytes:
 
 def parse_header(data) -> tuple[int, int]:
     """Check the first HEADER_SIZE bytes of a frame; returns (msg_type, length)."""
+    if len(data) < HEADER_SIZE:
+        raise DecodeError("truncated", f"{len(data)} bytes is below the {HEADER_SIZE}-byte header")
     magic, version, msg_type, length = _HEADER.unpack_from(data)
     if magic != FRAME_MAGIC:
         raise DecodeError("bad_magic", repr(magic))
@@ -69,18 +73,15 @@ def parse_header(data) -> tuple[int, int]:
     return msg_type, length
 
 
-def parse_frame(data) -> tuple[int, int]:
-    """Check the header and the size of one complete frame; returns (msg_type, length).
+def fill(read_into: Callable[[memoryview], int], buffer) -> None:
+    """Fill `buffer` from a byte source: `read_into(view)` reads into the front of `view`.
 
-    The payload's CRC is left to the decoder, which streams it over the
-    payload as it reads it.
+    `read_into` returns the count of bytes it read, at least one, or 0 at
+    the source's end, which raises DecodeError("truncated").
     """
-    if len(data) < HEADER_SIZE:
-        raise DecodeError("truncated", f"{len(data)} bytes is below the {HEADER_SIZE}-byte header")
-    msg_type, length = parse_header(data)
-    total = HEADER_SIZE + length + TRAILER_SIZE
-    if len(data) < total:
-        raise DecodeError("truncated", f"need {total} bytes, have {len(data)}")
-    if len(data) > total:
-        raise DecodeError("trailing_data", f"{len(data) - total} bytes past the frame end")
-    return msg_type, length
+    view = memoryview(buffer)
+    while view:
+        n = read_into(view)
+        if not n:
+            raise DecodeError("truncated", "the source ended early")
+        view = view[n:]

@@ -3,12 +3,9 @@
 A frame is written as its list of buffers (`encode_buffers`) with
 `sendmsg`, so a parameter tensor goes from its array to the socket and no
 send joins the frame into one copy. A frame is read by its fixed-size
-header first; the rest goes through `decode_message` as it is received:
-small fields through one staging buffer that never reads past the
-frame's end, and each tensor's values straight from the socket into its
-slot of the parameter set being built, with the CRC streamed over every
-byte. No frame is held whole, so arbitrary write fragmentation on the
-stream is invisible to the decoder and a received set is written once.
+header first; `decode_message` then reads the payload whole with
+`recv_into` into one buffer, which a received parameter set keeps, so
+arbitrary write fragmentation on the stream is invisible to the decoder.
 The server side runs one reader thread per accepted connection, all
 feeding a single inbox queue; the protocol state machine stays
 single-threaded.
@@ -23,7 +20,7 @@ from functools import partial
 
 from .codec import decode_message, encode_buffers
 from .codec import encode_message  # noqa: F401  (bench/spans.py wraps it by this name)
-from .frame import HEADER_SIZE, DecodeError
+from .frame import HEADER_SIZE, DecodeError, fill
 
 CONNECT_TIMEOUT_S = 30.0
 IOV_MAX = 1024  # buffers per sendmsg call; Linux's limit and a common one elsewhere
@@ -33,11 +30,11 @@ class ConnectionClosed(RuntimeError):
     pass
 
 
-def _recv_some(sock: socket.socket, views) -> int:
-    """Receive bytes of a started frame into `views`, in order."""
-    got = sock.recvmsg_into(views)[0]
+def _recv_some(sock: socket.socket, view: memoryview) -> int:
+    """Receive bytes into the front of `view`."""
+    got = sock.recv_into(view)
     if not got:
-        raise ConnectionClosed("peer closed mid-frame")
+        raise ConnectionClosed("peer closed")
     return got
 
 
@@ -59,14 +56,11 @@ def send_message(sock: socket.socket, msg) -> None:
 
 
 def recv_message(sock: socket.socket):
-    """The next message: its header read whole, the rest decoded as it is received."""
-    header = memoryview(bytearray(HEADER_SIZE))
-    got = sock.recv_into(header)
-    if not got:
-        raise ConnectionClosed("peer closed")
-    while got < HEADER_SIZE:
-        got += _recv_some(sock, [header[got:]])
-    return decode_message(header, partial(_recv_some, sock))
+    """The next message: its header, then the rest through `decode_message`."""
+    header = bytearray(HEADER_SIZE)
+    read_into = partial(_recv_some, sock)
+    fill(read_into, header)
+    return decode_message(header, read_into)
 
 
 class TcpConnection:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -358,3 +359,75 @@ def test_two_phase_tcp_run_matches_channel_run(tmp_path, capsys, monkeypatch):
     assert cli_main(["run", "--config", cfg, "--transport", "channel", "--out", str(tmp_path / "ch")]) == 0
     over_channel = re.findall(r"sha256 (\w+)", capsys.readouterr().out)
     assert len(over_tcp) == 2 and over_tcp == over_channel
+
+
+def test_a_corrupt_or_truncated_pretraining_snapshot_exits_2_naming_it(tmp_path, capsys):
+    from flnp.experiment.runner import save_params
+    from flnp.models.base import init_params
+    from flnp.models.config import preset
+
+    snapshot = tmp_path / "pretrained.flnp"
+    save_params(init_params(preset("bert_mini", 64, 16), 3, "mlm"), str(snapshot))
+    garbage, truncated = tmp_path / "garbage.flnp", tmp_path / "truncated.flnp"
+    garbage.write_bytes(b"garbage")
+    truncated.write_bytes(snapshot.read_bytes()[:-100])
+    for path in (garbage, truncated):
+        cfg = base_config(tmp_path, pretrained_params_path=str(path))
+        assert cli_main(["run", "--config", cfg, "--force"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: pretraining snapshot '{path}' is corrupt: "), err
+        assert "Traceback" not in err
+
+
+def _fake_server(reply: bytes):
+    """A server on a free port that answers the first bytes it receives with `reply`,
+    then reads until its peer closes; returns the port and the serving thread."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(1 << 16)
+            conn.sendall(reply)
+            while conn.recv(1 << 16):
+                pass
+        listener.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname()[1], thread
+
+
+MALFORMED_REPLY = b"XXXX" + bytes(20)
+
+
+def test_a_malformed_frame_from_the_server_ends_flnp_client_with_one_runtime_error(tmp_path, capfd):
+    port, server = _fake_server(MALFORMED_REPLY)
+    cfg = base_config(tmp_path, mode="federated")
+    assert cli_main(["client", "--config", cfg, "--addr", f"127.0.0.1:{port}", "--name", "site-0"]) == 1
+    server.join(timeout=30)
+    assert not server.is_alive()
+    err = capfd.readouterr().err
+    assert err.startswith("runtime error: bad_magic: ") and err.count("\n") == 1, err
+
+
+def test_a_malformed_frame_from_the_server_ends_a_run_client_thread_quietly(tmp_path):
+    from flnp.experiment.config import load_config
+    from flnp.experiment.federated import tcp_client_loop
+    from flnp.experiment.runner import _client_thread, build_dataset, train_plan
+    from flnp.protocol.client import FlClient
+    from flnp.protocol.fedavg import ProtocolError
+    from flnp.transport.tcp import connect
+
+    cfg = load_config(base_config(tmp_path, mode="federated"), [])
+    plan = train_plan(cfg, build_dataset(cfg))
+    port, server = _fake_server(MALFORMED_REPLY)
+    with pytest.raises(ProtocolError) as err:
+        tcp_client_loop(FlClient("site-0", cfg.auth_token, plan), connect("127.0.0.1", port))
+    server.join(timeout=30)
+    assert not server.is_alive()
+    assert err.value.code == "bad_magic"
+    port, server = _fake_server(MALFORMED_REPLY)
+    _client_thread(FlClient("site-0", cfg.auth_token, plan), connect("127.0.0.1", port))
+    server.join(timeout=30)
+    assert not server.is_alive()

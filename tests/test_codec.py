@@ -1,5 +1,9 @@
 import hashlib
+import io
+import mmap
+import socket
 import struct
+import threading
 import zlib
 from dataclasses import fields, replace
 
@@ -35,8 +39,11 @@ from flnp.transport.codec import (
     MSG_CODES,
     parameter_set_from_bytes,
     parameter_set_to_bytes,
+    read_parameter_set,
 )
-from flnp.transport.frame import build_frame
+from flnp.transport.frame import build_frame, fill
+from flnp.transport.tcp import recv_message
+from test_params import _owner
 
 # every byte hand-verified: magic "FLNP", version 1 (LE u16), type 6,
 # payload length 6 (LE u32), payload = empty reason string (u16 0) plus
@@ -362,3 +369,102 @@ def test_a_decoded_set_owns_its_values():
     del raw
     frame[:] = bytes(len(frame))  # the frame may be reused as soon as it is decoded
     assert got == ps
+
+
+def _mapped_owner(ps: ParameterSet):
+    """The one buffer every array of `ps` views, each aligned, contiguous and read-only."""
+    owners = {id(_owner(arr)): _owner(arr) for _, arr in ps.items()}
+    assert len(owners) == 1
+    for _, arr in ps.items():
+        assert arr.flags.aligned and arr.flags.c_contiguous and not arr.flags.writeable
+    return owners.popitem()[1]
+
+
+def _read_frame_from(fh):
+    """The next message of a file of frames, read as the socket reads one: header, then the rest."""
+    header = bytearray(11)
+    fill(fh.readinto, header)
+    return decode_message(header, fh.readinto)
+
+
+class TestOneBufferDecoder:
+    """Bytes, a socket and a file all go through the one read-whole-then-decode path."""
+
+    def test_random_messages_decode_equal_from_bytes_a_socketpair_and_a_file(self, tmp_path):
+        rng = Rng(4321)
+        messages = [_random_message(rng) for _ in range(60)]
+        frames = [encode_message(msg) for msg in messages]
+        path = tmp_path / "frames.bin"
+        path.write_bytes(b"".join(frames))
+        a, b = socket.socketpair()
+        sender = threading.Thread(target=a.sendall, args=(b"".join(frames),))
+        sender.start()
+        maps = []
+        with open(path, "rb", buffering=0) as fh:
+            for msg, frame in zip(messages, frames):
+                decoded = [decode_message(frame), recv_message(b), _read_frame_from(fh)]
+                assert decoded == [msg] * 3
+                if hasattr(msg, "params"):
+                    maps += [_mapped_owner(d.params) for d in decoded]
+            assert fh.read() == b""
+        sender.join(timeout=30)
+        assert not sender.is_alive()
+        a.close()
+        b.close()
+        assert maps and all(isinstance(m, mmap.mmap) for m in maps)
+        assert len({id(m) for m in maps}) == len(maps)  # each set a buffer of its own
+
+    @pytest.mark.parametrize("items", [
+        # the first tensor's values follow a 0xFFFF-byte name
+        [("n" * 0xFFFF, np.arange(12.0).reshape(3, 4)), ("b", np.ones(5))],
+        # a scalar and an empty tensor take no room in the middle of a set
+        [("s", np.array(2.5)), ("e", np.zeros((0, 4))), ("w", np.arange(6.0)), ("z", np.array(-1.0))],
+        # two-byte names put the values at wire offsets 1, 2 and 3 mod 4
+        [("ab", np.arange(3.0)), ("cd", np.arange(4.0)), ("ef", np.arange(5.0)), ("g", np.array(7.0))],
+    ])
+    def test_overlapping_moves_decode_equal_and_aligned(self, items):
+        ps = ParameterSet(items)
+        blob = parameter_set_to_bytes(ps)
+        at, offsets = 4, []
+        for name, arr in ps.items():
+            at += 2 + len(name) + 1 + 4 * arr.ndim
+            offsets.append(at)
+            at += arr.nbytes
+        assert at == len(blob)
+        assert items[0][0] != "ab" or [o % 4 for o in offsets[:3]] == [1, 2, 3]
+        for decoded in (parameter_set_from_bytes(blob),
+                        decode_message(encode_message(GlobalModel(round=1, params=ps, local_epochs=1,
+                                                                  lr=0.1))).params):
+            assert decoded == ps
+            assert decoded.manifest() == ps.manifest()
+            assert isinstance(_mapped_owner(decoded), mmap.mmap)
+
+    def test_a_source_that_ends_early_is_truncated(self):
+        blob = parameter_set_to_bytes(ParameterSet([("w", np.arange(10.0)), ("b", np.ones(3))]))
+        for cut in (0, 3, len(blob) // 2, len(blob) - 1):
+            with pytest.raises(DecodeError) as err:
+                read_parameter_set(io.BytesIO(blob[:cut]).readinto, len(blob))
+            assert err.value.code == "truncated"
+
+    def test_short_reads_fill_the_buffer(self):
+        ps = ParameterSet([("w", np.arange(10.0)), ("b", np.ones(3))])
+        source = io.BytesIO(parameter_set_to_bytes(ps))
+
+        def one_byte_at_a_time(view):
+            return source.readinto(view[:1])
+
+        assert read_parameter_set(one_byte_at_a_time, len(source.getvalue())) == ps
+
+    def test_an_empty_payload_of_a_set_carrying_type_is_refused_in_step(self):
+        # a map has at least one byte: the frame still ends where its header says
+        stream = build_frame(MSG_CODES[GlobalModel]) + encode_message(Shutdown())
+        a, b = socket.socketpair()
+        a.sendall(stream)
+        with pytest.raises(DecodeError) as on_socket:
+            recv_message(b)
+        assert recv_message(b) == Shutdown()
+        a.close()
+        b.close()
+        with pytest.raises(DecodeError) as on_bytes:
+            decode_message(build_frame(MSG_CODES[GlobalModel]))
+        assert on_socket.value.code == on_bytes.value.code == "bad_payload"

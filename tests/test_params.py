@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flnp.params import ParameterSet
+from flnp.params import ParameterSet, mapped_buffer
 
 
 def _sample():
@@ -118,8 +118,8 @@ def test_laid_out_refuses_a_tensor_past_its_capacity_and_a_duplicate_name():
     def entries(*names):
         return ((name, (2,), lambda out: None) for name in names)
 
-    assert ParameterSet.laid_out(5, entries("a", "b")).names == ("a", "b")
+    assert ParameterSet.laid_out(mapped_buffer(4 * 5), entries("a", "b")).names == ("a", "b")
     with pytest.raises(ValueError, match="overruns"):
-        ParameterSet.laid_out(3, entries("a", "b"))
+        ParameterSet.laid_out(mapped_buffer(4 * 3), entries("a", "b"))
     with pytest.raises(ValueError, match="duplicate"):
-        ParameterSet.laid_out(8, entries("a", "a"))
+        ParameterSet.laid_out(mapped_buffer(4 * 8), entries("a", "a"))

@@ -1,3 +1,7 @@
+import mmap
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -112,6 +116,37 @@ class TestAggregate:
         w0 = a[name].astype(np.float64)
         expected = (w0 + 0.625 * (b[name].astype(np.float64) - w0)).astype(np.float32)
         assert np.array_equal(averaged[name], expected)
+
+    def test_averaging_faults_in_as_few_pages_whether_or_not_a_heap_block_was_freed(self):
+        # Freeing a 1 MiB heap block raises glibc's mmap threshold, after which
+        # per-tensor float64 temporaries come from reused heap pages; before it
+        # each is a fresh map whose every page faults. Scratch arrays made
+        # once per call fault alike in both states.
+        code = (
+            "import resource\n"
+            "from flnp.protocol.fedavg import aggregate\n"
+            "from flnp.protocol.messages import LocalUpdate\n"
+            "from test_params import bert_set\n"
+            "updates = [LocalUpdate(client_id=i, round=1, params=bert_set(i), n_samples=3 + i)\n"
+            "           for i in range(2)]\n"
+            "if FREE:\n"
+            "    block = bytearray(1 << 20)\n"
+            "    del block\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "aggregate(updates)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        here = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(here, "..", "src"), here]))
+        faults = {}
+        for free in (False, True):
+            proc = subprocess.run([sys.executable, "-c", f"FREE = {free}\n" + code], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            faults[free] = int(proc.stdout)
+        pages = set_bytes(bert_set(1)) // mmap.PAGESIZE
+        assert faults[False] < 1.25 * faults[True] + 64, faults
+        assert faults[False] < 2 * pages, (faults, pages)
 
 
 class TestTop1:

@@ -110,6 +110,18 @@ def test_integers_refuses_bounds_above_2_64():
     assert Rng(1).integers(2**64) == Rng(1).uint64()
 
 
+@pytest.mark.parametrize("bound", [2**63, 2**63 + 1, 2**64 - 1, 2**64])
+def test_integers_up_to_2_64_hold_every_draw_on_both_paths(bound):
+    # int64 cannot hold a draw of 2**63 or more, so a larger bound's array is uint64
+    drawn = Rng(1).integers(bound, size=40)
+    scalar = Rng(1)
+    assert drawn.dtype == (np.int64 if bound <= 2**63 else np.uint64)
+    assert drawn.tolist() == [scalar.integers(bound) for _ in range(40)]
+    assert all(0 <= d < bound for d in drawn.tolist())
+    if bound > 2**63 + 1:
+        assert max(drawn.tolist()) >= 2**63  # int64 would wrap these to negative values
+
+
 def test_permutation_is_a_permutation():
     perm = Rng(21).permutation(100)
     assert sorted(perm) == list(range(100))
