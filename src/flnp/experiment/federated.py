@@ -130,10 +130,12 @@ def drive(server: FlServer, transport) -> None:
         if msg is None:
             server.on_disconnect(conn_id)
             continue
+        outgoing = server.handle(conn_id, msg)
+        del msg  # handled: an update's parameters must not live on through the sends
+        _send(server, transport, outgoing)
         # no batch of sent messages outlives its send: a global model must not
         # live on through the next aggregation
-        _send(server, transport, server.handle(conn_id, msg))
-        del msg  # handled: an update's parameters must not live on through the report
+        del outgoing
         _send(server, transport, server.report())
 
 

@@ -305,6 +305,19 @@ def merge_encoder(pretrained: ParameterSet, fresh: ParameterSet) -> ParameterSet
     return ParameterSet(items)
 
 
+def _pretrained(phase_cfg: ExperimentConfig) -> list[ParameterSet]:
+    """The snapshot a fine-tuning phase names, as a one-set list; else no set."""
+    path = phase_cfg.pretrained_params_path
+    if phase_cfg.phase != "finetune_classify" or not path:
+        return []
+    try:
+        return [load_params(path)]
+    except FileNotFoundError:
+        raise UsageError(f"pretraining snapshot '{path}' not found") from None
+    except DecodeError as exc:
+        raise UsageError(f"pretraining snapshot '{path}' is corrupt: {exc.code}") from None
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     bundle: DatasetBundle | None = None,
@@ -314,23 +327,15 @@ def run_experiment(
 
     A phase starts from fresh heads over each final parameter set of the
     phase before it, else (fine-tuning) over the loaded
-    `pretrained_params_path`, else from a fresh init.
+    `pretrained_params_path`, else from a fresh init. The snapshot is read
+    before any data is built, so a missing or corrupt one is refused first.
     """
+    phases = cfg.phases()
+    pretrained = _pretrained(phases[0])
     bundle = bundle or build_dataset(cfg)
     results: list[RunResult] = []
-    for phase_cfg in cfg.phases():
-        if results:
-            encoders = list(results[-1].finals.values())
-        elif phase_cfg.phase == "finetune_classify" and phase_cfg.pretrained_params_path:
-            path = phase_cfg.pretrained_params_path
-            try:
-                encoders = [load_params(path)]
-            except FileNotFoundError:
-                raise UsageError(f"pretraining snapshot '{path}' not found") from None
-            except DecodeError as exc:
-                raise UsageError(f"pretraining snapshot '{path}' is corrupt: {exc.code}") from None
-        else:
-            encoders = []
+    for phase_cfg in phases:
+        encoders = list(results[-1].finals.values()) if results else pretrained
         fresh = _initial_params(phase_cfg, bundle)
         inits = [merge_encoder(p, fresh) for p in encoders] or [fresh]
         del fresh

@@ -14,7 +14,9 @@ block, so its pages go back to the operating system as soon as the last
 array viewing it is freed, whichever thread frees it. glibc keeps freed
 heap blocks of this size in per-thread arenas instead. Models compute on
 a set's arrays as they are, so a set is copied only when it is built.
-`tracemalloc` does not see these buffers.
+`tracemalloc` does not see these buffers. A buffer that a socket or
+file read fills is not pre-faulted: its pages become resident as the
+bytes reach them, so a transfer in flight holds only what has arrived.
 
 Every set is laid out by one path: each tensor is written straight into
 its slot of the buffer as it is computed, copied or received, so
@@ -23,6 +25,11 @@ building a set holds at most one of its tensors outside the buffer.
 initialisation); `ParameterSet.laid_out` serves the decoder, which
 learns each name and shape as it reads them and lays the set out in the
 buffer the encoded set was read into.
+
+Since a set cannot change, the codec checksums it at most once:
+`wire_digest` caches the CRC-32 and byte count of the set's encoding.
+A decoded set gets it from the check of the frame it came in; any other
+set gets it the first time the codec signs or encodes it.
 """
 
 from __future__ import annotations
@@ -36,14 +43,21 @@ import numpy as np
 
 WIRE_DTYPE = np.dtype("<f4")
 
-# Private anonymous pages, faulted in as the map is made where the
-# platform offers MAP_POPULATE, not one by one as they are first written.
-_MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+_MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+_MAP_POPULATE = getattr(mmap, "MAP_POPULATE", 0)
 
 
-def mapped_buffer(nbytes: int) -> memoryview:
-    """A view of exactly `nbytes` zeroed, writable bytes of an anonymous memory map."""
-    return memoryview(mmap.mmap(-1, max(nbytes, 1), flags=_MAP_FLAGS))[:nbytes]
+def mapped_buffer(nbytes: int, populate: bool = False) -> memoryview:
+    """A view of exactly `nbytes` zeroed, writable bytes of an anonymous memory map.
+
+    With `populate`, the pages are faulted in as the map is made, where
+    the platform offers MAP_POPULATE, which is cheaper for a buffer the
+    program writes whole at once than faulting them in one by one.
+    Without it, each page is faulted in when first written, as a read
+    from a socket or a file reaches it.
+    """
+    flags = _MAP_FLAGS | (_MAP_POPULATE if populate else 0)
+    return memoryview(mmap.mmap(-1, max(nbytes, 1), flags=flags))[:nbytes]
 
 
 # (name, shape, write): `write(slot)` fills the tensor's writable float32 slot
@@ -53,12 +67,14 @@ Entry = tuple[str, tuple[int, ...], Callable[[np.ndarray], None]]
 class ParameterSet:
     """Ordered name -> float32 array snapshot: read-only views into one buffer of its own."""
 
-    __slots__ = ("_arrays", "__weakref__")
+    __slots__ = ("_arrays", "wire_digest", "__weakref__")
 
     def __init__(self, items: Iterable[tuple[str, np.ndarray]]) -> None:
+        # (CRC-32, byte count) of the set's encoding, set once by the codec
+        self.wire_digest: tuple[int, int] | None = None
         sources = [(name, np.asarray(arr)) for name, arr in items]
         size = sum(arr.size for _, arr in sources) * WIRE_DTYPE.itemsize
-        self._arrays = _layout(mapped_buffer(size),
+        self._arrays = _layout(mapped_buffer(size, populate=True),
                                ((name, arr.shape, partial(np.copyto, src=arr, casting="unsafe"))
                                 for name, arr in sources))
 
@@ -72,6 +88,7 @@ class ParameterSet:
         the buffer, raises ValueError.
         """
         ps = cls.__new__(cls)
+        ps.wire_digest = None
         ps._arrays = _layout(buffer, entries)
         return ps
 
@@ -81,7 +98,7 @@ class ParameterSet:
         """The set of `manifest`'s (name, shape) pairs, `write(name, slot)` filling each slot in order."""
         manifest = tuple(manifest)
         size = sum(math.prod(shape) for _, shape in manifest) * WIRE_DTYPE.itemsize
-        return cls.laid_out(mapped_buffer(size),
+        return cls.laid_out(mapped_buffer(size, populate=True),
                             ((name, shape, partial(write, name)) for name, shape in manifest))
 
     @property

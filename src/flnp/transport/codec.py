@@ -10,13 +10,20 @@ key followed by the body bytes.
 `BODY_LAYOUT` is the one statement of each body's fields in wire order;
 the encoder and the decoder both walk it. A body is encoded as a list of
 chunks: small fields are packed, and each tensor's values are its set's
-own float32 array, referenced rather than copied. Signing, verifying and
-framing all stream over those chunks, and `encode_buffers` hands the
-frame on as a list of buffers, so a TCP send joins nothing;
+own float32 array, referenced rather than copied. `encode_buffers` hands
+the frame on as a list of buffers, so a TCP send joins nothing;
 `encode_message` is that list joined. Decoding reads a payload whole
 from its source (a socket, a file or bytes) into one buffer, checks its
 CRC, and walks the same layout with a cursor over it; a parameter set
 keeps that buffer, each tensor's values moved down to their slot.
+
+A parameter set is checksummed once: its `wire_digest` is the CRC-32
+and length of its encoding. The decoder derives it from the pass that
+checks the frame's CRC, and any other set computes it on first use.
+The CRC of a body is then its small fields' CRC combined with that
+digest (`crc32_combine`), and the auth tag and the frame trailer are
+combined from the body's CRC in turn, so neither signing, verifying
+nor framing reads a tensor's values again.
 """
 
 from __future__ import annotations
@@ -41,7 +48,16 @@ from ..protocol.messages import (
     Shutdown,
     with_tag,
 )
-from .frame import HEADER_SIZE, TRAILER_SIZE, DecodeError, fill, frame_buffers, parse_header
+from .frame import (
+    HEADER_SIZE,
+    TRAILER_SIZE,
+    DecodeError,
+    crc32_combine,
+    crc32_shift,
+    fill,
+    frame_buffers,
+    parse_header,
+)
 
 MSG_CODES: dict[type, int] = {
     Hello: 1,
@@ -74,7 +90,8 @@ BODY_LAYOUT: dict[type, tuple[tuple[str, object], ...]] = {
     RoundPlan: (("rounds", "u32"), ("local_epochs", "u32"), ("lr", "f64")),
 }
 
-# message types whose payload buffer becomes the buffer of the set they carry
+# message types whose payload buffer becomes the buffer of the set they carry;
+# the set is each one's last field, so its digest follows from the body's CRC
 _CARRIES_SET = {msg_type for msg_type, layout in BODY_LAYOUT.items()
                 if any(kind == "params" for _, kind in layout)}
 
@@ -114,12 +131,14 @@ class _Reader:
     A tensor's values are moved down to their float32 slot of the same
     buffer, which the decoded parameter set keeps: slot i starts at or
     before its wire bytes and ends before tensor i+1's name, so the move
-    overwrites nothing not yet read.
+    overwrites nothing not yet read. Given `crc`, the CRC-32 of the whole
+    buffer, a set that runs to the buffer's end gets its `wire_digest`.
     """
 
-    def __init__(self, buffer) -> None:
+    def __init__(self, buffer, crc: int | None = None) -> None:
         self._buffer = memoryview(buffer)
         self._pos = 0
+        self._crc = crc
 
     def take(self, n: int) -> memoryview:
         if self._pos + n > len(self._buffer):
@@ -147,12 +166,20 @@ class _Reader:
         return kind(**{name: self.read(sub) for name, sub in BODY_LAYOUT[kind]})
 
     def _params(self) -> ParameterSet:
+        start = self._pos
+        head_crc = zlib.crc32(self._buffer[:start])  # before the first move overwrites those bytes
         count = self.read("u32")
         entries = ((self.read("str"), self._shape(), self._values_into) for _ in range(count))
         try:
-            return ParameterSet.laid_out(self._buffer, entries)
+            ps = ParameterSet.laid_out(self._buffer, entries)
         except ValueError as exc:
             raise DecodeError("bad_payload", str(exc)) from None
+        if self._crc is not None and self._pos == len(self._buffer):
+            # the set's bytes, as read, are its encoding: names are strict UTF-8,
+            # shapes pack back to their bytes, and values move unchanged
+            size = self._pos - start
+            ps.wire_digest = (self._crc ^ crc32_shift(head_crc, size), size)
+        return ps
 
     def _shape(self) -> tuple[int, ...]:
         return tuple(self.read("u32") for _ in range(self.read("u8")))
@@ -165,23 +192,54 @@ class _Reader:
         return value
 
 
-def _encode_body(msg: FlMessage) -> list:
-    """The body as a list of buffers, in wire order."""
+def _digest(chunks: list, crc: int = 0, size: int = 0) -> tuple[int, int]:
+    """(CRC-32, byte count) of what (crc, size) covers followed by `chunks`."""
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+        size += memoryview(chunk).nbytes
+    return crc, size
+
+
+def _set_digest(ps: ParameterSet) -> tuple[int, int]:
+    """The set's cached `wire_digest`, computed over its encoding on first use.
+
+    Threads that race to compute it store the same value, so no lock is needed.
+    """
+    if ps.wire_digest is None:
+        chunks: list = []
+        _put(chunks, "params", ps)
+        ps.wire_digest = _digest(chunks)
+    return ps.wire_digest
+
+
+def _body_digest(msg: FlMessage) -> tuple[int, int]:
+    """(CRC-32, byte count) of the body: small fields encoded, a set's digest combined in."""
     if type(msg) not in MSG_CODES:
         raise TypeError(f"not a protocol message: {type(msg).__name__}")
-    chunks: list = []
-    _put(chunks, type(msg), msg)
-    return chunks
+    crc = size = 0
+    for name, kind in BODY_LAYOUT[type(msg)]:
+        if kind == "params":
+            set_crc, set_size = _set_digest(getattr(msg, name))
+            crc, size = crc32_combine(crc, set_crc, set_size), size + set_size
+        else:
+            chunks: list = []
+            _put(chunks, kind, getattr(msg, name))
+            crc, size = _digest(chunks, crc, size)
+    return crc, size
 
 
 def encode_buffers(msg: FlMessage) -> list:
     """The frame as a list of buffers: header, body chunks, auth tag, CRC trailer.
 
     Tensor values are the message's own arrays, so the list must be used
-    before those arrays change.
+    before those arrays change. The trailer carries the body's CRC on
+    over the tag.
     """
+    body_crc, _ = _body_digest(msg)
+    chunks: list = []
+    _put(chunks, type(msg), msg)
     tag = struct.pack("<I", msg.auth_tag & 0xFFFFFFFF)
-    return frame_buffers(MSG_CODES[type(msg)], *_encode_body(msg), tag)
+    return frame_buffers(MSG_CODES[type(msg)], [*chunks, tag], zlib.crc32(tag, body_crc))
 
 
 def encode_message(msg: FlMessage) -> bytes:
@@ -197,6 +255,8 @@ def decode_message(data, read_into=None) -> FlMessage:
     carries a parameter set, which keeps it, and its CRC is checked before
     any field is decoded: a corrupted payload fails with
     `checksum_mismatch`, and a refused frame has been read to its end.
+    That check's pass gives the body's CRC, from which a carried set's
+    `wire_digest` follows.
     """
     if read_into is None:  # its size is checked before anything is read
         frame = memoryview(data).cast("B")
@@ -211,14 +271,16 @@ def decode_message(data, read_into=None) -> FlMessage:
     fill(read_into, payload)
     trailer = bytearray(TRAILER_SIZE)
     fill(read_into, trailer)
-    if int.from_bytes(trailer, "little") != zlib.crc32(payload):
+    body, tag_bytes = memoryview(payload)[:-4], memoryview(payload)[-4:]
+    body_crc = zlib.crc32(body)
+    if int.from_bytes(trailer, "little") != zlib.crc32(tag_bytes, body_crc):
         raise DecodeError("checksum_mismatch")
     if length < 4:
         raise DecodeError("bad_payload", "payload too short for the auth tag")
     if msg_type is None:
         raise DecodeError("unknown_type", str(code))
-    msg = _Reader(memoryview(payload)[:-4]).read_all(msg_type, "message body")
-    tag = int.from_bytes(payload[-4:], "little")
+    msg = _Reader(body, body_crc).read_all(msg_type, "message body")
+    tag = int.from_bytes(tag_bytes, "little")
     return with_tag(msg, tag) if tag else msg
 
 
@@ -243,13 +305,11 @@ def read_parameter_set(read_into: Callable[[memoryview], int], size: int) -> Par
 def compute_auth_tag(session_key: bytes, msg: FlMessage) -> int:
     """Keyed CRC-32 over the canonical body; simulated authentication.
 
-    The CRC runs over the key and then over each body chunk, carrying its
-    running value, which equals the CRC of key and body concatenated.
+    The CRC of key and body concatenated, combined from the key's CRC and
+    the body's (`_body_digest`), so the set's values are not read again.
     """
-    crc = zlib.crc32(session_key)
-    for chunk in _encode_body(msg):
-        crc = zlib.crc32(chunk, crc)
-    return (crc & 0xFFFFFFFF) or 1  # 0 is reserved for "unsigned"
+    body_crc, body_size = _body_digest(msg)
+    return crc32_combine(zlib.crc32(session_key), body_crc, body_size) or 1  # 0 is "unsigned"
 
 
 def sign(msg: FlMessage, session_key: bytes) -> FlMessage:

@@ -13,6 +13,13 @@ Decoding is total: every byte string yields a parsed frame or a
 DecodeError with a stable `code`, never an unchecked exception. The
 codec reads a payload whole, with `fill`, and checks its CRC before it
 decodes a field.
+
+CRC-32 is affine over GF(2), so the CRC of a concatenation follows from
+the CRCs of its parts and the length of the second (`crc32_combine`, a
+port of zlib's `crc32_combine`, which Python's `zlib` does not offer).
+The codec uses that to checksum each parameter set once and derive every
+auth tag and frame trailer that covers it, so `frame_buffers` takes the
+payload's CRC from its caller.
 """
 
 from __future__ import annotations
@@ -39,24 +46,71 @@ class DecodeError(Exception):
         self.detail = detail
 
 
-def frame_buffers(msg_type: int, *chunks) -> list:
+_POLY = 0xEDB88320  # CRC-32's polynomial, bit-reflected: bit 31 holds x^0
+
+
+def _multmodp(a: int, b: int) -> int:
+    """a(x) * b(x) modulo the CRC-32 polynomial; `a` is not 0."""
+    m = 1 << 31
+    p = 0
+    while True:
+        if a & m:
+            p ^= b
+            if not a & (m - 1):
+                return p
+        m >>= 1
+        b = (b >> 1) ^ _POLY if b & 1 else b >> 1
+
+
+def _powers() -> tuple[int, ...]:
+    """x^(2^k) modulo the polynomial for k = 0..31, each the square of the one before."""
+    table = [1 << 30]  # x^1
+    for _ in range(31):
+        table.append(_multmodp(table[-1], table[-1]))
+    return tuple(table)
+
+
+_X2N = _powers()
+
+
+def crc32_shift(crc: int, n: int) -> int:
+    """What `crc`, the CRC-32 of A, contributes to the CRC-32 of A followed by n bytes.
+
+    That is x^(8n) * crc modulo the polynomial, so
+    `crc32(A + B) == crc32_shift(crc32(A), len(B)) ^ crc32(B)`.
+    """
+    p = 1 << 31  # x^0
+    k = 3  # n bytes are 8n = n * 2^3 bits
+    while n:
+        if n & 1:
+            p = _multmodp(_X2N[k & 31], p)
+        n >>= 1
+        k += 1
+    return _multmodp(p, crc)
+
+
+def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """CRC-32 of A followed by B, from crc1 = CRC-32 of A, crc2 = CRC-32 of B and len2 = len(B)."""
+    return crc32_shift(crc1, len2) ^ crc2
+
+
+def frame_buffers(msg_type: int, chunks: list, crc: int) -> list:
     """Frame whose payload is `chunks` (contiguous buffers) in order, as a list of buffers.
 
-    The list is the header, the chunks themselves (not copies) and the CRC
-    trailer; the CRC streams over the chunks.
+    `crc` is the CRC-32 of the payload, which the caller knows. The list
+    is the header, the chunks themselves (not copies) and the CRC trailer.
     """
-    length = 0
-    crc = 0
-    for chunk in chunks:
-        length += memoryview(chunk).nbytes
-        crc = zlib.crc32(chunk, crc)
+    length = sum(memoryview(chunk).nbytes for chunk in chunks)
     header = _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, msg_type, length)
     return [header, *chunks, struct.pack("<I", crc & 0xFFFFFFFF)]
 
 
 def build_frame(msg_type: int, *chunks) -> bytes:
-    """`frame_buffers` joined into one bytes object."""
-    return b"".join(frame_buffers(msg_type, *chunks))
+    """The frame of payload `chunks` as one bytes object, its CRC computed over them."""
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    return b"".join(frame_buffers(msg_type, list(chunks), crc))
 
 
 def parse_header(data) -> tuple[int, int]:

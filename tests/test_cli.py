@@ -212,6 +212,24 @@ def test_malformed_addr_is_refused_before_data_is_built(tmp_path, capsys, monkey
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
+@pytest.mark.parametrize("snapshot, error", [(None, "not found"), (b"garbage", "is corrupt: ")])
+def test_unreadable_pretraining_snapshot_is_refused_before_data_is_built(tmp_path, capsys,
+                                                                          monkeypatch, snapshot, error):
+    def build_dataset(cfg):
+        raise AssertionError("data built before the pretraining snapshot was read")
+
+    monkeypatch.setattr("flnp.experiment.runner.build_dataset", build_dataset)
+    path = tmp_path / "pretrained.flnp"
+    if snapshot is not None:
+        path.write_bytes(snapshot)
+    cfg = base_config(tmp_path, mode="federated", pretrained_params_path=str(path))
+    assert cli_main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: pretraining snapshot '{path}' {error}"), err
+    assert "Traceback" not in err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 @pytest.mark.parametrize("partition, error", [
     ({"n_clients": 4, "mode": "imbalanced"}, "8 ratios for 4 clients"),
     ({"n_clients": 4, "mode": "small"}, "8 ratios for 4 clients"),

@@ -3,6 +3,7 @@ import io
 import mmap
 import socket
 import struct
+import sys
 import threading
 import zlib
 from dataclasses import fields, replace
@@ -41,7 +42,7 @@ from flnp.transport.codec import (
     parameter_set_to_bytes,
     read_parameter_set,
 )
-from flnp.transport.frame import build_frame, fill
+from flnp.transport.frame import HEADER_SIZE, build_frame, crc32_combine, crc32_shift, fill
 from flnp.transport.tcp import recv_message
 from test_params import _owner
 
@@ -209,6 +210,34 @@ class TestDecodeErrors:
             except DecodeError:
                 pass
 
+    def test_fuzz_with_the_crc_fixed_reaches_the_body_decoder(self):
+        # anyone on the path can fix an unkeyed CRC: decode stays total past
+        # the check, and a decoded set's cached digest is its encoding's CRC
+        rng = Rng(4242)
+        outcomes = {}
+        for i in range(3000):
+            blob = bytearray(encode_message(sign(_random_message(rng), WIRE_KEY)))
+            payload = blob[HEADER_SIZE:-4]
+            if i % 3 == 0 and payload:  # a byte dropped or added, the length kept honest
+                at = int(rng.integers(len(payload)))
+                payload[at:at + 1] = b"" if rng.random() < 0.5 else bytes([payload[at], int(rng.integers(256))])
+            for _ in range(1 + rng.integers(4)):
+                if payload:
+                    payload[rng.integers(len(payload))] = int(rng.integers(256))
+            frame = build_frame(blob[6], bytes(payload))
+            assert frame[:6] == blob[:6]
+            try:
+                msg = decode_message(frame)
+            except DecodeError as exc:
+                outcomes[exc.code] = outcomes.get(exc.code, 0) + 1
+                continue
+            outcomes["decoded"] = outcomes.get("decoded", 0) + 1
+            if isinstance(msg, (GlobalModel, LocalUpdate)):
+                encoded = parameter_set_to_bytes(msg.params)
+                assert msg.params.wire_digest == (zlib.crc32(encoded), len(encoded))
+        assert set(outcomes) <= {"bad_payload", "unknown_type", "decoded"}, outcomes
+        assert outcomes["bad_payload"] > 100 and outcomes["decoded"] > 100, outcomes
+
 
 class TestAuth:
     def test_sign_and_verify(self):
@@ -358,6 +387,87 @@ class TestAuthOverParams:
         for msg in (signed, decoded):
             assert verify_auth(msg, WIRE_KEY)
             assert not verify_auth(replace(msg, params=other), WIRE_KEY)
+
+
+def _reference_tag(key: bytes, msg) -> int:
+    """The auth tag by its definition: one CRC-32 pass over the key, then the body."""
+    body = encode_message(msg)[HEADER_SIZE:-8]
+    return zlib.crc32(body, zlib.crc32(key)) or 1
+
+
+class TestDerivedChecksums:
+    """Tags and trailers combined from a set's one checksum equal full passes."""
+
+    def test_combine_equals_the_crc_of_the_concatenation(self):
+        rng = Rng(77)
+        data = np.array(rng.integers(256, size=4096), dtype=np.uint8).tobytes()
+        big = data * 4097  # above 2**24 bytes
+        cases = [(data, b""), (b"", data), (b"", b""), (data[:5], big), (big, data[:7])]
+        for _ in range(300):
+            cut = int(rng.integers(len(data) + 1))
+            cases.append((data[:cut], data[cut:]))
+        for a, b in cases:
+            whole = zlib.crc32(b, zlib.crc32(a))
+            assert crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == whole
+            assert whole ^ crc32_shift(zlib.crc32(a), len(b)) == zlib.crc32(b)
+
+    def test_a_set_is_the_last_field_of_every_body_that_carries_one(self):
+        carriers = [t for t, layout in BODY_LAYOUT.items() if any(k == "params" for _, k in layout)]
+        assert carriers == [GlobalModel, LocalUpdate]
+        for msg_type in carriers:
+            assert [k for _, k in BODY_LAYOUT[msg_type]].index("params") == len(BODY_LAYOUT[msg_type]) - 1
+
+    def test_tags_and_trailers_equal_full_passes_for_fresh_decoded_and_exported_sets(self):
+        from flnp.models.base import build_model, init_params
+        from flnp.models.config import preset
+
+        config = preset("bert_mini", 40, 16)
+        fresh = init_params(config, 3, "mlm")
+        assert fresh.wire_digest is None
+        decoded = decode_message(encode_message(GlobalModel(1, fresh, 1, 0.1))).params
+        assert decoded.wire_digest is not None  # from the frame check, before any sign
+        exported = build_model(config, "mlm", decoded).export_params()
+        assert exported is decoded
+        for ps in (fresh, decoded, exported, init_params(config, 4, "mlm")):
+            for msg in (GlobalModel(round=3, params=ps, local_epochs=2, lr=0.25),
+                        LocalUpdate(client_id=1, round=3, params=ps, n_samples=77,
+                                    local_metrics={"val_loss": 1.5, "a": -0.0})):
+                signed = sign(msg, WIRE_KEY)
+                assert signed.auth_tag == _reference_tag(WIRE_KEY, msg)
+                assert verify_auth(signed, WIRE_KEY)
+                frame = encode_message(signed)
+                assert frame[-4:] == struct.pack("<I", zlib.crc32(frame[HEADER_SIZE:-4]))
+        for msg in _wire_messages():
+            assert sign(msg, WIRE_KEY).auth_tag == _reference_tag(WIRE_KEY, msg)
+
+    def test_threads_signing_one_fresh_set_all_get_the_reference_tag(self):
+        ps = ParameterSet([("w", np.arange(50_000.0)), ("b", np.ones(7))])
+        msg = GlobalModel(round=1, params=ps, local_epochs=1, lr=0.1)
+        tags = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: tags.append(sign(msg, WIRE_KEY).auth_tag))
+                       for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert tags == [_reference_tag(WIRE_KEY, msg)] * 8
+
+    def test_a_frame_whose_values_changed_after_signing_fails_verification(self):
+        ps = ParameterSet([("w", np.arange(12.0).reshape(3, 4)), ("b", np.ones(5))])
+        frame = bytearray(encode_message(sign(GlobalModel(1, ps, 1, 0.1), WIRE_KEY)))
+        frame[-8 - 2] ^= 0x01  # a value byte of "b"; the old tag stays
+        forged = build_frame(frame[6], bytes(frame[HEADER_SIZE:-4]))
+        decoded = decode_message(forged)
+        assert decoded.params != ps and decoded.auth_tag == sign(GlobalModel(1, ps, 1, 0.1), WIRE_KEY).auth_tag
+        encoded = parameter_set_to_bytes(decoded.params)
+        assert decoded.params.wire_digest == (zlib.crc32(encoded), len(encoded))
+        assert not verify_auth(decoded, WIRE_KEY)
 
 
 def test_a_decoded_set_owns_its_values():

@@ -78,6 +78,24 @@ def test_a_set_views_one_page_mapped_buffer_of_its_own():
     assert all(arr.flags.c_contiguous and arr.flags.aligned for _, arr in ps.items())
 
 
+def _resident_mb() -> float:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * mmap.PAGESIZE / 2**20
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MAP_POPULATE"), reason="no MAP_POPULATE on this platform")
+def test_a_buffer_for_reads_is_resident_only_where_written():
+    # a frame in flight holds only the pages its bytes have reached
+    before = _resident_mb()
+    lazy = mapped_buffer(32 * 2**20)
+    assert _resident_mb() - before < 8
+    lazy[: 2**20] = bytes(2**20)
+    assert _resident_mb() - before < 9
+    built = mapped_buffer(32 * 2**20, populate=True)
+    assert _resident_mb() - before > 30
+    del lazy, built
+
+
 def bert_set(seed: int) -> ParameterSet:
     """The bert preset's MLM set at the vocabulary of the bert_wire_tcp workload: 9.6 MB."""
     from flnp.models.base import init_params

@@ -1,8 +1,10 @@
 import mmap
 import os
+import struct
 import subprocess
 import sys
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from flnp.protocol.server import FlServer
 from flnp.rng import Rng
 from flnp.tensor import UsageError
 from flnp.training import TrainPlan, count_correct
-from flnp.transport.codec import sign
+from flnp.transport.codec import decode_message, encode_message, sign
 
 from test_params import bert_set, set_bytes, traced_peak
 
@@ -465,6 +467,42 @@ class TestClient:
         with pytest.raises(ProtocolError) as err:
             client.handle(GlobalModel(round=1, params=init, local_epochs=1, lr=0.01))
         assert err.value.code == "auth_failed"
+
+
+def _tampered(frame: bytes) -> bytes:
+    """`frame` with a byte in the middle of its payload flipped and its CRC re-fixed; the tag stays."""
+    payload = bytearray(frame[11:-4])
+    payload[len(payload) // 2] ^= 0x10
+    return frame[:11] + bytes(payload) + struct.pack("<I", zlib.crc32(payload))
+
+
+class TestTamperedFrames:
+    """A bert-shaped set whose bytes change after signing fails verification at either end."""
+
+    def test_client_refuses_a_tampered_global_model(self):
+        client, _ = _client_fixture()
+        key = TestClient()._provision(client)
+        ps = bert_set(5)
+        frame = encode_message(sign(GlobalModel(round=1, params=ps, local_epochs=0, lr=0.01), key))
+        forged = decode_message(_tampered(frame))
+        assert forged.params.manifest() == ps.manifest() and forged.params != ps
+        with pytest.raises(ProtocolError) as err:
+            client.handle(forged)
+        assert err.value.code == "auth_failed"
+        # the frame as signed passes verification and fails only on the client's manifest
+        assert client.handle(decode_message(frame))[0].code == "manifest_mismatch"
+
+    def test_server_refuses_a_tampered_update(self):
+        ps = bert_set(5)
+        server = FlServer(ps, 1, RoundPlan(rounds=1, local_epochs=0, lr=0.01), "secret",
+                          session_rng=Rng(1), on_round=lambda rnd, params, updates: {})
+        server.handle(0, Hello(client_name="a", auth_token="secret"))
+        frame = encode_message(sign(LocalUpdate(0, 1, ps, 1), _session_key(server, 0)))
+        forged = decode_message(_tampered(frame))
+        assert forged.params.manifest() == ps.manifest() and forged.params != ps
+        assert server.handle(0, forged) == [(0, ErrorMsg("auth_failed", "bad tag from client 0"))]
+        assert server.handle(0, decode_message(frame)) == []  # the last round's update, aggregated
+        assert server.global_params == ps
 
 
 class TestLocalTrainer:
