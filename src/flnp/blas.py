@@ -1,8 +1,10 @@
 """One compute budget per machine: OpenBLAS threads sized to the concurrent clients.
 
-A federated session trains `workers = min(nproc, n_clients)` clients at
-once, and each gets `nproc // workers` BLAS threads, so the clients and
-their BLAS threads never ask for more cores than there are. OpenBLAS
+A federated session is sized for `workers = min(nproc, n_clients)`
+clients at once, and each client gets `nproc // workers` BLAS threads.
+The channel trains `workers` clients at once, so its clients and their
+BLAS threads never ask for more cores than there are; TCP client threads
+all train at once, with the same BLAS thread count. OpenBLAS
 splits a large GEMM by its thread count, so float results (and the
 final-params checksum) are a function of the seeds, nproc and the
 session's client count.

@@ -28,7 +28,6 @@ from ..protocol.client import FlClient
 from ..protocol.fedavg import ProtocolError
 from ..protocol.messages import ErrorMsg
 from ..protocol.server import FlServer
-from ..rng import Rng
 from ..transport.codec import sign
 from ..transport.frame import DecodeError
 from ..transport.tcp import ConnectionClosed, TcpConnection
@@ -40,54 +39,32 @@ class ChannelServer:
     Each client's hello is queued on construction. `send` hands the message
     to one of `workers` threads; a client handles one message at a time, in
     the order it was sent. `recv` waits for the replies in send order, and
-    an exception raised by a client's `handle` surfaces there. With a drop
-    policy every sent message consults `drop_rng` in `send`, and every reply
-    in `recv`, in inbox order; a dropped message closes its link, so the
-    server sees a disconnect and aborts deterministically. A client's
+    an exception raised by a client's `handle` surfaces there. A client's
     next message waits on an event its previous one sets when handled, so
     no job holds another's replies, and they die once `recv` has passed
     them on. `flush` waits for all sent work; `close` cancels queued work
     and waits for running work.
     """
 
-    def __init__(self, clients: list[FlClient], workers: int = 1,
-                 drop_rng: Rng | None = None, drop_prob: float = 0.0) -> None:
+    def __init__(self, clients: list[FlClient], workers: int = 1) -> None:
         self._clients = clients
-        self._drop_rng = drop_rng
-        self._drop_prob = drop_prob
-        self._closed: set[int] = set()
         self._closing = False
         self._pool = ThreadPoolExecutor(workers, thread_name_prefix="flnp-channel")
         self._last: dict[int, threading.Event] = {}  # set once a client's latest message is handled
         # a message, or a Future of the replies to a sent one
         self._inbox: deque = deque((conn, client.hello()) for conn, client in enumerate(clients))
 
-    def _dropped(self) -> bool:
-        return self._drop_rng is not None and self._drop_rng.random() < self._drop_prob
-
     def recv(self) -> tuple[int, object]:
-        """Next (conn, message), or (conn, None) for a link that closed."""
+        """Next (conn, message), in the order the messages were sent."""
         while self._inbox:
             conn, item = self._inbox.popleft()
             if not isinstance(item, Future):
                 return conn, item
-            if conn in self._closed:
-                continue  # sent before its link closed
-            replies = []
-            for reply in item.result():
-                if self._dropped():
-                    self._closed.add(conn)
-                    replies.append((conn, None))
-                    break
-                replies.append((conn, reply))
-            self._inbox.extendleft(reversed(replies))
+            self._inbox.extendleft((conn, reply) for reply in reversed(item.result()))
         raise ProtocolError("incomplete", "run stalled: no client has a message pending")
 
     def send(self, conn: int, msg) -> None:
         """Queue `msg` for client `conn`; its replies arrive through `recv`."""
-        if conn in self._closed or self._dropped():
-            self._closed.add(conn)
-            raise ConnectionClosed(f"link {conn} is closed")
         done = threading.Event()
         job = self._pool.submit(self._handle, conn, msg, self._last.get(conn), done)
         self._last[conn] = done

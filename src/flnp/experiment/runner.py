@@ -202,13 +202,14 @@ def run_federated(
     """FedAvg rounds of `cfg`'s phase over the channel or TCP.
 
     Both deliveries run the same `drive` loop, and the whole session runs
-    under one compute budget (`flnp.blas.session_budget`): the channel
-    trains `workers` clients at once, and every client gets `budget` BLAS
-    threads. Over TCP the clients run `tcp_client_loop` as threads of this
-    process, or, with `remote_clients`, as `flnp client` processes the
-    server waits for. A client thread ends quietly on a protocol or
-    connection fault, which `drive` reports, and the run waits a bounded
-    time for its client threads, whether it finished or failed.
+    under one compute budget (`flnp.blas.session_budget`): every client
+    gets `budget` BLAS threads, and the channel trains `workers` clients
+    at once. Over TCP the clients run `tcp_client_loop` as threads of this
+    process, all `n_clients` at once, or, with `remote_clients`, as
+    `flnp client` processes the server waits for. A client thread ends
+    quietly on a protocol or connection fault, which `drive` reports, and
+    the run waits a bounded time for its client threads, whether it
+    finished or failed.
     """
     n_clients = len(bundle.shards)
     if not any(split_holdout(shard, cfg.holdout_frac)[0] for shard in bundle.shards):

@@ -26,30 +26,15 @@ def aggregate(updates: list[LocalUpdate]) -> ParameterSet:
     weighted mean but exact (bit-for-bit) whenever all updates agree,
     and invariant to the order updates arrived in. Each tensor's sum is
     taken in float64 and rounded to wire precision once, as soon as it
-    is complete.
+    is complete. The caller, `FlServer`, has checked that the updates
+    share one manifest and one round and that their counts sum above 0.
     """
     if not updates:
         raise UsageError("aggregate needs at least one update")
     ordered = sorted(updates, key=lambda u: u.client_id)
-    manifest = ordered[0].params.manifest()
-    rnd = ordered[0].round
-    for u in ordered[1:]:
-        if u.params.manifest() != manifest:
-            raise ProtocolError(
-                "manifest_mismatch",
-                f"client {u.client_id} sent {len(u.params.manifest())} tensors",
-            )
-        if u.round != rnd:
-            raise ProtocolError("round_mismatch", f"rounds {rnd} vs {u.round}")
-    counts = [u.n_samples for u in ordered]
-    if any(c < 0 for c in counts):
-        raise UsageError("negative sample count")
-    total = float(sum(counts))
-    if total <= 0:
-        raise UsageError("aggregate needs a positive total sample count")
-
+    total = float(sum(u.n_samples for u in ordered))
     base = ordered[0].params
-    shares = [(u.params, c / total) for u, c in zip(ordered[1:], counts[1:]) if c]
+    shares = [(u.params, u.n_samples / total) for u in ordered[1:] if u.n_samples]
     # w0, the sum and a delta for every tensor: fresh temporaries can fault in every page
     scratch = np.empty((3, max((arr.size for _, arr in base.items()), default=0)))
 
@@ -64,4 +49,4 @@ def aggregate(updates: list[LocalUpdate]) -> ParameterSet:
             acc += delta
         np.copyto(out, acc, casting="unsafe")
 
-    return ParameterSet.written(manifest, write_average)
+    return ParameterSet.written(base.manifest(), write_average)

@@ -25,7 +25,9 @@ distributes and keeps as the final parameters. Round 0 is reported the
 same way, as `on_round(0, init, [])` with no `RoundComplete`; a run of
 zero rounds sends its `Shutdown` with the provisioning. An update holding
 NaN or inf cannot be averaged safely, so it ends the run with a
-`non_finite_update` ProtocolError.
+`non_finite_update` ProtocolError, and a round whose updates all report
+0 samples gives FedAvg no weights, so it ends the run with
+`no_training_samples`; `fedavg.aggregate` checks none of this.
 """
 
 from __future__ import annotations
@@ -188,6 +190,9 @@ class FlServer:
         if len(self._pending) < self.n_clients:
             return []
         updates = [self._pending[cid] for cid in sorted(self._pending)]
+        if not any(u.n_samples for u in updates):
+            raise ProtocolError("no_training_samples",
+                                f"every update of round {self.round} reports 0 samples")
         self._pending.clear()
         self.global_params = None  # round r-1's model may go before round r's is built
         self.global_params = aggregate(updates)

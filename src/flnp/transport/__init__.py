@@ -3,7 +3,6 @@ from .frame import (
     FRAME_MAGIC,
     FRAME_VERSION,
     MAX_PAYLOAD,
-    build_frame,
 )
 from .codec import (
     compute_auth_tag,
@@ -20,7 +19,6 @@ __all__ = [
     "FRAME_MAGIC",
     "FRAME_VERSION",
     "MAX_PAYLOAD",
-    "build_frame",
     "compute_auth_tag",
     "decode_message",
     "encode_buffers",

@@ -291,10 +291,6 @@ def parameter_set_to_bytes(ps: ParameterSet) -> bytes:
     return b"".join(chunks)
 
 
-def parameter_set_from_bytes(data) -> ParameterSet:
-    return read_parameter_set(io.BytesIO(data).readinto, memoryview(data).nbytes)
-
-
 def read_parameter_set(read_into: Callable[[memoryview], int], size: int) -> ParameterSet:
     """The parameter set encoded in the next `size` bytes that `read_into` reads (see `fill`)."""
     buffer = mapped_buffer(size)

@@ -25,7 +25,6 @@ payload's CRC from its caller.
 from __future__ import annotations
 
 import struct
-import zlib
 from typing import Callable
 
 FRAME_MAGIC = b"FLNP"
@@ -103,14 +102,6 @@ def frame_buffers(msg_type: int, chunks: list, crc: int) -> list:
     length = sum(memoryview(chunk).nbytes for chunk in chunks)
     header = _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, msg_type, length)
     return [header, *chunks, struct.pack("<I", crc & 0xFFFFFFFF)]
-
-
-def build_frame(msg_type: int, *chunks) -> bytes:
-    """The frame of payload `chunks` as one bytes object, its CRC computed over them."""
-    crc = 0
-    for chunk in chunks:
-        crc = zlib.crc32(chunk, crc)
-    return b"".join(frame_buffers(msg_type, list(chunks), crc))
 
 
 def parse_header(data) -> tuple[int, int]:

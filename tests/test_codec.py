@@ -38,11 +38,10 @@ from flnp.transport import (
 from flnp.transport.codec import (
     BODY_LAYOUT,
     MSG_CODES,
-    parameter_set_from_bytes,
     parameter_set_to_bytes,
     read_parameter_set,
 )
-from flnp.transport.frame import HEADER_SIZE, build_frame, crc32_combine, crc32_shift, fill
+from flnp.transport.frame import HEADER_SIZE, crc32_combine, crc32_shift, fill, frame_buffers
 from flnp.transport.tcp import recv_message
 from test_params import _owner
 
@@ -50,6 +49,15 @@ from test_params import _owner
 # payload length 6 (LE u32), payload = empty reason string (u16 0) plus
 # zero auth tag (u32), CRC-32 of those six zero bytes
 GOLDEN_EMPTY_SHUTDOWN = "464c4e5001000606000000000000000000a3a1c2b1"
+
+
+def build_frame(msg_type: int, payload=b"") -> bytes:
+    """The frame of `payload` as one bytes object."""
+    return b"".join(frame_buffers(msg_type, [payload], zlib.crc32(payload)))
+
+
+def parameter_set_from_bytes(blob) -> ParameterSet:
+    return read_parameter_set(io.BytesIO(blob).readinto, len(blob))
 
 
 def _random_params(rng: Rng, n_tensors=3) -> ParameterSet:
@@ -157,8 +165,6 @@ class TestDecodeErrors:
         assert err.value.code == "unsupported_version"
 
     def test_unknown_type(self):
-        from flnp.transport.frame import build_frame
-
         with pytest.raises(DecodeError) as err:
             decode_message(build_frame(200, bytes(6)))
         assert err.value.code == "unknown_type"

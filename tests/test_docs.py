@@ -1,6 +1,8 @@
-"""docs/manifests.md, docs/wire-format.md and README's config fields are checked against the code."""
+"""docs/manifests.md, docs/wire-format.md and README are checked against the code."""
 
+import ast
 import dataclasses
+import glob
 import os
 import re
 
@@ -12,6 +14,7 @@ from flnp.transport.codec import BODY_LAYOUT, MSG_CODES
 MANIFESTS_MD = os.path.join(os.path.dirname(__file__), "..", "docs", "manifests.md")
 WIRE_FORMAT_MD = os.path.join(os.path.dirname(__file__), "..", "docs", "wire-format.md")
 README_MD = os.path.join(os.path.dirname(__file__), "..", "README.md")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 # sizes no preset dimension takes, rendered as the doc's placeholders
 PLACEHOLDERS = {90001: "V", 90002: "P"}
@@ -84,3 +87,53 @@ def test_wire_format_message_bodies_match_code():
     section = doc_section(WIRE_FORMAT_MD, "Message bodies")
     block = section.split("```\n")[1]
     assert block == render_message_bodies() + "\n"
+
+
+def _literal_codes(node, assigned):
+    """The string codes `node` can take: a literal, both branches of a conditional, or a local."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    if isinstance(node, ast.IfExp):
+        return _literal_codes(node.body, assigned) | _literal_codes(node.orelse, assigned)
+    if isinstance(node, ast.Name) and node.id in assigned:
+        return set().union(*(_literal_codes(value, assigned) for value in assigned[node.id]))
+    raise AssertionError(f"no literal code in {ast.unparse(node)}")
+
+
+def raised_codes(*classes):
+    """Every code `src/` passes to a constructor of `classes`, forwarded `x.code`s aside."""
+    codes = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True)):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            assigned = {}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            assigned.setdefault(target.id, []).append(node.value)
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in classes):
+                    continue
+                code = node.args[0]
+                if not (isinstance(code, ast.Attribute) and code.attr == "code"):
+                    codes |= _literal_codes(code, assigned)
+    return codes
+
+
+def test_readme_tables_every_protocol_error_code():
+    section = doc_section(README_MD, "Protocol error codes")
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    assert {code.strip("`") for code, _meaning, _exit in rows} == raised_codes("ProtocolError", "ErrorMsg")
+    assert {exit_code for _code, _meaning, exit_code in rows} == {"1"}
+
+
+def test_wire_format_lists_every_decode_error_code():
+    with open(WIRE_FORMAT_MD, encoding="utf-8") as fh:
+        listed = re.search(r"typed `DecodeError` \(([^)]*)\)", fh.read()).group(1)
+    assert set(re.findall(r"`([a-z_]+)`", listed)) == raised_codes("DecodeError")

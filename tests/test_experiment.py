@@ -4,13 +4,11 @@ import json
 import math
 import threading
 import weakref
-from functools import partial
 
 import numpy as np
 import pytest
 
 from flnp.experiment.config import ExperimentConfig, apply_overrides, config_from_dict
-from flnp.experiment.federated import ChannelServer
 from flnp.experiment.metrics import MetricsRecord, emit_metrics, parse_metrics
 from flnp.experiment.runner import (
     build_dataset,
@@ -240,23 +238,35 @@ class TestRuns:
 
         assert [len(s) for s in bundle.shards] == largest_remainder_sizes(1008, IMBALANCED_RATIOS)
 
-    def test_drop_injection_aborts_deterministically(self, monkeypatch):
-        cfg = small_cfg(rounds=3)
-        bundle = build_dataset(cfg)
+    def test_a_tcp_link_lost_in_round_2_ends_the_run_naming_the_client(self, monkeypatch):
         from flnp.experiment import runner
+        from flnp.protocol.messages import GlobalModel
+        from flnp.transport.tcp import ConnectionClosed
 
-        def failing_round(seed):
-            lossy = partial(ChannelServer, drop_rng=Rng(seed), drop_prob=0.15)
-            monkeypatch.setattr(runner, "ChannelServer", lossy)
-            try:
-                runner.run_federated(cfg, bundle)
-                return None
-            except ProtocolError as err:
-                return str(err)
+        client_thread = runner._client_thread
 
-        first = failing_round(3)
-        assert first is not None and "round" in first
-        assert failing_round(3) == first
+        def drop_client_1_at_round_2(client, conn):
+            recv = conn.recv
+
+            def recv_until_round_2():
+                msg = recv()
+                if isinstance(msg, GlobalModel) and msg.round == 2 and client.client_id == 1:
+                    conn.close()
+                    raise ConnectionClosed("link dropped")
+                return msg
+
+            conn.recv = recv_until_round_2
+            client_thread(client, conn)
+
+        monkeypatch.setattr(runner, "_client_thread", drop_client_1_at_round_2)
+        cfg = small_cfg(rounds=3, transport="tcp", addr="127.0.0.1:0")
+        before = set(threading.enumerate())
+        with pytest.raises(ProtocolError) as err:
+            runner.run_federated(cfg, build_dataset(cfg))
+        assert err.value.code == "client_disconnect"
+        assert err.value.detail == "client 1 lost in round 2"
+        assert not [t for t in set(threading.enumerate()) - before
+                    if t.name.startswith("flnp-client")]
 
     def test_failed_channel_run_leaves_no_pool_thread(self, monkeypatch):
         from flnp.experiment import runner

@@ -38,8 +38,8 @@ def _params(values) -> ParameterSet:
     return ParameterSet([("w", np.asarray(values, dtype=np.float64))])
 
 
-def _update(cid, values, n, rnd=1):
-    return LocalUpdate(client_id=cid, round=rnd, params=_params(values), n_samples=n)
+def _update(cid, values, n):
+    return LocalUpdate(client_id=cid, round=1, params=_params(values), n_samples=n)
 
 
 class TestAggregate:
@@ -94,19 +94,6 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
             aggregate([])
-
-    def test_manifest_mismatch_rejected(self):
-        a = _update(0, [1.0], 1)
-        b = LocalUpdate(1, 1, ParameterSet([("asdf", np.zeros(1))]), 1)
-        with pytest.raises(ProtocolError) as err:
-            aggregate([a, b])
-        assert err.value.code == "manifest_mismatch"
-
-    def test_round_mismatch_rejected(self):
-        with pytest.raises(ProtocolError) as err:
-            aggregate([_update(0, [1.0], 1, rnd=1), _update(1, [1.0], 1, rnd=2)])
-        assert err.value.code == "round_mismatch"
-
 
     def test_averaging_two_bert_sized_updates_holds_under_a_quarter_of_a_set(self):
         a, b = bert_set(1), bert_set(2)
@@ -245,8 +232,8 @@ def _provisioned(n_clients, rounds, on_round):
     return server
 
 
-def _send_update(server, cid, values, rnd=1):
-    update = LocalUpdate(cid, rnd, _params(values), 1, local_metrics={"id": float(cid)})
+def _send_update(server, cid, values, rnd=1, n=1):
+    update = LocalUpdate(cid, rnd, _params(values), n, local_metrics={"id": float(cid)})
     return server.handle(cid, sign(update, _session_key(server, cid)))
 
 
@@ -291,6 +278,18 @@ class TestRoundFlow:
             server.handle(1, update)
         assert err.value.code == "non_finite_update"
         assert str(err.value).endswith("client 1 sent NaN or inf in 'w' in round 1")
+
+    def test_a_round_whose_updates_all_report_0_samples_fails_naming_it(self):
+        server = _provisioned(2, 2, lambda *args: {})
+        _send_update(server, 0, [9.0, 9.0], n=0)
+        _send_update(server, 1, [4.0, 2.0], n=3)  # one count above 0 gives the round its weights
+        assert server.global_params["w"].tolist() == [4.0, 2.0]
+        server.report()
+        _send_update(server, 0, [1.0, 1.0], rnd=2, n=0)
+        with pytest.raises(ProtocolError) as err:
+            _send_update(server, 1, [1.0, 1.0], rnd=2, n=0)
+        assert err.value.code == "no_training_samples"
+        assert "round 2" in str(err.value)
 
     def test_disconnect_mid_round_aborts_with_round(self):
         server = _server(n_clients=2, rounds=3)
