@@ -2,9 +2,9 @@
 
 A federated session is sized for `workers = min(nproc, n_clients)`
 clients at once, and each client gets `nproc // workers` BLAS threads.
-The channel trains `workers` clients at once, so its clients and their
-BLAS threads never ask for more cores than there are; TCP client threads
-all train at once, with the same BLAS thread count. OpenBLAS
+The channel trains `workers` clients at once, and a run's TCP client
+threads share a semaphore of `workers` slots, so neither asks for more
+cores than there are with its clients' BLAS threads. OpenBLAS
 splits a large GEMM by its thread count, so float results (and the
 final-params checksum) are a function of the seeds, nproc and the
 session's client count.

@@ -22,7 +22,7 @@ from .blas import blas_threads, session_budget
 from .data import CorpusParams, gen_synthetic_corpus, save_corpus
 from .models.config import ConfigError
 from .protocol.client import FlClient
-from .protocol.fedavg import ProtocolError
+from .protocol.messages import ProtocolError
 from .tensor import UsageError
 from .transport.tcp import connect
 from .experiment.config import ExperimentConfig, load_config

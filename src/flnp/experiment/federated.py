@@ -2,14 +2,20 @@
 
 `drive(server, transport)` is the one loop that feeds the server state
 machine: it takes the next inbound (conn, message) from the transport,
-hands it to `server.handle` and sends what comes back, then sends what
-`server.report()` returns. The next round's global model is therefore
-out before the server validates the round before it, and the clients
-work while it does. An `ErrorMsg`
-the server sends ends the run there, with a `ProtocolError` of its code,
-over either transport. `TcpServer` feeds `drive` from socket reader
-threads, with clients running `tcp_client_loop` as threads of the run
-or, under `flnp serve`, as `flnp client` processes. `ChannelServer` offers
+hands it to `server.handle` and sends what comes back. Each round is
+validated by `server.on_round` on one validator thread that `drive`
+owns, one round at a time, while `drive` sends the next round's global
+model and receives and averages the clients' answers to it; only the
+last round, which nothing follows, is validated on `drive`'s own thread.
+So while round r+1 is averaged, round r's set may still be under
+validation: at most one set more than the server itself holds. Every
+call that changes the server's state stays on `drive`'s thread. An
+`ErrorMsg` the server sends ends the run there, with a `ProtocolError`
+of its code, over either transport, and so does a failed validation,
+when the next round completes. `TcpServer` feeds `drive` from socket
+reader threads, with clients running `tcp_client_loop` as threads of the
+run, `workers` of them at work at once, or, under `flnp serve`, as
+`flnp client` processes. `ChannelServer` offers
 the same surface in process: it hands each sent message to a pool of
 worker threads, so clients train concurrently as they do over TCP, and
 `recv` returns the replies in the order their messages were sent. The
@@ -22,11 +28,10 @@ from __future__ import annotations
 import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import suppress
+from contextlib import AbstractContextManager, nullcontext, suppress
 
 from ..protocol.client import FlClient
-from ..protocol.fedavg import ProtocolError
-from ..protocol.messages import ErrorMsg
+from ..protocol.messages import ErrorMsg, ProtocolError
 from ..protocol.server import FlServer
 from ..transport.codec import sign
 from ..transport.frame import DecodeError
@@ -96,24 +101,46 @@ class ChannelServer:
 def drive(server: FlServer, transport) -> None:
     """Feed `transport`'s inbound messages to `server` until the run completes.
 
-    Each message goes to `server.handle`, whose replies are sent before
-    `server.report()` runs and its messages are sent, so a round's
-    validation overlaps the clients' next round. An `ErrorMsg` the server
-    produces is sent, and then raised as a `ProtocolError` of its code. The
-    caller opened `transport` and closes it.
+    Each message goes to `server.handle`. When that completes a round,
+    the round before it has been validating on a thread of its own: its
+    `RoundComplete` is sent once that validation returns, then this
+    round's validation starts there, and only then go `handle`'s replies,
+    the next round's global model. So a round's validation overlaps the
+    clients' next round and the server's receiving of it, one validation
+    at a time and in round order. The last round is validated here, as
+    nothing is left to overlap. Every server call runs on this thread;
+    the validator thread runs only `server.on_round`, and its error ends
+    the run when its result is read. An `ErrorMsg` the server produces is
+    sent, and then raised as a `ProtocolError` of its code. The caller
+    opened `transport` and closes it.
     """
-    while server.phase != "done":
-        conn_id, msg = transport.recv()
-        if msg is None:
-            server.on_disconnect(conn_id)
-            continue
-        outgoing = server.handle(conn_id, msg)
-        del msg  # handled: an update's parameters must not live on through the sends
-        _send(server, transport, outgoing)
-        # no batch of sent messages outlives its send: a global model must not
-        # live on through the next aggregation
-        del outgoing
-        _send(server, transport, server.report())
+    validator = ThreadPoolExecutor(1, thread_name_prefix="flnp-validator")
+    validating: tuple[int, Future] | None = None  # a round and the Future of its metrics
+    try:
+        while server.phase != "done":
+            conn_id, msg = transport.recv()
+            if msg is None:
+                server.on_disconnect(conn_id)
+                continue
+            outgoing = server.handle(conn_id, msg)
+            del msg  # handled: an update's parameters must not live on through the sends
+            due = server.take_report()
+            if due is not None:
+                if validating is not None:
+                    rnd, metrics = validating
+                    validating = None
+                    _send(server, transport, server.complete_report(rnd, metrics.result()))
+                if due[0] < server.plan.rounds:
+                    validating = (due[0], validator.submit(server.on_round, *due))
+                else:
+                    outgoing += server.complete_report(due[0], server.on_round(*due))
+                del due  # its set must not outlive its validation through the next aggregation
+            _send(server, transport, outgoing)
+            # no batch of sent messages outlives its send: a global model must not
+            # live on through the next aggregation
+            del outgoing
+    finally:
+        validator.shutdown(wait=True, cancel_futures=True)
 
 
 def _send(server: FlServer, transport, outgoing) -> None:
@@ -127,9 +154,12 @@ def _send(server: FlServer, transport, outgoing) -> None:
             raise ProtocolError(out.code, out.detail)
 
 
-def tcp_client_loop(client: FlClient, conn: TcpConnection) -> None:
+def tcp_client_loop(client: FlClient, conn: TcpConnection,
+                    compute: AbstractContextManager = nullcontext()) -> None:
     """Blocking client session: hello, then serve messages until shutdown.
 
+    The client handles each message inside `compute`, which a run's
+    client threads share as a semaphore to bound how many train at once.
     A `ProtocolError` the client raises itself is sent to the server as a
     signed `ErrorMsg` before it propagates; one the server reported is not
     sent back. A frame from the server that does not decode raises
@@ -139,19 +169,20 @@ def tcp_client_loop(client: FlClient, conn: TcpConnection) -> None:
     try:
         conn.send(client.hello())
         while not client.done:
-            _serve(client, conn)
+            _serve(client, conn, compute)
     finally:
         conn.close()
 
 
-def _serve(client: FlClient, conn: TcpConnection) -> None:
+def _serve(client: FlClient, conn: TcpConnection, compute: AbstractContextManager) -> None:
     """Hand the next message to `client` and send its replies."""
     try:
         msg = conn.recv()
     except DecodeError as exc:
         raise ProtocolError(exc.code, f"malformed frame from the server ({exc})") from None
     try:
-        replies = client.handle(msg)
+        with compute:
+            replies = client.handle(msg)
     except ProtocolError as exc:
         if not isinstance(msg, ErrorMsg):
             with suppress(OSError):  # the server may be gone already

@@ -16,10 +16,11 @@ hands the aggregated parameters and each client's local metrics to one
 `on_round` report, which validates the global model and appends the
 global row and each client's train and validation rows, all stamped with
 the round's wall time. Round 0 is reported the same way, with the
-initial parameters and no clients, so it writes the global row alone. The
-server reports a round after it has sent the next round's global model,
-so a round's wall time runs from the end of the report before it to the
-end of its own validation, which overlaps the clients' next round.
+initial parameters and no clients, so it writes the global row alone.
+Each round but the last is reported on the session's validator thread
+while the clients work on the next round, one report at a time and in
+round order, so a round's wall time runs from the end of the report
+before it to the end of its own validation.
 
 Stream derivations (trainer_id is the client id; 0 for the centralized
 trainer): see `flnp.training`. The global validation set is carved off
@@ -43,8 +44,7 @@ from ..models import build_model, init_model
 from ..models.config import ConfigError
 from ..params import ParameterSet
 from ..protocol.client import FlClient, LocalTrainer
-from ..protocol.fedavg import ProtocolError
-from ..protocol.messages import RoundPlan
+from ..protocol.messages import ProtocolError, RoundPlan
 from ..protocol.server import ClientMetrics, FlServer
 from ..rng import Rng
 from ..tensor import UsageError
@@ -205,8 +205,9 @@ def run_federated(
     under one compute budget (`flnp.blas.session_budget`): every client
     gets `budget` BLAS threads, and the channel trains `workers` clients
     at once. Over TCP the clients run `tcp_client_loop` as threads of this
-    process, all `n_clients` at once, or, with `remote_clients`, as
-    `flnp client` processes the server waits for. A client thread ends
+    process, which share a semaphore so that `workers` of them handle a
+    message at once, or, with `remote_clients`, as `flnp client` processes
+    the server waits for. A client thread ends
     quietly on a protocol or connection fault, which `drive` reports, and
     the run waits a bounded time for its client threads, whether it
     finished or failed.
@@ -264,13 +265,15 @@ def run_federated(
             tcp = TcpServer(host, port, expected=n_clients)
             tcp.start()
             threads: list[threading.Thread] = []
+            trainers = threading.Semaphore(workers)  # the channel's bound on clients at work
             try:
                 if remote_clients:
                     print(f"waiting for {n_clients} clients on {host}:{tcp.port}", flush=True)
                 else:
                     for i in range(n_clients):
                         conn = connect(host, tcp.port)
-                        t = threading.Thread(target=_client_thread, args=(make_client(i), conn),
+                        t = threading.Thread(target=_client_thread,
+                                             args=(make_client(i), conn, trainers),
                                              name=f"flnp-client-{i}", daemon=True)
                         t.start()
                         threads.append(t)
@@ -284,10 +287,10 @@ def run_federated(
                      finals={"global": server.global_params})
 
 
-def _client_thread(client: FlClient, conn) -> None:
+def _client_thread(client: FlClient, conn, trainers: threading.Semaphore) -> None:
     """`tcp_client_loop` as a thread of the run: a fault ends it quietly, and `drive` reports it."""
     try:
-        tcp_client_loop(client, conn)
+        tcp_client_loop(client, conn, trainers)
     except (ProtocolError, ConnectionClosed, OSError):
         pass
 

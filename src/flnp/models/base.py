@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from itertools import zip_longest
 
 import numpy as np
@@ -112,11 +113,14 @@ def init_params(config: ModelConfig, seed: int, mode: str = "classify") -> Param
     so one float64 tensor is alive at a time beside the set's buffer.
     """
     _, specs = _model_class(config, mode)
-    kinds = {name: kind for name, _, kind in specs}
     rng = Rng(seed)
 
-    def draw(name: str, out: np.ndarray) -> None:
-        np.copyto(out, init_array((name, out.shape, kinds[name]), rng), casting="unsafe")
+    def draw(flat: np.ndarray) -> None:
+        used = 0
+        for spec in specs:
+            size = math.prod(spec[1])
+            np.copyto(flat[used : used + size].reshape(spec[1]), init_array(spec, rng), casting="unsafe")
+            used += size
 
     return ParameterSet.written(((name, shape) for name, shape, _ in specs), draw)
 

@@ -18,13 +18,21 @@ a set's arrays as they are, so a set is copied only when it is built.
 file read fills is not pre-faulted: its pages become resident as the
 bytes reach them, so a transfer in flight holds only what has arrived.
 
-Every set is laid out by one path: each tensor is written straight into
-its slot of the buffer as it is computed, copied or received, so
-building a set holds at most one of its tensors outside the buffer.
-`ParameterSet.written` does that for a known manifest (averaging,
-initialisation); `ParameterSet.laid_out` serves the decoder, which
-learns each name and shape as it reads them and lays the set out in the
-buffer the encoded set was read into.
+Every set is laid out by one path: its tensors' slots lie back to back
+from the start of the buffer, in manifest order, and each tensor is
+written straight into its slot as it is computed, copied or received,
+so building a set holds at most one of its tensors outside the buffer
+(averaging holds three float64 rows of one chunk of values instead).
+`ParameterSet.written` fills the values of a known manifest in one
+pass over that run of slots (averaging, initialisation);
+`ParameterSet.laid_out` serves the decoder, which learns each name and
+shape as it reads them and lays the set out in the buffer the encoded
+set was read into. `ParameterSet.flat` is the run of all the set's
+values, read-only, so code that treats every value alike (averaging,
+the server's finite check) makes one pass over one array instead of
+one per tensor. While a federated server averages round r, it holds
+round r's updates and the new average, and at most one more set: round
+r-1's, while that is still under validation.
 
 Since a set cannot change, the codec checksums it at most once:
 `wire_digest` caches the CRC-32 and byte count of the set's encoding.
@@ -67,16 +75,16 @@ Entry = tuple[str, tuple[int, ...], Callable[[np.ndarray], None]]
 class ParameterSet:
     """Ordered name -> float32 array snapshot: read-only views into one buffer of its own."""
 
-    __slots__ = ("_arrays", "wire_digest", "__weakref__")
+    __slots__ = ("_arrays", "_flat", "wire_digest", "__weakref__")
 
     def __init__(self, items: Iterable[tuple[str, np.ndarray]]) -> None:
         # (CRC-32, byte count) of the set's encoding, set once by the codec
         self.wire_digest: tuple[int, int] | None = None
         sources = [(name, np.asarray(arr)) for name, arr in items]
         size = sum(arr.size for _, arr in sources) * WIRE_DTYPE.itemsize
-        self._arrays = _layout(mapped_buffer(size, populate=True),
-                               ((name, arr.shape, partial(np.copyto, src=arr, casting="unsafe"))
-                                for name, arr in sources))
+        self._arrays, self._flat = _layout(
+            mapped_buffer(size, populate=True),
+            ((name, arr.shape, partial(np.copyto, src=arr, casting="unsafe")) for name, arr in sources))
 
     @classmethod
     def laid_out(cls, buffer, entries: Iterable[Entry]) -> "ParameterSet":
@@ -89,17 +97,29 @@ class ParameterSet:
         """
         ps = cls.__new__(cls)
         ps.wire_digest = None
-        ps._arrays = _layout(buffer, entries)
+        ps._arrays, ps._flat = _layout(buffer, entries)
         return ps
 
     @classmethod
     def written(cls, manifest: Iterable[tuple[str, tuple[int, ...]]],
-                write: Callable[[str, np.ndarray], None]) -> "ParameterSet":
-        """The set of `manifest`'s (name, shape) pairs, `write(name, slot)` filling each slot in order."""
+                fill: Callable[[np.ndarray], None]) -> "ParameterSet":
+        """The set of `manifest`'s (name, shape) pairs, whose values `fill(flat)` writes.
+
+        `flat` is the set's writable float32 run of values, each tensor's
+        slot after the one before it in manifest order; what `fill` writes
+        becomes `ParameterSet.flat`.
+        """
         manifest = tuple(manifest)
-        size = sum(math.prod(shape) for _, shape in manifest) * WIRE_DTYPE.itemsize
-        return cls.laid_out(mapped_buffer(size, populate=True),
-                            ((name, shape, partial(write, name)) for name, shape in manifest))
+        size = sum(math.prod(shape) for _, shape in manifest)
+        buffer = mapped_buffer(size * WIRE_DTYPE.itemsize, populate=True)
+        with np.errstate(over="ignore"):  # as in _layout
+            fill(np.frombuffer(buffer, WIRE_DTYPE, count=size))
+        return cls.laid_out(buffer, ((name, shape, _filled) for name, shape in manifest))
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Every value of the set, read-only, one tensor's after another in manifest order."""
+        return self._flat
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -122,12 +142,10 @@ class ParameterSet:
         return iter(self._arrays.items())
 
     def __eq__(self, other: object) -> bool:
-        """Bit-exact equality: same names, same order, same values."""
+        """Bit-exact equality: same names, same order, same shapes, same values."""
         if not isinstance(other, ParameterSet):
             return NotImplemented
-        if self.names != other.names:
-            return False
-        return all(np.array_equal(self._arrays[n], other._arrays[n]) for n in self._arrays)
+        return self.manifest() == other.manifest() and np.array_equal(self.flat, other.flat)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -139,8 +157,16 @@ class ParameterSet:
         return self
 
 
-def _layout(buffer, entries: Iterable[Entry]) -> dict[str, np.ndarray]:
-    """Read-only float32 views into `buffer`, each entry's tensor written into its slot."""
+def _filled(slot: np.ndarray) -> None:
+    """Write nothing: `ParameterSet.written` has filled the slot already."""
+
+
+def _layout(buffer, entries: Iterable[Entry]) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Read-only float32 views into `buffer`, each entry's tensor written into its slot.
+
+    Returns the views by name and the one view of all their values, the
+    first values of the buffer, in manifest order.
+    """
     capacity = len(buffer) // WIRE_DTYPE.itemsize
     flat = np.frombuffer(buffer, WIRE_DTYPE, count=capacity)
     arrays: dict[str, np.ndarray] = {}
@@ -158,4 +184,6 @@ def _layout(buffer, entries: Iterable[Entry]) -> dict[str, np.ndarray]:
             slot.setflags(write=False)
             arrays[name] = slot
             used += size
-    return arrays
+    values = flat[:used]
+    values.setflags(write=False)
+    return arrays, values

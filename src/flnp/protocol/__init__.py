@@ -9,12 +9,13 @@ from .messages import (
     GlobalModel,
     Hello,
     LocalUpdate,
+    ProtocolError,
     Provisioned,
     RoundComplete,
     RoundPlan,
     Shutdown,
 )
-from .fedavg import ProtocolError, aggregate
+from .fedavg import aggregate
 
 __all__ = [
     "ErrorMsg",

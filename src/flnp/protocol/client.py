@@ -27,13 +27,13 @@ from ..rng import Rng
 from ..tensor import UsageError
 from ..training import TrainPlan, evaluate, prepare_eval_batches, split_holdout, train_epochs
 from ..transport.codec import sign, verify_auth
-from .fedavg import ProtocolError
 from .messages import (
     ErrorMsg,
     FlMessage,
     GlobalModel,
     Hello,
     LocalUpdate,
+    ProtocolError,
     Provisioned,
     RoundComplete,
     Shutdown,
@@ -105,7 +105,7 @@ class FlClient:
             return []
         if isinstance(msg, ErrorMsg):
             raise ProtocolError(msg.code, msg.detail)
-        return [ErrorMsg("unexpected_message", type(msg).__name__)]
+        return [sign(ErrorMsg("unexpected_message", type(msg).__name__), self.session_key)]
 
     def _on_provisioned(self, msg: Provisioned) -> list[FlMessage]:
         self.client_id = msg.client_id

@@ -77,6 +77,15 @@ class ErrorMsg:
     auth_tag: int = 0
 
 
+class ProtocolError(RuntimeError):
+    """A message violated the round protocol."""
+
+    def __init__(self, code: str, detail: str = "") -> None:
+        super().__init__(f"{code}: {detail}" if detail else code)
+        self.code = code
+        self.detail = detail
+
+
 FlMessage = Union[
     Hello, Provisioned, GlobalModel, LocalUpdate, RoundComplete, Shutdown, ErrorMsg
 ]

@@ -1,11 +1,16 @@
 """Server side of the round protocol as a transport-free state machine.
 
 `handle(conn, msg)` consumes one inbound message and returns the list of
-(conn, message) pairs to transmit; `report()` then reports the round that
-call completed, if any, and returns what to transmit after those. The
-caller owns delivery. All state mutation happens inside these two calls,
-so the one session loop, `flnp.experiment.federated.drive`, behaves
-identically whether the in-process channel or TCP reader threads feed it.
+(conn, message) pairs to transmit. A round that call completed is
+reported in three steps: `take_report()` hands out `on_round`'s
+arguments once, `on_round` scores the round, and
+`complete_report(round, metrics)` returns what to transmit for it. The
+caller owns delivery. All state mutation happens inside `handle`,
+`take_report` and `complete_report`, which the one session loop,
+`flnp.experiment.federated.drive`, calls from its own thread, so it
+behaves identically whether the in-process channel or TCP reader
+threads feed it; `on_round` changes no server state and may run on
+another thread.
 
 Phases run awaiting_provision -> collecting -> done. A connection is
 provisioned at most once, with the server's one `RoundPlan`, and every
@@ -16,18 +21,23 @@ round before the one before it is reported. Aggregation runs over
 client-id-sorted updates, so results do not depend on arrival order, and
 the server lets go of the updates as it aggregates them. While it
 averages round r it keeps only the manifest of round r-1's model, not
-the model itself, which FedAvg does not read. `report()` then
-calls `on_round(round, params, client_metrics)` once, with the aggregate
-and each client's `(client_id, local_metrics)` in client-id order, and
-sends the metrics it returns as `RoundComplete`, followed by `Shutdown`
-after the last round; the aggregate is the one set the server reports,
-distributes and keeps as the final parameters. Round 0 is reported the
-same way, as `on_round(0, init, [])` with no `RoundComplete`; a run of
-zero rounds sends its `Shutdown` with the provisioning. An update holding
-NaN or inf cannot be averaged safely, so it ends the run with a
-`non_finite_update` ProtocolError, and a round whose updates all report
-0 samples gives FedAvg no weights, so it ends the run with
-`no_training_samples`; `fedavg.aggregate` checks none of this.
+the model itself, which FedAvg does not read; the caller may still be
+validating that model. Each round's `on_round(round, params,
+client_metrics)` gets the aggregate and each client's `(client_id,
+local_metrics)` in client-id order, and the metrics it returns go out as
+`RoundComplete`, followed by `Shutdown` after the last round; the
+aggregate is the one set the server reports, distributes and keeps as
+the final parameters. Round 0 is reported the same way, as
+`on_round(0, init, [])` with no `RoundComplete`; a run of zero rounds
+sends its `Shutdown` with the provisioning. An update holding NaN or inf
+cannot be averaged safely, so it ends the run with a `non_finite_update`
+ProtocolError, and a round whose updates all report 0 samples gives
+FedAvg no weights, so it ends the run with `no_training_samples`;
+`fedavg.aggregate` checks none of this. A client's `ErrorMsg` ends the
+run with the client's code only if it is signed with the session key of
+a provisioned connection; any other is refused as `not_provisioned` or
+`auth_failed`, like an update, so no peer can end a run with a code of
+its choosing.
 """
 
 from __future__ import annotations
@@ -40,13 +50,14 @@ import numpy as np
 from ..params import ParameterSet
 from ..rng import Rng
 from ..transport.codec import sign, verify_auth
-from .fedavg import ProtocolError, aggregate
+from .fedavg import CHUNK_VALUES, aggregate
 from .messages import (
     ErrorMsg,
     FlMessage,
     GlobalModel,
     Hello,
     LocalUpdate,
+    ProtocolError,
     Provisioned,
     RoundComplete,
     RoundPlan,
@@ -55,6 +66,7 @@ from .messages import (
 
 Outgoing = list[tuple[int, FlMessage]]
 ClientMetrics = list[tuple[int, dict[str, float]]]  # (client_id, local_metrics), by client id
+Report = tuple[int, ParameterSet, ClientMetrics]  # on_round's arguments for one round
 
 
 @dataclass
@@ -65,7 +77,7 @@ class _ClientSlot:
 
 
 class FlServer:
-    """FedAvg server: `handle` each inbound message, deliver its replies, then `report()`."""
+    """FedAvg server: `handle` each inbound message, deliver its replies, and report each round."""
 
     def __init__(
         self,
@@ -84,10 +96,10 @@ class FlServer:
         self.round = 0
         self._auth_token = auth_token
         self._session_rng = session_rng
-        self._on_round = on_round
+        self.on_round = on_round
         self._slots: dict[int, _ClientSlot] = {}  # conn -> slot, in client-id order
         self._pending: dict[int, LocalUpdate] = {}  # client id -> this round's update
-        self._unreported: tuple[int, ParameterSet, ClientMetrics] | None = None
+        self._unreported: Report | None = None
 
     # -- driver surface ------------------------------------------------
 
@@ -97,20 +109,20 @@ class FlServer:
         if isinstance(msg, LocalUpdate):
             return self._handle_update(conn, msg)
         if isinstance(msg, ErrorMsg):
-            raise ProtocolError(msg.code, f"client error in round {self.round}: {msg.detail}")
+            return self._handle_error(conn, msg)
         return [(conn, ErrorMsg("unexpected_message", type(msg).__name__))]
 
-    def report(self) -> Outgoing:
-        """Run `on_round` for the round the last `handle` call completed, if any.
+    def take_report(self) -> Report | None:
+        """The round the last `handle` call completed, as `on_round`'s arguments, once; else None."""
+        due, self._unreported = self._unreported, None
+        return due
 
-        Returns that round's `RoundComplete`, and `Shutdown` after the last
-        round; round 0 sends nothing.
+    def complete_report(self, rnd: int, metrics: dict[str, float]) -> Outgoing:
+        """What to send once `on_round` has returned `metrics` for round `rnd`.
+
+        That round's `RoundComplete`, and `Shutdown` after the last round;
+        round 0 sends nothing.
         """
-        if self._unreported is None:
-            return []
-        rnd, params, client_metrics = self._unreported
-        self._unreported = None
-        metrics = self._on_round(rnd, params, client_metrics)
         if rnd == 0:
             return []
         out = self._broadcast(RoundComplete(round=rnd, global_metrics=metrics))
@@ -165,6 +177,15 @@ class FlServer:
             lr=self.plan.lr,
         ))
 
+    def _handle_error(self, conn: int, msg: ErrorMsg) -> Outgoing:
+        """A provisioned client's signed error ends the run with its code; any other is refused."""
+        slot = self._slots.get(conn)
+        if slot is None:
+            return [(conn, ErrorMsg("not_provisioned", f"error message from connection {conn}"))]
+        if not verify_auth(msg, slot.session_key):
+            return [(conn, ErrorMsg("auth_failed", f"bad tag on an error from client {slot.client_id}"))]
+        raise ProtocolError(msg.code, f"client error in round {self.round}: {msg.detail}")
+
     def _handle_update(self, conn: int, msg: LocalUpdate) -> Outgoing:
         slot = self._slots.get(conn)
         if slot is None:
@@ -179,7 +200,7 @@ class FlServer:
             return [(conn, ErrorMsg("client_id_mismatch", f"{msg.client_id} != {slot.client_id}"))]
         if msg.params.manifest() != self._manifest:
             return [(conn, ErrorMsg("manifest_mismatch", f"client {slot.client_id}"))]
-        bad = next((name for name, arr in msg.params.items() if not np.isfinite(arr).all()), None)
+        bad = _first_non_finite(msg.params)
         if bad is not None:
             raise ProtocolError(
                 "non_finite_update",
@@ -199,8 +220,23 @@ class FlServer:
         self._unreported = (self.round, self.global_params,
                             [(u.client_id, u.local_metrics) for u in updates])
         if self.round == self.plan.rounds:
-            return []  # report() sends the last RoundComplete, then Shutdown
+            return []  # complete_report() sends the last RoundComplete, then Shutdown
         return self._next_round()
 
     def _broadcast(self, msg: FlMessage) -> Outgoing:
         return [(conn, sign(msg, slot.session_key)) for conn, slot in self._slots.items()]
+
+
+def _first_non_finite(params: ParameterSet) -> str | None:
+    """The name of the first tensor of `params` holding NaN or inf, else None."""
+    values = params.flat
+    for start in range(0, values.size, CHUNK_VALUES):
+        finite = np.isfinite(values[start : start + CHUNK_VALUES])
+        if not finite.all():
+            bad = start + int(np.argmin(finite))  # the first value that is not finite
+            end = 0
+            for name, arr in params.items():
+                end += arr.size
+                if bad < end:
+                    return name
+    return None

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from flnp.experiment.federated import ChannelServer
-from flnp.protocol.fedavg import ProtocolError
+from flnp.protocol import ProtocolError
 from flnp.protocol.messages import Hello, Shutdown
 
 

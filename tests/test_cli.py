@@ -434,7 +434,7 @@ def test_a_malformed_frame_from_the_server_ends_a_run_client_thread_quietly(tmp_
     from flnp.experiment.federated import tcp_client_loop
     from flnp.experiment.runner import _client_thread, build_dataset, train_plan
     from flnp.protocol.client import FlClient
-    from flnp.protocol.fedavg import ProtocolError
+    from flnp.protocol import ProtocolError
     from flnp.transport.tcp import connect
 
     cfg = load_config(base_config(tmp_path, mode="federated"), [])
@@ -446,6 +446,7 @@ def test_a_malformed_frame_from_the_server_ends_a_run_client_thread_quietly(tmp_
     assert not server.is_alive()
     assert err.value.code == "bad_magic"
     port, server = _fake_server(MALFORMED_REPLY)
-    _client_thread(FlClient("site-0", cfg.auth_token, plan), connect("127.0.0.1", port))
+    _client_thread(FlClient("site-0", cfg.auth_token, plan), connect("127.0.0.1", port),
+                   threading.Semaphore(1))
     server.join(timeout=30)
     assert not server.is_alive()

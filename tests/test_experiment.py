@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -21,7 +22,7 @@ from flnp.experiment.runner import (
 )
 from flnp.models import build_model
 from flnp.models.config import ConfigError
-from flnp.protocol.fedavg import ProtocolError
+from flnp.protocol import ProtocolError
 from flnp.rng import Rng
 from flnp.training import VALIDATION_MASK_KEY, evaluate, prepare_eval_batches
 
@@ -245,7 +246,7 @@ class TestRuns:
 
         client_thread = runner._client_thread
 
-        def drop_client_1_at_round_2(client, conn):
+        def drop_client_1_at_round_2(client, conn, trainers):
             recv = conn.recv
 
             def recv_until_round_2():
@@ -256,7 +257,7 @@ class TestRuns:
                 return msg
 
             conn.recv = recv_until_round_2
-            client_thread(client, conn)
+            client_thread(client, conn, trainers)
 
         monkeypatch.setattr(runner, "_client_thread", drop_client_1_at_round_2)
         cfg = small_cfg(rounds=3, transport="tcp", addr="127.0.0.1:0")
@@ -311,16 +312,17 @@ class TestRuns:
     @pytest.mark.parametrize("transport", ["channel", "tcp"])
     def test_a_fault_the_client_raises_reaches_the_server_under_its_code(self, monkeypatch, transport):
         from flnp.protocol.client import FlClient
+        from flnp.protocol.messages import GlobalModel
 
-        provisioned = FlClient._on_provisioned
+        handle = FlClient.handle
 
-        def wrong_key_for_client_1(self, msg):
-            out = provisioned(self, msg)
-            if self.client_id == 1:
-                self.session_key = bytes(len(self.session_key))
-            return out
+        def tampered_for_client_1(self, msg):
+            if self.client_id == 1 and isinstance(msg, GlobalModel):
+                msg = dataclasses.replace(msg, auth_tag=msg.auth_tag ^ 1)
+            return handle(self, msg)
 
-        monkeypatch.setattr(FlClient, "_on_provisioned", wrong_key_for_client_1)
+        # client 1 refuses its global model, and signs the error it sends with its own key
+        monkeypatch.setattr(FlClient, "handle", tampered_for_client_1)
         cfg = small_cfg(model="lstm", phase="finetune_classify", rounds=1,
                         transport=transport, addr="127.0.0.1:0")
         with pytest.raises(ProtocolError, match="global model failed tag verification") as err:
@@ -380,6 +382,94 @@ class TestRoundOrder:
         monkeypatch.setattr(runner, "evaluate", waiting_evaluate)
         run_experiment(self._lstm_cfg(transport, rounds=2))
         assert waited == [None, True, None]
+
+    @pytest.mark.parametrize("transport", ["channel", "tcp"])
+    def test_a_validation_that_fails_in_round_1_ends_the_run_and_its_threads(self, monkeypatch, transport):
+        from flnp.experiment import runner
+        from flnp.protocol.client import LocalTrainer
+
+        evaluate, train_round = runner.evaluate, LocalTrainer.train_round
+        validated, trained = [], []
+
+        def evaluate_failing_round_1(model, batches):
+            validated.append(None)
+            if len(validated) == 2:
+                raise RuntimeError("validation failed")
+            return evaluate(model, batches)
+
+        def recording_train_round(self, round_no, epochs, lr):
+            trained.append(round_no)
+            return train_round(self, round_no, epochs, lr)
+
+        monkeypatch.setattr(runner, "evaluate", evaluate_failing_round_1)
+        monkeypatch.setattr(LocalTrainer, "train_round", recording_train_round)
+        cfg = self._lstm_cfg(transport, rounds=3)
+        bundle = build_dataset(cfg)
+        before = set(threading.enumerate())
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="validation failed"):
+            runner.run_federated(cfg, bundle)
+        assert time.perf_counter() - start < 60
+        # round 2's aggregation reads the failure: round 2 is never validated, round 3 never sent
+        assert (len(validated), max(trained)) == (2, 2)
+        assert not [t.name for t in set(threading.enumerate()) - before
+                    if t.name.startswith(("flnp-validator", "flnp-channel", "flnp-client"))]
+
+    @pytest.mark.parametrize("transport", ["channel", "tcp"])
+    def test_rounds_are_validated_one_at_a_time_off_the_session_loop(self, monkeypatch, transport):
+        from flnp.experiment import runner
+
+        evaluate = runner.evaluate
+        lock = threading.Lock()
+        running, most, threads = [0], [0], []
+
+        def sleeping_evaluate(model, batches):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            threads.append(threading.current_thread().name)
+            try:
+                time.sleep(0.05)
+                return evaluate(model, batches)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(runner, "evaluate", sleeping_evaluate)
+        result = run_experiment(self._lstm_cfg(transport, rounds=3))[0]
+        assert most == [1]
+        # rounds 0-2 on the validator thread; the last one, with nothing to overlap, on drive's
+        assert [name.startswith("flnp-validator") for name in threads] == [True, True, True, False]
+        assert threads[-1] == threading.current_thread().name
+        rounds = [r.round for r in result.records]
+        assert rounds == sorted(rounds)
+        assert [r.round for r in result.records if r.scope == "global"] == [0, 1, 2, 3]
+
+    def test_tcp_client_threads_train_at_most_the_sessions_workers_at_once(self, monkeypatch):
+        from flnp.experiment import runner
+        from flnp.protocol.client import LocalTrainer
+
+        train_round = LocalTrainer.train_round
+        lock = threading.Lock()
+        running, most = [0], [0]
+
+        def counting_train_round(self, round_no, epochs, lr):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            try:
+                time.sleep(0.05)  # every client has its global model by now
+                return train_round(self, round_no, epochs, lr)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(runner, "session_budget", lambda n_clients: (2, 1))
+        monkeypatch.setattr(LocalTrainer, "train_round", counting_train_round)
+        cfg = small_cfg(rounds=1, transport="tcp", addr="127.0.0.1:0",
+                        partition={"n_clients": 4, "mode": "balanced"})
+        runner.run_federated(cfg, build_dataset(cfg))
+        assert most == [2]
 
     def test_a_tcp_client_holds_no_handled_message_while_it_reads_the_next(self, monkeypatch):
         from flnp.protocol.messages import GlobalModel, LocalUpdate

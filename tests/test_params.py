@@ -119,15 +119,16 @@ def traced_peak(fn):
 
 
 def test_written_rounds_each_tensor_into_its_slot_in_manifest_order():
-    order = []
+    filled = []
 
-    def write(name, out):
-        order.append(name)
-        out[...] = np.full(out.shape, 0.1)
+    def fill(flat):
+        filled.append(flat.size)
+        flat[...] = np.arange(7.0) + 0.1
 
-    ps = ParameterSet.written([("a", (2, 3)), ("s", ()), ("e", (0, 4))], write)
-    assert order == ["a", "s", "e"]
-    assert ps == ParameterSet([("a", np.full((2, 3), 0.1)), ("s", np.array(0.1)), ("e", np.zeros((0, 4)))])
+    ps = ParameterSet.written([("a", (2, 3)), ("s", ()), ("e", (0, 4))], fill)
+    assert filled == [7]
+    assert ps == ParameterSet([("a", np.arange(6.0).reshape(2, 3) + 0.1), ("s", np.array(6.1)),
+                               ("e", np.zeros((0, 4)))])
     assert len({id(_owner(arr)) for _, arr in ps.items()}) == 1
     assert not ps["a"].flags.writeable
 
@@ -141,3 +142,34 @@ def test_laid_out_refuses_a_tensor_past_its_capacity_and_a_duplicate_name():
         ParameterSet.laid_out(mapped_buffer(4 * 3), entries("a", "b"))
     with pytest.raises(ValueError, match="duplicate"):
         ParameterSet.laid_out(mapped_buffer(4 * 8), entries("a", "a"))
+
+
+def _flat_paths(tmp_path):
+    """One set of the bert_mini MLM manifest from each way a set is built."""
+    from flnp.experiment.runner import load_params, save_params
+    from flnp.models.base import init_params
+    from flnp.models.config import preset
+    from flnp.protocol.messages import GlobalModel
+    from flnp.transport.codec import decode_message, encode_message
+
+    init = init_params(preset("bert_mini", 40, 16), 3, "mlm")
+    copied = ParameterSet((name, arr.astype(np.float64) * 3.0) for name, arr in init.items())
+    frame = encode_message(GlobalModel(round=1, params=copied, local_epochs=1, lr=0.1))
+    save_params(copied, str(tmp_path / "set.flnp"))
+    return {"init_params": init, "ParameterSet": copied,
+            "decoded": decode_message(frame).params, "load_params": load_params(str(tmp_path / "set.flnp"))}
+
+
+def test_flat_is_every_value_read_only_in_manifest_order_on_every_path(tmp_path):
+    for path, ps in _flat_paths(tmp_path).items():
+        expected = np.concatenate([arr.reshape(-1) for _, arr in ps.items()])
+        assert ps.flat.dtype == np.dtype("<f4"), path
+        assert ps.flat.tobytes() == expected.tobytes(), path
+        assert not ps.flat.flags.writeable, path
+        with pytest.raises(ValueError):
+            ps.flat[0] = 1.0
+        used = 0
+        for _, arr in ps.items():  # each tensor is its slot of the run
+            assert np.shares_memory(arr, ps.flat[used : used + arr.size]) or arr.size == 0, path
+            used += arr.size
+        assert used == ps.flat.size, path

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import weakref
 import zlib
+from collections import deque
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from flnp.protocol import (
     Shutdown,
     aggregate,
 )
+from flnp.experiment.federated import drive
 from flnp.protocol.client import FlClient, LocalTrainer
+from flnp.protocol.fedavg import CHUNK_VALUES
 from flnp.protocol.server import FlServer
 from flnp.rng import Rng
 from flnp.tensor import UsageError
@@ -42,7 +45,40 @@ def _update(cid, values, n):
     return LocalUpdate(client_id=cid, round=1, params=_params(values), n_samples=n)
 
 
+def _reference_aggregate(updates):
+    """The per-tensor float64 average: w0 + sum_i share_i * (w_i - w0), tensor by tensor."""
+    ordered = sorted(updates, key=lambda u: u.client_id)
+    total = float(sum(u.n_samples for u in ordered))
+    averages = []
+    for name, base in ordered[0].params.items():
+        w0 = base.astype(np.float64)
+        acc = w0.copy()
+        for u in ordered[1:]:
+            if u.n_samples:
+                acc += (u.params[name].astype(np.float64) - w0) * (u.n_samples / total)
+        averages.append((name, acc))
+    return ParameterSet(averages)
+
+
 class TestAggregate:
+    def test_flat_average_equals_the_per_tensor_reference_bit_for_bit(self):
+        # tensors that straddle chunk boundaries, a scalar and an empty one
+        shapes = [("a", (3, CHUNK_VALUES // 2 + 7)), ("s", ()), ("e", (0, 5)),
+                  ("b", (CHUNK_VALUES + 3,)), ("c", (4, 5))]
+        rng = Rng(2029)
+        for trial in range(12):
+            k = 1 if trial == 0 else 2 + trial % 4
+            counts = [1 + int(rng.integers(400)) for _ in range(k)]
+            if k > 1:
+                counts[trial % k] = 0  # an update that reports no samples
+            updates = [LocalUpdate(cid, 1, ParameterSet(
+                (name, rng.normal(0.0, 10.0 ** (cid % 3), shape)) for name, shape in shapes), n)
+                for cid, n in zip(rng.permutation(k).tolist(), counts)]
+            out = aggregate(updates)
+            want = _reference_aggregate(updates)
+            assert out.manifest() == want.manifest()
+            assert out.flat.tobytes() == want.flat.tobytes()
+
     def test_unweighted_mean_of_two(self):
         out = aggregate([_update(0, [2.0], 1), _update(1, [4.0], 1)])
         assert out["w"].tolist() == [3.0]
@@ -221,6 +257,12 @@ class TestProvision:
         assert server.phase == "collecting"
 
 
+def _report(server):
+    """Report the round `handle` completed, if any, on this thread, as `drive` does the last one."""
+    due = server.take_report()
+    return [] if due is None else server.complete_report(due[0], server.on_round(*due))
+
+
 def _session_key(server, conn):
     return server._slots[conn].session_key
 
@@ -243,7 +285,7 @@ class TestRoundFlow:
         server = _provisioned(2, 1, lambda *args: reports.append(args) or {"val_loss": 0.5})
         assert _send_update(server, 0, [2.0, 0.0]) == []
         assert reports == []
-        out1 = _send_update(server, 1, [4.0, 2.0]) + server.report()
+        out1 = _send_update(server, 1, [4.0, 2.0]) + _report(server)
         assert server.phase == "done"
         assert server.global_params["w"].tolist() == [3.0, 1.0]
         assert len(reports) == 1
@@ -284,12 +326,39 @@ class TestRoundFlow:
         _send_update(server, 0, [9.0, 9.0], n=0)
         _send_update(server, 1, [4.0, 2.0], n=3)  # one count above 0 gives the round its weights
         assert server.global_params["w"].tolist() == [4.0, 2.0]
-        server.report()
+        _report(server)
         _send_update(server, 0, [1.0, 1.0], rnd=2, n=0)
         with pytest.raises(ProtocolError) as err:
             _send_update(server, 1, [1.0, 1.0], rnd=2, n=0)
         assert err.value.code == "no_training_samples"
         assert "round 2" in str(err.value)
+
+    def test_a_signed_error_from_a_provisioned_client_ends_the_run_with_its_code(self):
+        server = _provisioned(2, 1, lambda *args: {})
+        error = sign(ErrorMsg("anything", "site fault"), _session_key(server, 1))
+        with pytest.raises(ProtocolError) as err:
+            server.handle(1, error)
+        assert err.value.code == "anything"
+        assert err.value.detail == "client error in round 1: site fault"
+
+    @pytest.mark.parametrize("who", ["unprovisioned", "bad_tag"])
+    def test_an_error_message_the_server_cannot_trust_ends_the_run_with_its_own_code(self, who):
+        server = _server(n_clients=2, rounds=1)
+        inbound = deque([(0, Hello(client_name="a", auth_token="secret"))])
+        if who == "unprovisioned":
+            inbound.append((7, ErrorMsg("anything", "unsigned")))
+        else:
+            inbound.append((0, sign(ErrorMsg("anything", "badly tagged"), b"\x01" * 8)))
+        sent = []
+        transport = type("Scripted", (), {"recv": lambda self: inbound.popleft(),
+                                          "send": lambda self, conn, msg: sent.append((conn, msg))})()
+        with pytest.raises(ProtocolError) as err:
+            drive(server, transport)
+        expected = {"unprovisioned": (7, "not_provisioned", "connection 7"),
+                    "bad_tag": (0, "auth_failed", "client 0")}[who]
+        assert (sent[-1][0], err.value.code) == expected[:2]
+        assert expected[2] in err.value.detail
+        assert "anything" not in str(err.value)
 
     def test_disconnect_mid_round_aborts_with_round(self):
         server = _server(n_clients=2, rounds=3)
@@ -306,14 +375,14 @@ class TestOnRound:
         server = _provisioned(2, 3, lambda rnd, params, updates: reports.append(
             (rnd, params["w"].tolist(), len(updates), server.global_params is params)) or {})
         assert reports == []
-        assert server.report() == []  # round 0: the initial parameters, no RoundComplete
+        assert _report(server) == []  # round 0: the initial parameters, no RoundComplete
         for rnd in (1, 2, 3):
             _send_update(server, 0, [2.0 * rnd, 0.0], rnd)
             _send_update(server, 1, [4.0 * rnd, 2.0], rnd)
             assert len(reports) == rnd  # aggregated, not yet reported
-            server.report()
+            _report(server)
             assert len(reports) == rnd + 1
-        assert server.report() == []
+        assert _report(server) == []
         assert reports == [(0, [0.0, 0.0], 0, True), (1, [3.0, 1.0], 2, True),
                            (2, [6.0, 1.0], 2, True), (3, [9.0, 1.0], 2, True)]
 
@@ -323,23 +392,23 @@ class TestOnRound:
             client_metrics) or {})
         for cid in (2, 1, 0):
             _send_update(server, cid, [float(cid), 0.0])
-        server.report()
+        _report(server)
         assert seen == [[(0, {"id": 0.0}), (1, {"id": 1.0}), (2, {"id": 2.0})]]
 
     def test_round_complete_carries_the_returned_metrics(self):
         server = _provisioned(2, 2, lambda rnd, params, updates: {"val_loss": rnd / 4})
-        server.report()
+        _report(server)
         _send_update(server, 0, [1.0, 1.0])
         out = _send_update(server, 1, [1.0, 1.0])
         assert [(conn, type(m), m.round) for conn, m in out] == [(0, GlobalModel, 2), (1, GlobalModel, 2)]
-        done = server.report()  # after the next round's global model went out
+        done = _report(server)  # after the next round's global model went out
         assert [conn for conn, _ in done] == [0, 1]
         assert all(isinstance(m, RoundComplete) for _, m in done)
         assert all(m.round == 1 and m.global_metrics == {"val_loss": 0.25} for _, m in done)
         _send_update(server, 0, [1.0, 1.0], 2)
         assert _send_update(server, 1, [1.0, 1.0], 2) == []
         assert server.phase == "collecting"
-        out = server.report()
+        out = _report(server)
         assert [(conn, type(m)) for conn, m in out] == [
             (0, RoundComplete), (1, RoundComplete), (0, Shutdown), (1, Shutdown)]
         metrics = [m.global_metrics for _, m in out if isinstance(m, RoundComplete)]
@@ -350,7 +419,7 @@ class TestOnRound:
         reports = []
         server = _provisioned(2, 2, lambda rnd, params, client_metrics: reports.append(
             (rnd, client_metrics)) or {})
-        server.report()
+        _report(server)
         refs = []
         for cid in (1, 0):
             update = sign(LocalUpdate(cid, 1, _params([float(cid), 1.0]), 1,
@@ -360,7 +429,7 @@ class TestOnRound:
             del update
         assert [(type(m), m.round) for _, m in out] == [(GlobalModel, 2), (GlobalModel, 2)]
         assert [ref() for ref in refs] == [None, None]
-        server.report()
+        _report(server)
         assert reports[-1] == (1, [(0, {"id": 0.0}), (1, {"id": 1.0})])
 
     def test_the_previous_global_set_is_dead_when_aggregate_starts(self, monkeypatch):
@@ -374,12 +443,12 @@ class TestOnRound:
 
         monkeypatch.setattr(server_module, "aggregate", checking_aggregate)
         server = _provisioned(2, 2, lambda *args: {})
-        server.report()
+        _report(server)
         for rnd in (1, 2):
             previous = weakref.ref(server.global_params)
             for cid in (0, 1):
                 _send_update(server, cid, [float(cid), 1.0], rnd)
-            server.report()
+            _report(server)
         assert alive_at_start == [False, False]
         assert server.phase == "done"
 
@@ -389,9 +458,9 @@ class TestOnRound:
         out = server.handle(0, Hello(client_name="a", auth_token="secret"))
         out += server.handle(1, Hello(client_name="b", auth_token="secret"))
         assert [type(m) for _, m in out] == [Provisioned, Provisioned, Shutdown, Shutdown]
-        assert server.report() == []
+        assert _report(server) == []
         assert reports == [(0, server.global_params, [])]
-        assert server.report() == []
+        assert _report(server) == []
         assert len(reports) == 1
 
 
